@@ -15,7 +15,6 @@ from .bounds import (DEMO_GRID, K, K_tilde, VerificationReport, c_alpha_beta,
                      verify_covariant_resolution_ur, verify_metric_ur,
                      verify_noise_ur, verify_overall_width_ur,
                      verify_preparation_ur)
-from .config import GlobalConfig
 from .exceptions import (AccuracyError, ConvergenceError, DomainError,
                          GridTooSmallError, InternalError, QuncertError,
                          ResourceError)
@@ -35,12 +34,13 @@ from .metrics import (ProbeConfig, WidthEstimate, bias, bias_free_error,
                       pushforward_delta1_closed_form, resolution_width)
 from .observables import (CovariantMarginal, MomentStats, Observable,
                           PushforwardObservable, SharpMomentum, SharpPosition,
-                          SmearedMomentum, SmearedPosition, TrivialObservable,
-                          covariant_marginals, joint_covariant_distribution,
-                          map_from_spec, moment_stats, observable_from_spec,
+                          Smeared, SmearedMomentum, SmearedPosition,
+                          TrivialObservable, covariant_marginals,
+                          joint_covariant_distribution, map_from_spec,
+                          moment_stats, observable_from_spec,
                           observable_to_spec)
-from .states import (DEFAULT_GRID, UR_ENSEMBLE_GRID, GridSpec, MixedState,
-                     PhasePoint, State, WaveFunction, ground_state,
+from .states import (COVARIANT_GRID, DEFAULT_GRID, UR_ENSEMBLE_GRID, GridSpec,
+                     MixedState, PhasePoint, State, WaveFunction, ground_state,
                      load_wavefunction_csv, make_box, make_gaussian,
                      make_hermite, make_random_localized,
                      momentum_distribution, parity, position_distribution,
@@ -54,13 +54,13 @@ from .transport import (Coupling, DualPair, c_transform, dual_ascent,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyError", "BoundedRangeMap", "BoundedShiftMap", "ConvergenceError",
-    "CovariantMarginal", "DEFAULT_GRID", "DEMO_GRID", "DomainError",
-    "GlobalConfig", "GridMeasure", "GridSpec", "GridTooSmallError",
+    "AccuracyError", "BoundedRangeMap", "BoundedShiftMap", "COVARIANT_GRID",
+    "ConvergenceError", "CovariantMarginal", "DEFAULT_GRID", "DEMO_GRID",
+    "DomainError", "GridMeasure", "GridSpec", "GridTooSmallError",
     "InternalError", "Interval", "K", "K_tilde", "MixedState", "MomentStats",
     "Observable", "PhasePoint", "PiecewiseLinearMap", "ProbeConfig",
     "PushforwardObservable", "QuncertError", "ResourceError", "SharpMomentum",
-    "SharpPosition", "SmearedMomentum", "SmearedPosition", "State",
+    "SharpPosition", "Smeared", "SmearedMomentum", "SmearedPosition", "State",
     "TrivialObservable", "UR_ENSEMBLE_GRID", "VerificationReport",
     "WaveFunction", "WidthEstimate", "alpha_deviation", "bias",
     "bias_free_error", "c_alpha_beta", "c_from_ground_energy", "convolve",

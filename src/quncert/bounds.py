@@ -26,11 +26,12 @@ from .metrics import (ProbeConfig, default_probe_config,
                       delta_alpha_smeared_closed_form, gross_error_bar_width,
                       observable_distance)
 from .observables import (CovariantMarginal, Observable, SharpMomentum,
-                          SharpPosition, SmearedMomentum, SmearedPosition,
+                          SharpPosition, Smeared, SmearedPosition,
                           covariant_marginals)
-from .states import (UR_ENSEMBLE_GRID, GridSpec, State, _as_mixed,
-                     ground_state, make_gaussian, momentum_distribution,
-                     position_distribution, test_ensemble)
+from .states import (COVARIANT_GRID, UR_ENSEMBLE_GRID, GridSpec, State,
+                     _as_mixed, ground_state, make_gaussian,
+                     momentum_distribution, position_distribution,
+                     test_ensemble)
 from .transport import tent_function
 
 # -- constants ------------------------------------------------------------------
@@ -68,7 +69,6 @@ _DEFAULT_SOLVER_GRID = GridSpec.symmetric(12.0, 1024)
 # |P|-type kinetic terms have power-law bound-state tails; they need a wider
 # box (edge gate relaxed) and a fine momentum lattice, since the kink of the
 # kinetic symbol at 0 biases the lattice energy by O(dp^2)
-_HEAVY_TAIL_GRID = GridSpec.symmetric(64.0, 4096)
 _HEAVY_TAIL_BOUNDARY_TOL = 1e-3
 
 _ground_cache: dict[tuple, float] = {}
@@ -79,7 +79,7 @@ def ground_energy(alpha: float, beta: float, grid: GridSpec | None = None,
                   boundary_tol: float | None = None) -> float:
     """Cached ground energy of |Q|^alpha + |P|^beta on a suitable grid."""
     if grid is None:
-        grid = _HEAVY_TAIL_GRID if beta == 1.0 else _DEFAULT_SOLVER_GRID
+        grid = COVARIANT_GRID if beta == 1.0 else _DEFAULT_SOLVER_GRID
     if boundary_tol is None:
         boundary_tol = _HEAVY_TAIL_BOUNDARY_TOL if beta == 1.0 else 1e-8
     key = (float(alpha), float(beta), grid, float(tol), float(boundary_tol))
@@ -286,19 +286,6 @@ def verify_noise_ur(tau: State, hbar: float = 1.0) -> VerificationReport:
 
 # -- finiteness connections -------------------------------------------------------
 
-def _smeared_parts(obs: Observable, hbar: float
-                   ) -> tuple[GridMeasure, Observable, str]:
-    if isinstance(obs, SmearedPosition):
-        return obs.mu, SharpPosition(), "position"
-    if isinstance(obs, SmearedMomentum):
-        return obs.nu, SharpMomentum(), "momentum"
-    if isinstance(obs, CovariantMarginal):
-        sharp: Observable = (SharpPosition() if obs.axis == "position"
-                             else SharpMomentum())
-        return obs.smearing(hbar), sharp, obs.axis
-    raise DomainError("connection checks need a smeared observable")
-
-
 def verify_connections(instances: Sequence[Observable], grid: GridSpec,
                        eps_values: Sequence[float] = (0.05, 0.1, 0.25),
                        alphas: Sequence[float] = (1.0, 2.0),
@@ -312,13 +299,15 @@ def verify_connections(instances: Sequence[Observable], grid: GridSpec,
     the bound"."""
     reports: list[VerificationReport] = []
     for idx, obs in enumerate(instances):
-        mu, sharp, axis = _smeared_parts(obs, hbar)
+        if not isinstance(obs, Smeared):
+            raise DomainError("connection checks need a smeared observable")
+        mu, axis = obs.smearing(hbar), obs.axis
         step = grid.dx if axis == "position" \
             else grid.momentum_step(hbar)
         noise = math.sqrt(mu.moment(2))
         for eps in eps_values:
             cfg = default_probe_config(grid, eps, axis, hbar, seed=seed)
-            gross = gross_error_bar_width(obs, sharp, cfg, grid, hbar)
+            gross = gross_error_bar_width(obs, obs.sharp(), cfg, grid, hbar)
             if gross.infinite_flag:
                 raise DomainError("connection checks need finite error bars")
             base_inputs = {"instance": idx, "axis": axis, "eps": eps,
@@ -339,7 +328,7 @@ def verify_connections(instances: Sequence[Observable], grid: GridSpec,
 
 # -- sharp-marginal divergence demonstration ------------------------------------------
 
-DEMO_GRID = GridSpec.symmetric(64.0, 4096)
+DEMO_GRID = COVARIANT_GRID
 
 
 def demonstrate_sharp_marginal_divergence(grid: GridSpec | None = None,
@@ -418,13 +407,13 @@ def run_suite(seed: int = 0, hbar: float = 1.0) -> list[VerificationReport]:
     for s in states[:4]:
         reports.append(verify_overall_width_ur(s, 0.05, 0.05, hbar))
         reports.append(verify_overall_width_ur(s, 0.1, 0.2, hbar))
-    cov_grid = GridSpec.symmetric(64.0, 4096)
     for sigma in (0.5, 1.0, 2.0):
-        tau = make_gaussian(cov_grid, 0.0, 0.0, sigma, hbar)
+        tau = make_gaussian(COVARIANT_GRID, 0.0, 0.0, sigma, hbar)
         reports.append(verify_covariant_error_ur(tau, 0.05, 0.05, hbar))
         reports.append(verify_covariant_resolution_ur(tau, 0.05, 0.05, hbar))
         reports.append(verify_noise_ur(tau, hbar))
-    tau1 = make_gaussian(cov_grid, 0.0, 0.0, math.sqrt(0.5 * hbar), hbar)
+    tau1 = make_gaussian(COVARIANT_GRID, 0.0, 0.0, math.sqrt(0.5 * hbar),
+                         hbar)
     reports.append(verify_noise_ur(tau1, hbar))
     for alpha, beta in ((1.0, 1.0), (2.0, 2.0)):
         reports.append(verify_metric_ur(tau1, alpha, beta, hbar=hbar))

@@ -20,13 +20,13 @@ from . import bounds, metrics
 from .exceptions import (AccuracyError, ConvergenceError, DomainError,
                          GridTooSmallError, InternalError, QuncertError,
                          ResourceError)
-from .measures import (GridMeasure, alpha_deviation, load_measure_csv,
-                       measure_from_spec, overall_width, save_measure_csv,
-                       std_deviation)
+from .measures import (GridMeasure, alpha_deviation, gaussian_measure,
+                       load_measure_csv, measure_from_spec, overall_width,
+                       point_mass, save_measure_csv, std_deviation)
 from .observables import (Observable, SharpMomentum, SharpPosition,
-                          observable_from_spec)
-from .states import (DEFAULT_GRID, UR_ENSEMBLE_GRID, GridSpec, MixedState,
-                     momentum_distribution, position_distribution,
+                          SmearedPosition, observable_from_spec)
+from .states import (COVARIANT_GRID, DEFAULT_GRID, UR_ENSEMBLE_GRID, GridSpec,
+                     MixedState, momentum_distribution, position_distribution,
                      save_wavefunction_csv, state_from_spec, test_ensemble)
 from .transport import wasserstein
 
@@ -38,8 +38,6 @@ _EXIT_CODES: tuple[tuple[type, int], ...] = (
     (AccuracyError, 6),
     (InternalError, 7),
 )
-
-_COVARIANT_GRID = GridSpec.symmetric(64.0, 4096)
 
 
 # -- input plumbing -----------------------------------------------------------
@@ -275,7 +273,7 @@ def _cmd_verify(args: argparse.Namespace):
         if relation == "preparation":
             return [bounds.verify_preparation_ur(s, args.alpha, args.beta, hbar)]
         return [bounds.verify_overall_width_ur(s, args.eps, args.eps2, hbar)]
-    grid = _resolve_grid(args, _COVARIANT_GRID)
+    grid = _resolve_grid(args, COVARIANT_GRID)
     if relation == "connections":
         instances = [observable_from_spec(_load_json_arg(args.observable),
                                           grid, hbar)] if args.observable else \
@@ -299,8 +297,6 @@ def _cmd_verify(args: argparse.Namespace):
 
 
 def bounds_default_connection_instances() -> list[Observable]:
-    from .measures import gaussian_measure, point_mass
-    from .observables import SmearedPosition
     return [SmearedPosition(gaussian_measure(0.0, 1.0)),
             SmearedPosition(point_mass(2.0))]
 
@@ -308,7 +304,7 @@ def bounds_default_connection_instances() -> list[Observable]:
 def _cmd_demo(args: argparse.Namespace) -> dict:
     hbar = _resolve_hbar(args)
     grid = None if args.grid is None and not os.environ.get("QUNCERT_GRID") \
-        else _resolve_grid(args, bounds.DEMO_GRID)
+        else _resolve_grid(args, COVARIANT_GRID)
     return bounds.demonstrate_sharp_marginal_divergence(grid, hbar,
                                                         eps2=args.eps2)
 

@@ -18,8 +18,7 @@ import numpy as np
 from .exceptions import DomainError, InternalError
 from .measures import (GridMeasure, Interval, overall_width,
                        overall_width_interval)
-from .observables import (CovariantMarginal, Observable, SharpMomentum,
-                          SharpPosition, SmearedMomentum, SmearedPosition,
+from .observables import (Observable, SharpMomentum, SharpPosition, Smeared,
                           moment_stats)
 from .states import (GridSpec, State, WaveFunction, _as_mixed, _cell_state,
                      _normalized, make_box, make_random_localized)
@@ -337,16 +336,6 @@ def bias(approx: Observable, target: Observable, cfg: ProbeConfig,
 
 # -- resolution width -----------------------------------------------------------
 
-def _smearing_measure(obs: Observable, hbar: float) -> GridMeasure | None:
-    if isinstance(obs, SmearedPosition):
-        return obs.mu
-    if isinstance(obs, SmearedMomentum):
-        return obs.nu
-    if isinstance(obs, CovariantMarginal):
-        return obs.smearing(hbar)
-    return None
-
-
 def resolution_width(obs: Observable, eps: float, grid: GridSpec,
                      x_samples: Sequence[float] | None = None,
                      hbar: float = 1.0, method: str = "auto") -> WidthEstimate:
@@ -363,7 +352,7 @@ def resolution_width(obs: Observable, eps: float, grid: GridSpec,
         raise DomainError(f"unknown method {method!r}")
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
-    smearing = _smearing_measure(obs, hbar)
+    smearing = obs.smearing(hbar) if isinstance(obs, Smeared) else None
     if method == "closed_form" or (method == "auto" and smearing is not None):
         if smearing is None:
             raise DomainError("observable has no closed-form smearing")

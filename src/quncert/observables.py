@@ -1,9 +1,11 @@
 """Observables: maps from states to outcome laws on the real line.
 
-Sharp position/momentum return the Born laws; smeared variants convolve the
-sharp law with a fixed noise measure; pushforwards transform the value space;
-covariant phase-space marginals are the position/momentum margins of the
+Sharp position/momentum return the Born laws.  One `Smeared` type convolves
+a sharp law with a noise measure: either a fixed measure (`SmearedPosition`,
+`SmearedMomentum`) or the smearing measure of a covariant phase-space margin
+(`CovariantMarginal`), the position/momentum margin of the
 translation-covariant observable generated by a normalized reference state.
+Pushforwards transform the value space.
 """
 
 from __future__ import annotations
@@ -51,28 +53,6 @@ class SharpMomentum(Observable):
 
 
 @dataclass(frozen=True, eq=False)
-class SmearedPosition(Observable):
-    """Position measurement whose outcome is offset by independent noise mu."""
-
-    mu: GridMeasure
-    axis = "position"
-
-    def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
-        return convolve(position_distribution(state), self.mu)
-
-
-@dataclass(frozen=True, eq=False)
-class SmearedMomentum(Observable):
-    """Momentum measurement whose outcome is offset by independent noise nu."""
-
-    nu: GridMeasure
-    axis = "momentum"
-
-    def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
-        return convolve(momentum_distribution(state, hbar), self.nu)
-
-
-@dataclass(frozen=True, eq=False)
 class TrivialObservable(Observable):
     """State-independent device: every state yields the same outcome law."""
 
@@ -107,31 +87,52 @@ def covariant_marginals(tau: State, hbar: float = 1.0
             momentum_distribution(reflected, hbar))
 
 
-class CovariantMarginal(Observable):
-    """One margin of the covariant phase-space observable generated by tau.
+class Smeared(Observable):
+    """Sharp position or momentum measurement offset by independent noise.
 
-    The margin acts as a smeared sharp observable: the outcome law is the
-    sharp law convolved with the matching smearing measure of tau.  Smearing
-    measures are cached per hbar (the momentum one depends on it).
+    The outcome law is the sharp law on `axis` convolved with the smearing
+    measure.  `noise` is either that measure or a generator state tau; the
+    covariant margin of tau is smeared by the Born law of the
+    parity-reflected tau on the same axis, cached per hbar (the momentum law
+    depends on it).
     """
 
-    def __init__(self, tau: State, axis: str) -> None:
+    def __init__(self, axis: str, noise: GridMeasure | MixedState) -> None:
         if axis not in ("position", "momentum"):
             raise DomainError("axis must be 'position' or 'momentum'")
-        self.tau = _as_mixed(tau)
         self.axis = axis
-        self._cache: dict[float, tuple[GridMeasure, GridMeasure]] = {}
+        self.noise = noise
+        self._cache: dict[float, GridMeasure] = {}
+
+    def sharp(self) -> Observable:
+        return SharpPosition() if self.axis == "position" else SharpMomentum()
 
     def smearing(self, hbar: float = 1.0) -> GridMeasure:
+        if isinstance(self.noise, GridMeasure):
+            return self.noise
         if hbar not in self._cache:
-            self._cache[hbar] = covariant_marginals(self.tau, hbar)
-        pair = self._cache[hbar]
-        return pair[0] if self.axis == "position" else pair[1]
+            self._cache[hbar] = self.sharp().distribution(parity(self.noise),
+                                                          hbar)
+        return self._cache[hbar]
 
     def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
-        if self.axis == "position":
-            return convolve(position_distribution(state), self.smearing(hbar))
-        return convolve(momentum_distribution(state, hbar), self.smearing(hbar))
+        return convolve(self.sharp().distribution(state, hbar),
+                        self.smearing(hbar))
+
+
+def SmearedPosition(mu: GridMeasure) -> Smeared:
+    """Position measurement whose outcome is offset by independent noise mu."""
+    return Smeared("position", mu)
+
+
+def SmearedMomentum(nu: GridMeasure) -> Smeared:
+    """Momentum measurement whose outcome is offset by independent noise nu."""
+    return Smeared("momentum", nu)
+
+
+def CovariantMarginal(tau: State, axis: str) -> Smeared:
+    """One margin of the covariant phase-space observable generated by tau."""
+    return Smeared(axis, _as_mixed(tau))
 
 
 # -- outcome moments ---------------------------------------------------------
@@ -153,18 +154,10 @@ class MomentStats:
 
 def _base_and_smearing(obs: Observable, state: State, hbar: float
                        ) -> tuple[GridMeasure, GridMeasure | None]:
-    if isinstance(obs, SharpPosition):
-        return position_distribution(state), None
-    if isinstance(obs, SharpMomentum):
-        return momentum_distribution(state, hbar), None
-    if isinstance(obs, SmearedPosition):
-        return position_distribution(state), obs.mu
-    if isinstance(obs, SmearedMomentum):
-        return momentum_distribution(state, hbar), obs.nu
-    if isinstance(obs, CovariantMarginal):
-        base = (position_distribution(state) if obs.axis == "position"
-                else momentum_distribution(state, hbar))
-        return base, obs.smearing(hbar)
+    if isinstance(obs, Smeared):
+        return obs.sharp().distribution(state, hbar), obs.smearing(hbar)
+    if isinstance(obs, (SharpPosition, SharpMomentum)):
+        return obs.distribution(state, hbar), None
     raise DomainError("moment statistics need a sharp or smeared observable")
 
 
@@ -397,10 +390,9 @@ def observable_to_spec(obs: Observable) -> dict:
         return {"kind": "sharp_position"}
     if isinstance(obs, SharpMomentum):
         return {"kind": "sharp_momentum"}
-    if isinstance(obs, SmearedPosition):
-        return {"kind": "smeared_position", "measure": _measure_spec(obs.mu)}
-    if isinstance(obs, SmearedMomentum):
-        return {"kind": "smeared_momentum", "measure": _measure_spec(obs.nu)}
+    if isinstance(obs, Smeared) and isinstance(obs.noise, GridMeasure):
+        return {"kind": f"smeared_{obs.axis}",
+                "measure": _measure_spec(obs.noise)}
     if isinstance(obs, TrivialObservable):
         return {"kind": "trivial", "measure": _measure_spec(obs.law),
                 "axis": obs.axis}

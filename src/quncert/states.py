@@ -423,6 +423,10 @@ def test_ensemble(grid: GridSpec = DEFAULT_GRID, hbar: float = 1.0,
 
 UR_ENSEMBLE_GRID = GridSpec.symmetric(102.4, 4096)
 
+# wide, fine-momentum grid for covariant margins, heavy-tailed ground states
+# and the divergence demonstration
+COVARIANT_GRID = GridSpec.symmetric(64.0, 4096)
+
 
 def random_ensemble(grid: GridSpec, n_states: int, seed: int,
                     hbar: float = 1.0) -> list[MixedState]:

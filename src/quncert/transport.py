@@ -1,10 +1,10 @@
-"""Wasserstein distances, exact transportation LP, and Kantorovich duality.
+"""Wasserstein distances, exact monotone couplings, and Kantorovich duality.
 
 The production distance path uses the monotone (quantile) coupling, which is
 optimal on the line for every order alpha >= 1 and for the sup-displacement
-distance.  An exact primal transportation-simplex solver provides the
-independent cross-check and the dual prices used to warm start coordinate
-ascent on the Kantorovich dual.
+distance.  The same monotone plan, built cell by cell on the atom lattice,
+gives the exact coupling; its dual prices, certified optimal by their reduced
+costs, warm start coordinate ascent on the Kantorovich dual.
 """
 
 from __future__ import annotations
@@ -48,8 +48,13 @@ def wasserstein(m1: GridMeasure, m2: GridMeasure, alpha: float) -> float:
     if not (alpha >= 1.0 and math.isfinite(alpha)):
         raise DomainError("alpha must be a real >= 1 (or inf)")
     masses, q1, q2 = _quantile_cells(m1, m2)
-    cost = float(np.sum(masses * np.abs(q1 - q2) ** alpha))
-    return cost ** (1.0 / alpha)
+    # scale by the largest displacement so its power cannot overflow
+    disp = np.abs(q1 - q2)
+    scale = float(np.max(disp))
+    if scale == 0.0:
+        return 0.0
+    cost = float(np.sum(masses * (disp / scale) ** alpha))
+    return scale * cost ** (1.0 / alpha)
 
 
 def wasserstein_inf(m1: GridMeasure, m2: GridMeasure) -> float:
@@ -103,7 +108,7 @@ class Coupling:
 
 
 def _northwest_corner(a: np.ndarray, b: np.ndarray):
-    """Initial basic feasible plan; returns (plan, basis cell list)."""
+    """North-west-corner plan; returns (plan, staircase path of basic cells)."""
     n, m = a.size, b.size
     plan = np.zeros((n, m))
     basis: list[tuple[int, int]] = []
@@ -129,116 +134,33 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
     return plan, basis
 
 
-def _solve_duals(n: int, m: int, basis: list[tuple[int, int]], cost: np.ndarray):
-    """Dual prices from the basis tree, rooted at row 0 with u[0] = 0."""
-    row_adj: list[list[int]] = [[] for _ in range(n)]
-    col_adj: list[list[int]] = [[] for _ in range(m)]
-    for (i, j) in basis:
-        row_adj[i].append(j)
-        col_adj[j].append(i)
-    u = np.full(n, np.nan)
-    v = np.full(m, np.nan)
-    u[0] = 0.0
-    stack = [(True, 0)]  # (is_row, index)
-    while stack:
-        is_row, k = stack.pop()
-        if is_row:
-            for j in row_adj[k]:
-                if math.isnan(v[j]):
-                    v[j] = cost[k, j] - u[k]
-                    stack.append((False, j))
-        else:
-            for i in col_adj[k]:
-                if math.isnan(u[i]):
-                    u[i] = cost[i, k] - v[k]
-                    stack.append((True, i))
-    if np.any(np.isnan(u)) or np.any(np.isnan(v)):
-        raise InternalError("basis graph is not spanning; degenerate pivot bug")
-    return u, v
+def _monotone_plan(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
+    """Optimal plan for a Monge cost: the north-west-corner staircase.
 
-
-def _find_cycle(n: int, m: int, basis: list[tuple[int, int]],
-                enter: tuple[int, int]) -> list[tuple[int, int]]:
-    """Unique alternating cycle closed by the entering cell.
-
-    Returned cells start with `enter` and alternate +/- along the cycle.
+    Atoms are strictly increasing and |x - y|^alpha (alpha >= 1) is Monge, so
+    the north-west-corner plan is optimal (Hoffman 1963).  Its basis is a path
+    from cell (0, 0), so each dual price follows from its path predecessor;
+    the reduced costs then certify optimality.  Returns (plan, u, v, total).
     """
-    i0, j0 = enter
-    row_adj: list[list[int]] = [[] for _ in range(n)]
-    col_adj: list[list[int]] = [[] for _ in range(m)]
-    for (i, j) in basis:
-        row_adj[i].append(j)
-        col_adj[j].append(i)
-    # BFS from row i0 to col j0 over basis edges; nodes: rows 0..n-1, cols n..n+m-1
-    parent = {("r", i0): None}
-    queue = [("r", i0)]
-    found = False
-    while queue and not found:
-        kind, k = queue.pop(0)
-        if kind == "r":
-            for j in row_adj[k]:
-                node = ("c", j)
-                if node not in parent:
-                    parent[node] = ("r", k)
-                    if j == j0:
-                        found = True
-                        break
-                    queue.append(node)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    b = b * (a.sum() / b.sum())  # rebalance rounding drift; both sum to ~1
+    plan, path = _northwest_corner(a, b)
+    u = np.zeros(cost.shape[0])
+    v = np.zeros(cost.shape[1])
+    v[0] = cost[0, 0]
+    for (i0, _), (i, j) in zip(path, path[1:]):
+        if i > i0:
+            u[i] = cost[i, j] - v[j]
         else:
-            for i in col_adj[k]:
-                node = ("r", i)
-                if node not in parent:
-                    parent[node] = ("c", k)
-                    queue.append(node)
-    if not found:
-        raise InternalError("entering cell closes no cycle; basis not spanning")
-    # walk back from col j0 to row i0 collecting basic cells along the path
-    path_cells: list[tuple[int, int]] = []
-    node = ("c", j0)
-    while parent[node] is not None:
-        prev = parent[node]
-        cell = (prev[1], node[1]) if prev[0] == "r" else (node[1], prev[1])
-        path_cells.append(cell)
-        node = prev
-    return [enter] + path_cells
-
-
-def _transportation_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
-    """Exact optimal plan by primal simplex with Bland-style anti-cycling.
-
-    Returns (plan, u, v, total_cost).
-    """
-    n, m = cost.shape
-    a = np.asarray(a, dtype=float).copy()
-    b = np.asarray(b, dtype=float).copy()
-    b *= a.sum() / b.sum()  # rebalance rounding drift; both sides sum to ~1
-    plan, basis = _northwest_corner(a, b)
-    tol = 1e-12 * (1.0 + float(np.max(cost)))
-    max_pivots = 2000 + 40 * n * m
-    for _ in range(max_pivots):
-        u, v = _solve_duals(n, m, basis, cost)
-        reduced = cost - u[:, None] - v[None, :]
-        for (i, j) in basis:
-            reduced[i, j] = 0.0
-        flat = np.flatnonzero(reduced.ravel() < -tol)
-        if flat.size == 0:
-            total = float(np.sum(plan * cost))
-            return plan, u, v, total
-        enter = (int(flat[0]) // m, int(flat[0]) % m)  # Bland: smallest index
-        cycle = _find_cycle(n, m, basis, enter)
-        minus = cycle[1::2]
-        theta = min(plan[c] for c in minus)
-        # leaving cell: smallest index among the minus cells achieving theta
-        leaving = min(c for c in minus if plan[c] <= theta + 1e-15)
-        for k, c in enumerate(cycle):
-            if k % 2 == 0:
-                plan[c] += theta
-            else:
-                plan[c] = max(plan[c] - theta, 0.0)
-        plan[leaving] = 0.0
-        basis.remove(leaving)
-        basis.append(enter)
-    raise InternalError("transportation simplex exceeded its pivot budget")
+            v[j] = cost[i, j] - u[i]
+    reduced = cost - u[:, None] - v[None, :]
+    rows, cols = zip(*path)
+    reduced[rows, cols] = 0.0
+    if np.any(reduced < -1e-12 * (1.0 + float(np.max(cost)))):
+        raise InternalError("north-west-corner plan is not optimal; "
+                            "cost is not Monge")
+    return plan, u, v, float(np.sum(plan * cost))
 
 
 def optimal_coupling_lp(m1: GridMeasure, m2: GridMeasure, alpha: float,
@@ -254,7 +176,7 @@ def optimal_coupling_lp(m1: GridMeasure, m2: GridMeasure, alpha: float,
     if n * m > size_cap:
         raise ResourceError(f"LP instance {n}x{m} exceeds cell cap {size_cap}")
     cost = np.abs(m1.atoms[:, None] - m2.atoms[None, :]) ** alpha
-    plan, u, v, total = _transportation_simplex(m1.weights, m2.weights, cost)
+    plan, u, v, total = _monotone_plan(m1.weights, m2.weights, cost)
     coupling = Coupling(m1.atoms, m2.atoms, plan)
     if (np.max(np.abs(coupling.row_marginal() - m1.weights)) > 1e-10 or
             np.max(np.abs(coupling.col_marginal() - m2.weights)) > 1e-10):
@@ -267,7 +189,7 @@ def _lp_dual_prices(m1: GridMeasure, m2: GridMeasure, alpha: float,
     if len(m1) * len(m2) > size_cap:
         raise ResourceError(f"LP instance exceeds cell cap {size_cap}")
     cost = np.abs(m1.atoms[:, None] - m2.atoms[None, :]) ** alpha
-    _, u, v, total = _transportation_simplex(m1.weights, m2.weights, cost)
+    _, u, v, total = _monotone_plan(m1.weights, m2.weights, cost)
     return u, v, total
 
 

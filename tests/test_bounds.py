@@ -20,11 +20,16 @@ from quncert.bounds import (DEMO_GRID, K, K_tilde, VerificationReport,
                             verify_noise_ur, verify_overall_width_ur,
                             verify_preparation_ur)
 from quncert.exceptions import DomainError
-from quncert.measures import gaussian_measure, point_mass
-from quncert.observables import SharpPosition, SmearedPosition
-from quncert.states import (UR_ENSEMBLE_GRID, GridSpec, MixedState,
-                            PhasePoint, _cell_state, ground_state, make_box,
-                            make_gaussian, random_ensemble, weyl_translate)
+from quncert.measures import (gaussian_measure, overall_width, point_mass,
+                              two_point)
+from quncert.metrics import resolution_width
+from quncert.observables import (CovariantMarginal, SharpPosition,
+                                 SmearedMomentum, SmearedPosition,
+                                 moment_stats)
+from quncert.states import (DEFAULT_GRID, UR_ENSEMBLE_GRID, GridSpec,
+                            MixedState, PhasePoint, _cell_state,
+                            ground_state, make_box, make_gaussian,
+                            random_ensemble, weyl_translate)
 
 GRID = GridSpec.symmetric(16.0, 512)
 COV_GRID = GridSpec.symmetric(32.0, 2048)
@@ -336,6 +341,32 @@ class TestConnections:
     def test_sharp_instance_rejected(self):
         with pytest.raises(DomainError):
             verify_connections([SharpPosition()], GRID)
+
+    def test_momentum_and_covariant_instances(self):
+        # a coarse generator grid keeps the covariant smearings short; its
+        # momentum step matches DEFAULT_GRID's (same span)
+        tau = make_gaussian(GridSpec.symmetric(16.0, 128), 0.0, 0.0, 1.0)
+        state = _gauss(0.5, -1.0, 0.8, grid=DEFAULT_GRID)
+        # (observable, sharp mean, smearing mean, smearing variance)
+        cases = [
+            (SmearedMomentum(two_point(-0.5, 1.0, 0.4)), -1.0, 0.4, 0.54),
+            (CovariantMarginal(tau, "position"), 0.5, 0.0, 1.0),
+            (CovariantMarginal(tau, "momentum"), -1.0, 0.0, 0.25),
+        ]
+        for obs, mean, noise_mean, noise_var in cases:
+            st = moment_stats(obs, state)
+            assert st.first_moment_mean == pytest.approx(mean + noise_mean,
+                                                         abs=1e-9)
+            assert (st.second_moment_mean - st.first_moment_sq_mean
+                    == pytest.approx(noise_var, abs=1e-9))
+            est = resolution_width(obs, 0.1, DEFAULT_GRID,
+                                   method="closed_form")
+            assert est.value == overall_width(obs.smearing(), 0.1)
+            reports = verify_connections([obs], DEFAULT_GRID,
+                                         eps_values=(0.1,))
+            assert len(reports) == 3
+            assert all(r.passed for r in reports)
+            assert all(r.inputs["axis"] == obs.axis for r in reports)
 
 
 # -- sharp-marginal divergence demo ------------------------------------------------------------

@@ -6,12 +6,14 @@ import scipy.stats
 
 import oracles
 from conftest import random_measure
-from quncert import (DomainError, DualPair, c_transform, dual_ascent,
-                     dual_value, lipschitz_witness_values, optimal_coupling_lp,
+from quncert import (DomainError, DualPair, GridMeasure, InternalError,
+                     c_transform, dual_ascent, dual_value,
+                     lipschitz_witness_values, optimal_coupling_lp,
                      point_mass, save_coupling_csv, sorted_measure,
                      tent_function, uniform_measure, wasserstein,
                      wasserstein_inf)
-from quncert.transport import c_transform_upper, feasibility_violation
+from quncert.transport import (_monotone_plan, c_transform_upper,
+                               feasibility_violation)
 
 HALF_HALF = sorted_measure([0.0, 1.0], [0.5, 0.5])
 
@@ -37,6 +39,16 @@ def test_half_half_vs_point_order_two():
 def test_alpha_validation():
     with pytest.raises(DomainError):
         wasserstein(HALF_HALF, HALF_HALF, 0.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_displacement_does_not_overflow():
+    far = point_mass(1e308)
+    for alpha in (1.0, 2.0, 3.0):
+        assert wasserstein(point_mass(0.0), far, alpha) == 1e308
+    spread = sorted_measure([-1e300, 1e300], [0.5, 0.5])
+    assert wasserstein(spread, point_mass(0.0), 2.0) == pytest.approx(
+        1e300, rel=1e-12)
 
 
 def test_winf_example():
@@ -124,6 +136,40 @@ def test_degenerate_ties_terminate():
     m2 = uniform_measure(0.25, 1.25, 9)
     _, cost = optimal_coupling_lp(m1, m2, 1.0)
     assert cost == pytest.approx(wasserstein(m1, m2, 1.0), abs=1e-9)
+
+
+def _ragged_measure(rng):
+    """Measure with zero weights and, often, cumulative masses that tie."""
+    n = int(rng.integers(1, 9))
+    atoms = np.sort(rng.choice(np.arange(-10.0, 10.0, 0.5), n, replace=False))
+    weights = rng.integers(0, 3, n).astype(float)
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    return GridMeasure(atoms, weights / weights.sum())
+
+
+def test_lp_coupling_is_monotone_quantile_plan(rng):
+    # cell (i, j) of the comonotone plan carries the overlap of the quantile
+    # intervals (A[i-1], A[i]] and (B[j-1], B[j]]
+    for _ in range(200):
+        m1 = _ragged_measure(rng)
+        m2 = _ragged_measure(rng)
+        ca = np.cumsum(m1.weights)
+        cb = np.cumsum(m2.weights)
+        lo = np.maximum.outer(np.concatenate(([0.0], ca[:-1])),
+                              np.concatenate(([0.0], cb[:-1])))
+        want = np.maximum(np.minimum.outer(ca, cb) - lo, 0.0)
+        for alpha in (1.0, 2.0, 3.0):
+            coupling, cost = optimal_coupling_lp(m1, m2, alpha)
+            np.testing.assert_allclose(coupling.joint, want, rtol=0.0,
+                                       atol=1e-12)
+            assert cost == pytest.approx(coupling.cost(alpha), abs=1e-12)
+
+
+def test_monotone_plan_rejects_non_monge_cost():
+    half = np.array([0.5, 0.5])
+    with pytest.raises(InternalError):
+        _monotone_plan(half, half, np.array([[5.0, 0.0], [0.0, 5.0]]))
 
 
 def test_winf_matches_extreme_point_oracle(rng):
