@@ -247,9 +247,16 @@ def parity(state: State) -> MixedState:
 
 def make_gaussian(grid: GridSpec, center: float, momentum: float, sigma: float,
                   hbar: float = 1.0) -> WaveFunction:
-    """Minimum-uncertainty Gaussian: position std sigma, momentum std hbar/2sigma."""
+    """Minimum-uncertainty Gaussian: position std sigma, momentum std hbar/2sigma.
+
+    A sigma below the grid step cannot be resolved: the samples collapse to
+    a lattice delta or underflow, so it raises GridTooSmallError.
+    """
     if sigma <= 0.0:
         raise DomainError("sigma must be positive")
+    if sigma < grid.dx:
+        raise GridTooSmallError(
+            f"gaussian sigma {sigma:g} is below the grid step dx {grid.dx:g}")
     if not (grid.x0 < center < grid.x_end):
         raise DomainError("center must lie inside the grid")
     xs = grid.points()
@@ -511,8 +518,12 @@ def state_from_spec(spec: dict, grid: GridSpec | None = None,
         elif family == "file":
             wf = load_wavefunction_csv(str(spec["path"]))
         elif family == "mixture":
+            comps = spec["components"]
+            if not (isinstance(comps, list)
+                    and all(isinstance(c, dict) for c in comps)):
+                raise DomainError("mixture components must be a list of dicts")
             parts = []
-            for comp in spec["components"]:
+            for comp in comps:
                 if "weight" not in comp:
                     raise DomainError("mixture components need a 'weight'")
                 sub = state_from_spec(

@@ -238,6 +238,20 @@ class TestErrorReporting:
         assert code == 2
         assert "DomainError" in err and "unrecognized keys" in err
 
+    def test_mixture_with_non_dict_component_is_domain_error(self):
+        cmd = [sys.executable, "-m", "quncert.cli", "state",
+               '{"family": "mixture", "components": [1]}']
+        run = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 2
+        assert "DomainError" in run.stderr
+        assert "Traceback" not in run.stderr
+
+    def test_gaussian_narrower_than_grid_step_exit_code(self, capsys):
+        code, _, err = _run(capsys, [
+            "state", '{"family": "gaussian", "center": 0.31, "sigma": 1e-4}'])
+        assert code == 5
+        assert "GridTooSmallError" in err and "dx" in err
+
 
 class TestDemoCommand:
     def test_demo_trace(self, capsys):

@@ -12,6 +12,7 @@ from quncert import (BoundedRangeMap, BoundedShiftMap, DomainError,
                      overall_width_interval, point_mass, pushforward,
                      save_measure_csv, sorted_measure, std_deviation,
                      translate, two_point, uniform_measure)
+from quncert import ResourceError
 
 HALF_HALF = sorted_measure([0.0, 1.0], [0.5, 0.5])
 
@@ -190,6 +191,128 @@ def test_convolve_commutes_within_bin(rng):
             continue
         assert ab.mean() == pytest.approx(ba.mean(), abs=1e-9)
         assert abs(std_deviation(ab) - std_deviation(ba)) <= bin_w
+
+
+def _operand(rng, n, zero_frac, uniform):
+    """n atoms (uniform or irregular, gaps >= 0.05) with ~zero_frac dead."""
+    if uniform:
+        atoms = float(rng.uniform(-5.0, 5.0)) + 0.1 * np.arange(n)
+    else:
+        atoms = float(rng.uniform(-5.0, 5.0)) + np.cumsum(
+            rng.uniform(0.05, 0.2, n))
+    w = rng.uniform(0.1, 1.0, n)
+    w[rng.random(n) < zero_frac] = 0.0
+    if not w.any():
+        w[int(rng.integers(n))] = 1.0
+    return GridMeasure(atoms, w / w.sum())
+
+
+def _probe_law(live_weights):
+    """A law on the 2048-point grid, live only around the origin."""
+    w = np.zeros(2048)
+    w[1020:1020 + len(live_weights)] = live_weights
+    return GridMeasure(-16.0 + (32.0 / 2048) * np.arange(2048), w)
+
+
+def _assert_close_to_reference(got, ref):
+    """Atoms equal but for negligible end atoms; weights and means close."""
+    for m, other in ((got, ref), (ref, got)):
+        extra = ~np.isin(m.atoms, other.atoms)
+        assert np.all(m.weights[extra] < 1e-15)
+        inside = (m.atoms >= other.atoms[0]) & (m.atoms <= other.atoms[-1])
+        assert not np.any(extra & inside)
+    union = np.union1d(got.atoms, ref.atoms)
+
+    def on_union(m):
+        w = np.zeros(union.size)
+        w[np.searchsorted(union, m.atoms)] = m.weights
+        return w
+
+    scale = max(float(got.weights.max()), float(ref.weights.max()))
+    assert np.max(np.abs(on_union(got) - on_union(ref))) <= 1e-12 * scale
+    assert got.mean() == pytest.approx(ref.mean(), abs=1e-12)
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+def test_convolve_bit_identical_to_reference_without_zero_weights(uniform):
+    rng = np.random.default_rng(7)
+    for i in range(20):
+        n_a = int(rng.integers(2, 300))
+        n_b = n_a if i % 4 == 0 else int(rng.integers(2, 300))  # ties too
+        a = _operand(rng, n_a, 0.0, uniform)
+        b = _operand(rng, n_b, 0.0, uniform)
+        for x, y in ((a, b), (b, a)):
+            got, ref = convolve(x, y), oracles.convolve_reference(x, y)
+            assert np.array_equal(got.atoms, ref.atoms)
+            assert np.array_equal(got.weights, ref.weights)
+
+
+@pytest.mark.parametrize("zero_frac", [0.0, 0.5, 0.95])
+@pytest.mark.parametrize("sparse_side", ["a", "b"])
+def test_convolve_with_zero_weights_matches_reference(zero_frac, sparse_side):
+    rng = np.random.default_rng(11)
+    for i in range(40):
+        sparse = _operand(rng, int(rng.integers(2, 300)), zero_frac, i % 2 == 0)
+        dense = _operand(rng, int(rng.integers(2, 300)), 0.0, i % 3 == 0)
+        a, b = (sparse, dense) if sparse_side == "a" else (dense, sparse)
+        _assert_close_to_reference(convolve(a, b),
+                                   oracles.convolve_reference(a, b))
+
+
+def test_convolve_suite_shape_matches_reference():
+    # a localized probe law with 5 live atoms against a smearing law
+    law = _probe_law([0.1, 0.0, 0.2, 0.0, 0.4, 0.2, 0.0, 0.0, 0.0, 0.1])
+    noise = gaussian_measure(0.0, 0.7, 801)
+    for x, y in ((law, noise), (noise, law)):
+        got = convolve(x, y)
+        _assert_close_to_reference(got, oracles.convolve_reference(x, y))
+        assert got.mean() == pytest.approx(law.mean() + noise.mean(),
+                                           abs=1e-12)
+        assert float(np.sum(got.weights)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_convolve_work_scales_with_live_pairs(monkeypatch):
+    law = _probe_law([0.25, 0.0, 0.5, 0.0, 0.25])
+    noise = gaussian_measure(0.0, 0.7, 801)
+    binned = []
+    real_bincount = np.bincount
+
+    def counting_bincount(x, *args, **kwargs):
+        binned.append(len(x))
+        return real_bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting_bincount)
+    for x, y in ((law, noise), (noise, law)):
+        binned.clear()
+        convolve(x, y)
+        # two bincounts per live atom of the law, each over the noise atoms
+        assert binned == [801] * 6
+
+
+def test_convolve_single_live_atom_among_zeros():
+    w = np.zeros(50)
+    w[17] = 1.0
+    lone = GridMeasure(0.25 * np.arange(50), w)
+    g = gaussian_measure(1.0, 1.0, 201)
+    for x, y in ((lone, g), (g, lone)):
+        got = convolve(x, y)
+        _assert_close_to_reference(got, oracles.convolve_reference(x, y))
+        assert got.mean() == pytest.approx(17 * 0.25 + g.mean(), abs=1e-12)
+        # the re-binning displaces mass by at most one bin width
+        assert std_deviation(got) == pytest.approx(std_deviation(g),
+                                                   abs=g.min_spacing())
+
+
+def test_convolve_cap_raises_before_pair_work(monkeypatch):
+    a = uniform_measure(0.0, 10.0, 1001)
+    b = uniform_measure(0.0, 10.0, 1001)
+
+    def no_pair_work(*_args, **_kwargs):
+        raise AssertionError("pair work ran before the cap check")
+
+    monkeypatch.setattr(np, "bincount", no_pair_work)
+    with pytest.raises(ResourceError, match="cap is 100"):
+        convolve(a, b, max_atoms=100)
 
 
 def test_pushforward_monotone_table():

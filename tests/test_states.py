@@ -272,6 +272,14 @@ def test_state_from_spec_families():
              "components": [{"family": "cell", "weight": 1.0}]}, GRID, 1.0)
 
 
+def test_gaussian_narrower_than_grid_step_is_grid_too_small():
+    # on a grid point it would collapse to a lattice delta; off the grid
+    # every sample underflows
+    for center in (GRID.x0 + 1000 * GRID.dx, GRID.x0 + 1000.5 * GRID.dx):
+        with pytest.raises(GridTooSmallError, match="sigma.*dx"):
+            make_gaussian(GRID, center, 0.0, 1e-4 * GRID.dx)
+
+
 def test_wavefunction_csv_round_trip(tmp_path):
     wf = make_gaussian(GRID, 0.3, 1.2, 0.9, 1.0)
     path = tmp_path / "wf.csv"
