@@ -33,11 +33,11 @@ from .metrics import (ProbeConfig, WidthEstimate, bias, bias_free_error,
                       noise_based_error, observable_distance,
                       pushforward_delta1_closed_form, resolution_width)
 from .observables import (CovariantMarginal, MomentStats, Observable,
-                          PushforwardObservable, SharpMomentum, SharpPosition,
-                          Smeared, SmearedMomentum, SmearedPosition,
-                          TrivialObservable, covariant_marginals,
-                          joint_covariant_distribution, map_from_spec,
-                          moment_stats, observable_from_spec,
+                          PushforwardObservable, Sharp, SharpMomentum,
+                          SharpPosition, Smeared, SmearedMomentum,
+                          SmearedPosition, TrivialObservable,
+                          covariant_marginals, joint_covariant_distribution,
+                          map_from_spec, moment_stats, observable_from_spec,
                           observable_to_spec)
 from .states import (COVARIANT_GRID, DEFAULT_GRID, UR_ENSEMBLE_GRID, GridSpec,
                      MixedState, PhasePoint, State, WaveFunction, ground_state,
@@ -59,8 +59,9 @@ __all__ = [
     "DomainError", "GridMeasure", "GridSpec", "GridTooSmallError",
     "InternalError", "Interval", "K", "K_tilde", "MixedState", "MomentStats",
     "Observable", "PhasePoint", "PiecewiseLinearMap", "ProbeConfig",
-    "PushforwardObservable", "QuncertError", "ResourceError", "SharpMomentum",
-    "SharpPosition", "Smeared", "SmearedMomentum", "SmearedPosition", "State",
+    "PushforwardObservable", "QuncertError", "ResourceError", "Sharp",
+    "SharpMomentum", "SharpPosition", "Smeared", "SmearedMomentum",
+    "SmearedPosition", "State",
     "TrivialObservable", "UR_ENSEMBLE_GRID", "VerificationReport",
     "WaveFunction", "WidthEstimate", "alpha_deviation", "bias",
     "bias_free_error", "c_alpha_beta", "c_from_ground_energy", "convolve",

@@ -22,12 +22,10 @@ from .exceptions import DomainError
 from .measures import (GridMeasure, PiecewiseLinearMap, alpha_deviation,
                        convolve, gaussian_measure, overall_width, point_mass,
                        pushforward, two_point, uniform_measure)
-from .metrics import (ProbeConfig, default_probe_config,
-                      delta_alpha_smeared_closed_form, gross_error_bar_width,
-                      observable_distance)
-from .observables import (CovariantMarginal, Observable, SharpMomentum,
-                          SharpPosition, Smeared, SmearedPosition,
-                          covariant_marginals)
+from .metrics import (default_probe_config, delta_alpha_smeared_closed_form,
+                      gross_error_bar_width, observable_distance)
+from .observables import (CovariantMarginal, Observable, Sharp, Smeared,
+                          SmearedPosition, covariant_marginals)
 from .states import (COVARIANT_GRID, UR_ENSEMBLE_GRID, GridSpec, State,
                      _as_mixed, ground_state, make_gaussian,
                      momentum_distribution, position_distribution,
@@ -251,10 +249,10 @@ def verify_metric_ur(tau: State, alpha: float, beta: float,
     else:
         if not ensemble:
             raise DomainError("estimator method needs a probe ensemble")
-        est_q = observable_distance(marg_q, SharpPosition(), alpha, ensemble,
+        est_q = observable_distance(marg_q, Sharp("position"), alpha, ensemble,
                                     hbar, w_cutoff=0.4 * span_q,
                                     divergence_scan=divergence_scan)
-        est_p = observable_distance(marg_p, SharpMomentum(), beta, ensemble,
+        est_p = observable_distance(marg_p, Sharp("momentum"), beta, ensemble,
                                     hbar, w_cutoff=0.4 * span_p,
                                     divergence_scan=divergence_scan)
         dq, inf_q = est_q.value, est_q.infinite_flag
@@ -302,8 +300,7 @@ def verify_connections(instances: Sequence[Observable], grid: GridSpec,
         if not isinstance(obs, Smeared):
             raise DomainError("connection checks need a smeared observable")
         mu, axis = obs.smearing(hbar), obs.axis
-        step = grid.dx if axis == "position" \
-            else grid.momentum_step(hbar)
+        _, step = grid.lattice(axis, hbar)
         noise = math.sqrt(mu.moment(2))
         for eps in eps_values:
             cfg = default_probe_config(grid, eps, axis, hbar, seed=seed)
@@ -329,50 +326,53 @@ def verify_connections(instances: Sequence[Observable], grid: GridSpec,
 # -- sharp-marginal divergence demonstration ------------------------------------------
 
 DEMO_GRID = COVARIANT_GRID
+# momentum boosts of the profile, guess windows around each boost, the
+# guess kernel's standard deviation and the profile's position std
+_DEMO_BOOSTS = (4, 8, 16)
+_DEMO_WINDOWS = (2.0, 4.0, 6.0)
+_DEMO_KERNEL_SD = 1.0
+_DEMO_PROBE_SIGMA = 1.0
 
 
 def demonstrate_sharp_marginal_divergence(grid: GridSpec | None = None,
                                           hbar: float = 1.0,
                                           eps2: float = 0.1,
-                                          boosts: Sequence[int] = (4, 8, 16),
-                                          w_list: Sequence[float] = (2.0, 4.0, 6.0),
-                                          kernel_slope: float = 0.1,
-                                          kernel_sd: float = 1.0,
-                                          probe_sigma: float = 1.0) -> dict:
+                                          kernel_slope: float = 0.1) -> dict:
     """Why a device with a sharp position margin cannot approximate momentum.
 
     The demonstration device measures position exactly, then guesses the
-    momentum by drawing from a Gaussian centered at kernel_slope times the
-    position outcome.  Its guess law depends on the state only through the
-    position law, so boosting a fixed profile leaves the guess unchanged
-    while the true momentum runs away: the guess mass captured near the
-    boost falls to zero and tent witnesses force the 1-distance from sharp
+    momentum by drawing from a unit Gaussian centered at kernel_slope times
+    the position outcome.  Its guess law depends on the state only through
+    the position law, so boosting a fixed profile (a unit Gaussian) by 4, 8
+    and 16 leaves the guess unchanged while the true momentum runs away: the
+    guess mass captured in windows of width 2, 4 and 6 around the boost
+    falls to zero and tent witnesses force the 1-distance from sharp
     momentum to grow linearly with the boost.
     """
     if grid is None:
         grid = DEMO_GRID
     if not 0.0 < eps2 < 1.0:
         raise DomainError("eps2 must lie in (0, 1)")
-    if kernel_slope <= 0.0 or kernel_sd <= 0.0 or probe_sigma <= 0.0:
-        raise DomainError("kernel and probe scales must be positive")
-    profile = make_gaussian(grid, 0.0, 0.0, probe_sigma, hbar)
+    if kernel_slope <= 0.0:
+        raise DomainError("kernel_slope must be positive")
+    profile = make_gaussian(grid, 0.0, 0.0, _DEMO_PROBE_SIGMA, hbar)
     # the guess law is shared by every boost of the profile
     scaling = PiecewiseLinearMap(np.array([-1.0, 1.0]),
                                  np.array([-kernel_slope, kernel_slope]))
     guess_law = convolve(pushforward(position_distribution(profile), scaling),
-                         gaussian_measure(0.0, kernel_sd))
+                         gaussian_measure(0.0, _DEMO_KERNEL_SD))
 
     def window_masses(law: GridMeasure, center: float) -> dict:
         out = {}
-        for w in w_list:
+        for w in _DEMO_WINDOWS:
             lo = int(np.searchsorted(law.atoms, center - 0.5 * w, side="left"))
             hi = int(np.searchsorted(law.atoms, center + 0.5 * w, side="right"))
             out[f"{w:g}"] = float(np.sum(law.weights[lo:hi]))
         return out
 
     sweep = []
-    for n in boosts:
-        boosted = make_gaussian(grid, 0.0, float(n), probe_sigma, hbar)
+    for n in _DEMO_BOOSTS:
+        boosted = make_gaussian(grid, 0.0, float(n), _DEMO_PROBE_SIGMA, hbar)
         plaw = momentum_distribution(boosted, hbar)
         witness_gap = (
             float(np.sum(plaw.weights * tent_function(plaw.atoms, n, n)))
@@ -382,8 +382,8 @@ def demonstrate_sharp_marginal_divergence(grid: GridSpec | None = None,
                       "captured": window_masses(guess_law, float(n)),
                       "d1_lower_bound": witness_gap})
     return {
-        "kernel": {"slope": kernel_slope, "sd": kernel_sd,
-                   "probe_sigma": probe_sigma},
+        "kernel": {"slope": kernel_slope, "sd": _DEMO_KERNEL_SD,
+                   "probe_sigma": _DEMO_PROBE_SIGMA},
         "hbar": hbar,
         "grid": _grid_summary(grid),
         "confidence_threshold": 1.0 - eps2,

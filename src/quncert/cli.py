@@ -23,8 +23,8 @@ from .exceptions import (AccuracyError, ConvergenceError, DomainError,
 from .measures import (GridMeasure, alpha_deviation, gaussian_measure,
                        load_measure_csv, measure_from_spec, overall_width,
                        point_mass, save_measure_csv, std_deviation)
-from .observables import (Observable, SharpMomentum, SharpPosition,
-                          SmearedPosition, observable_from_spec)
+from .observables import (Observable, Sharp, SmearedPosition,
+                          observable_from_spec)
 from .states import (COVARIANT_GRID, DEFAULT_GRID, UR_ENSEMBLE_GRID, GridSpec,
                      MixedState, momentum_distribution, position_distribution,
                      save_wavefunction_csv, state_from_spec, test_ensemble)
@@ -207,9 +207,7 @@ def _cmd_groundstate(args: argparse.Namespace) -> dict:
 
 
 def _default_target(obs: Observable) -> Observable:
-    if obs.axis == "momentum":
-        return SharpMomentum()
-    return SharpPosition()
+    return Sharp("momentum" if obs.axis == "momentum" else "position")
 
 
 def _cmd_metric(args: argparse.Namespace) -> dict:

@@ -245,44 +245,42 @@ def std_deviation(m: GridMeasure) -> float:
     return math.sqrt(variance)
 
 
-def overall_width(m: GridMeasure, eps: float) -> float:
-    """Smallest width of a closed interval carrying mass at least 1 - eps."""
+def _narrowest_window(m: GridMeasure, eps: float) -> tuple[int, int] | None:
+    """Atom indices (i, j) of a narrowest window [atoms[i], atoms[j]] with
+    mass at least 1 - eps; None when a single point suffices."""
     if not (0.0 <= eps < 1.0):
         raise DomainError("eps must lie in [0, 1)")
     need = 1.0 - eps - _MASS_SLACK
     if need <= 0.0:
-        return 0.0
+        return None
     cum = np.concatenate(([0.0], np.asarray(m._cum)))
     # smallest j with mass(i..j) >= need, vectorized over left endpoints i
     targets = cum[:-1] + need
     jp = np.searchsorted(cum, targets, side="left")
     ok = jp <= len(m)
     if not np.any(ok):
-        return float(m.atoms[-1] - m.atoms[0])
+        return 0, len(m) - 1
     lefts = np.nonzero(ok)[0]
     widths = m.atoms[jp[ok] - 1] - m.atoms[lefts]
-    return float(np.min(widths))
+    k = int(np.argmin(widths))
+    return int(lefts[k]), int(jp[ok][k] - 1)
+
+
+def overall_width(m: GridMeasure, eps: float) -> float:
+    """Smallest width of a closed interval carrying mass at least 1 - eps."""
+    window = _narrowest_window(m, eps)
+    if window is None:
+        return 0.0
+    i, j = window
+    return float(m.atoms[j] - m.atoms[i])
 
 
 def overall_width_interval(m: GridMeasure, eps: float) -> Interval:
     """A minimizing interval for :func:`overall_width` (atom-bracketed)."""
-    if not (0.0 <= eps < 1.0):
-        raise DomainError("eps must lie in [0, 1)")
-    need = 1.0 - eps - _MASS_SLACK
-    if need <= 0.0:
+    window = _narrowest_window(m, eps)
+    if window is None:
         return Interval(float(m.quantile(0.5)), 0.0)
-    cum = np.concatenate(([0.0], np.asarray(m._cum)))
-    targets = cum[:-1] + need
-    jp = np.searchsorted(cum, targets, side="left")
-    ok = jp <= len(m)
-    if not np.any(ok):
-        return Interval(0.5 * float(m.atoms[-1] + m.atoms[0]),
-                        float(m.atoms[-1] - m.atoms[0]))
-    lefts = np.nonzero(ok)[0]
-    widths = m.atoms[jp[ok] - 1] - m.atoms[lefts]
-    k = int(np.argmin(widths))
-    i = int(lefts[k])
-    j = int(jp[ok][k] - 1)
+    i, j = window
     return Interval(0.5 * float(m.atoms[i] + m.atoms[j]),
                     float(m.atoms[j] - m.atoms[i]))
 

@@ -16,15 +16,18 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import DomainError, InternalError
-from .measures import (GridMeasure, Interval, overall_width,
-                       overall_width_interval)
-from .observables import (Observable, SharpMomentum, SharpPosition, Smeared,
-                          moment_stats)
-from .states import (GridSpec, State, WaveFunction, _as_mixed, _cell_state,
-                     _normalized, make_box, make_random_localized)
+from .measures import GridMeasure, overall_width, overall_width_interval
+from .observables import Observable, Sharp, Smeared, moment_stats
+from .states import GridSpec, State, WaveFunction, _as_mixed, _axis_state
 from .transport import wasserstein
 
 _PROBE_KINDS = ("flat", "ramped", "random")
+
+# default sweep: this many probe centers over the central fraction of the
+# lattice; a width beyond the cutoff fraction of the lattice span diverges
+_PROBE_CENTERS = 7
+_PROBE_EXTENT = 0.6
+_CUTOFF_FRACTION = 0.4
 
 
 @dataclass(frozen=True)
@@ -62,29 +65,20 @@ class ProbeConfig:
             raise DomainError("bisection_tol must be positive")
 
 
-def _axis_step_span(grid: GridSpec, axis: str, hbar: float) -> tuple[float, float]:
-    if axis == "position":
-        return grid.dx, grid.span
-    if axis == "momentum":
-        dp = grid.momentum_step(hbar)
-        return dp, grid.n * dp
-    raise DomainError(f"no probe axis {axis!r}")
-
-
 def default_probe_config(grid: GridSpec, eps: float, axis: str = "position",
                          hbar: float = 1.0, delta: float | None = None,
-                         n_centers: int = 7, extent_fraction: float = 0.6,
-                         w_cutoff: float | None = None,
                          seed: int = 0) -> ProbeConfig:
-    """Probe config spanning the central extent_fraction of the grid."""
-    step, span = _axis_step_span(grid, axis, hbar)
-    centers = np.linspace(-0.5 * extent_fraction * span,
-                          0.5 * extent_fraction * span, n_centers)
+    """Probe config spanning the central 60 % of the axis lattice, with
+    delta four lattice steps unless given."""
+    _, step = grid.lattice(axis, hbar)
+    span = grid.n * step
+    centers = np.linspace(-0.5 * _PROBE_EXTENT * span,
+                          0.5 * _PROBE_EXTENT * span, _PROBE_CENTERS)
     return ProbeConfig(
         x_samples=tuple(float(c) for c in centers),
         delta=4.0 * step if delta is None else delta,
         eps=eps,
-        w_cutoff=0.4 * span if w_cutoff is None else w_cutoff,
+        w_cutoff=_CUTOFF_FRACTION * span,
         seed=seed)
 
 
@@ -101,37 +95,23 @@ class WidthEstimate:
 
 # -- probe families -----------------------------------------------------------
 
-def _snap_position(grid: GridSpec, x: float) -> float:
-    idx = int(round((x - grid.x0) / grid.dx))
-    if not 0 < idx < grid.n - 1:
-        raise DomainError("probe center falls outside the grid")
-    return grid.x0 + idx * grid.dx
+def _snap(points: np.ndarray, step: float, x: float) -> tuple[int, float]:
+    """Index and value of the interior lattice point nearest to x."""
+    origin = float(points[0])
+    idx = int(round((x - origin) / step))
+    if not 0 < idx < points.size - 1:
+        raise DomainError("probe center falls outside the lattice")
+    return idx, origin + idx * step
 
 
-def _snap_momentum(grid: GridSpec, p: float, hbar: float) -> float:
-    dp = grid.momentum_step(hbar)
-    lo = -dp * (grid.n // 2)
-    idx = int(round((p - lo) / dp))
-    if not 0 < idx < grid.n - 1:
-        raise DomainError("probe center falls outside the momentum band")
-    return lo + idx * dp
-
-
-def _band_state(grid: GridSpec, values: np.ndarray, mask: np.ndarray,
+def _cell_probe(grid: GridSpec, axis: str, hbar: float, x: float
                 ) -> WaveFunction:
-    # values live on the centered momentum lattice; exact band support
-    spectrum = np.zeros(grid.n, dtype=complex)
-    spectrum[mask] = values
-    amp = np.fft.ifft(np.fft.ifftshift(spectrum))
-    return WaveFunction(grid.x0, grid.dx, _normalized(amp, grid.dx))
-
-
-def _momentum_cell_state(grid: GridSpec, p: float, hbar: float) -> WaveFunction:
-    ps = grid.momentum_points(hbar)
-    target = _snap_momentum(grid, p, hbar)
-    mask = np.zeros(grid.n, dtype=bool)
-    mask[int(np.argmin(np.abs(ps - target)))] = True
-    return _band_state(grid, np.ones(1, dtype=complex), mask)
+    """Unit mass on the lattice point of axis nearest to x (exactly
+    localized on that axis)."""
+    points, step = grid.lattice(axis, hbar)
+    amp = np.zeros(grid.n, dtype=complex)
+    amp[_snap(points, step, x)[0]] = 1.0
+    return _axis_state(grid, axis, amp)
 
 
 def _localized_probes(grid: GridSpec, center: float, cfg: ProbeConfig,
@@ -139,43 +119,35 @@ def _localized_probes(grid: GridSpec, center: float, cfg: ProbeConfig,
                       ) -> tuple[float, list[tuple[str, WaveFunction]]]:
     """Probe family exactly localized, on the given axis, inside the window
     of width cfg.delta around the snapped center.  Returns (center, probes)."""
-    step, _ = _axis_step_span(grid, axis, hbar)
+    points, step = grid.lattice(axis, hbar)
     if cfg.delta < 2.0 * step * (1.0 - 1e-12):
         raise DomainError("delta must cover at least two lattice cells")
+    idx, x = _snap(points, step, center)
+    mask = np.abs(points - x) <= 0.5 * cfg.delta + 1e-12 * max(1.0, abs(x))
+    count = int(np.count_nonzero(mask))
+    if count < 2 or mask[0] or mask[-1]:
+        raise DomainError("probe window must lie inside the lattice")
+    window = points[mask]
+    # an offset on the conjugate axis acts on the window as a phase ramp
+    phase = 1j if axis == "position" else -1j
     probes: list[tuple[str, WaveFunction]] = []
 
-    if axis == "position":
-        x = _snap_position(grid, center)
-        axis_origin = grid.x0
+    def window_state(values: np.ndarray) -> WaveFunction:
+        amp = np.zeros(grid.n, dtype=complex)
+        amp[mask] = values
+        return _axis_state(grid, axis, amp)
 
-        def flat_probe(boost: float) -> WaveFunction:
-            return make_box(grid, x, cfg.delta, boost, hbar)
+    def flat_probe(boost: float) -> WaveFunction:
+        if boost == 0.0:
+            return window_state(np.ones(count))
+        return window_state(np.exp(phase * boost * window / hbar))
 
-        def random_probe(seed: int) -> WaveFunction:
-            return make_random_localized(grid, Interval(x, cfg.delta), seed)
+    def random_probe(seed: int) -> WaveFunction:
+        rng = np.random.default_rng(seed)
+        vals = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        return window_state(vals * np.hanning(count + 2)[1:-1])
 
-        conj_nyquist = math.pi * hbar / grid.dx
-    else:
-        x = _snap_momentum(grid, center, hbar)
-        ps = grid.momentum_points(hbar)
-        axis_origin = float(ps[0])
-        mask = np.abs(ps - x) <= 0.5 * cfg.delta + 1e-12 * max(1.0, abs(x))
-        count = int(np.count_nonzero(mask))
-        if count < 2 or mask[0] or mask[-1]:
-            raise DomainError("momentum band must lie inside the lattice")
-        band = ps[mask]
-
-        def flat_probe(boost: float) -> WaveFunction:
-            # a position offset acts on the band as a linear phase ramp
-            return _band_state(grid, np.exp(-1j * boost * band / hbar), mask)
-
-        def random_probe(seed: int) -> WaveFunction:
-            rng = np.random.default_rng(seed)
-            vals = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-            return _band_state(grid, vals * np.hanning(count + 2)[1:-1], mask)
-
-        conj_nyquist = 0.5 * grid.span
-
+    conj_nyquist = math.pi * hbar / step
     if "flat" in cfg.probe_kinds:
         probes.append(("flat", flat_probe(0.0)))
     ramps: list[float] = []
@@ -194,9 +166,8 @@ def _localized_probes(grid: GridSpec, center: float, cfg: ProbeConfig,
             n_ramp += 1
             probes.append((f"ramp{r:+.6g}", flat_probe(r)))
         if len(probes) < cfg.probes_per_center and "random" in cfg.probe_kinds:
-            # per-center offset: the nonnegative lattice index on this axis
-            seed = cfg.seed + 104729 * n_rand \
-                + int(round((x - axis_origin) / step))
+            # per-center offset: the lattice index of the center on this axis
+            seed = cfg.seed + 104729 * n_rand + idx
             probes.append((f"random{n_rand}", random_probe(seed)))
             n_rand += 1
         if len(probes) == before:
@@ -234,11 +205,9 @@ def min_centered_window(m: GridMeasure, center: float, eps: float) -> float:
 # -- error-bar widths -----------------------------------------------------------
 
 def _sharp_axis(target: Observable) -> str:
-    if isinstance(target, SharpPosition):
-        return "position"
-    if isinstance(target, SharpMomentum):
-        return "momentum"
-    raise DomainError("error bars are defined against a sharp target only")
+    if not isinstance(target, Sharp):
+        raise DomainError("error bars are defined against a sharp target only")
+    return target.axis
 
 
 def _probe_sweep(approx: Observable, target: Observable, cfg: ProbeConfig,
@@ -278,44 +247,32 @@ def bias_free_error(approx: Observable, target: Observable, cfg: ProbeConfig,
 
 
 def _delta_sweep(approx: Observable, target: Observable, cfg: ProbeConfig,
-                 grid: GridSpec, hbar: float, centered: bool,
-                 deltas: Sequence[float] | None) -> WidthEstimate:
-    axis = _sharp_axis(target)
-    step, _ = _axis_step_span(grid, axis, hbar)
-    if deltas is None:
-        deltas = (8.0 * step, 4.0 * step, 2.0 * step)
-    deltas = sorted(float(d) for d in deltas)
-    if not deltas:
-        raise DomainError("need at least one delta")
+                 grid: GridSpec, hbar: float, centered: bool) -> WidthEstimate:
+    _, step = grid.lattice(_sharp_axis(target), hbar)
     sweep = []
-    final: WidthEstimate | None = None
-    for d in reversed(deltas):  # shrink toward the localization limit
+    for d in (8.0 * step, 4.0 * step, 2.0 * step):  # shrink toward the limit
         est = _probe_sweep(approx, target, replace(cfg, delta=d), grid, hbar,
                            centered)
         sweep.append({"delta": d, "width": est.value,
                       "infinite": est.infinite_flag})
-        final = est
-    assert final is not None
-    return WidthEstimate(final.value, True, final.infinite_flag,
-                         final.witness, tuple(sweep))
+    return WidthEstimate(est.value, True, est.infinite_flag, est.witness,
+                         tuple(sweep))
 
 
 def gross_error_bar_width(approx: Observable, target: Observable,
-                          cfg: ProbeConfig, grid: GridSpec, hbar: float = 1.0,
-                          deltas: Sequence[float] | None = None
+                          cfg: ProbeConfig, grid: GridSpec, hbar: float = 1.0
                           ) -> WidthEstimate:
     """Small-localization limit of the error-bar width: the sweep shrinks
-    delta over (by default) 8, 4, 2 lattice steps and reports the last value.
-    The trace holds the monotone sweep."""
-    return _delta_sweep(approx, target, cfg, grid, hbar, True, deltas)
+    delta over 8, 4, 2 lattice steps and reports the last value.  The trace
+    holds the monotone sweep."""
+    return _delta_sweep(approx, target, cfg, grid, hbar, True)
 
 
 def gross_bias_free_error(approx: Observable, target: Observable,
-                          cfg: ProbeConfig, grid: GridSpec, hbar: float = 1.0,
-                          deltas: Sequence[float] | None = None
+                          cfg: ProbeConfig, grid: GridSpec, hbar: float = 1.0
                           ) -> WidthEstimate:
     """Small-localization limit of the bias-free error width."""
-    return _delta_sweep(approx, target, cfg, grid, hbar, False, deltas)
+    return _delta_sweep(approx, target, cfg, grid, hbar, False)
 
 
 def bias(approx: Observable, target: Observable, cfg: ProbeConfig,
@@ -336,17 +293,20 @@ def bias(approx: Observable, target: Observable, cfg: ProbeConfig,
 
 # -- resolution width -----------------------------------------------------------
 
+def _axis_or_position(obs: Observable) -> str:
+    return obs.axis if obs.axis in ("position", "momentum") else "position"
+
+
 def resolution_width(obs: Observable, eps: float, grid: GridSpec,
-                     x_samples: Sequence[float] | None = None,
                      hbar: float = 1.0, method: str = "auto") -> WidthEstimate:
     """Smallest window width within which the device can concentrate its
     output around any requested point, at confidence 1-eps.
 
     Smeared variants have the exact closed form: the overall width of the
     smearing measure.  The probe path minimizes over point-localized states
-    (with one offset-refinement pass) and maximizes over requested centers;
-    being an inner minimum over a finite family it certifies an upper bound
-    (is_lower_bound=False).
+    (with one offset-refinement pass) and maximizes over five requested
+    centers on the central 60 % of the axis lattice; being an inner minimum
+    over a finite family it certifies an upper bound (is_lower_bound=False).
     """
     if method not in ("auto", "closed_form", "probes"):
         raise DomainError(f"unknown method {method!r}")
@@ -358,33 +318,27 @@ def resolution_width(obs: Observable, eps: float, grid: GridSpec,
             raise DomainError("observable has no closed-form smearing")
         return WidthEstimate(overall_width(smearing, eps), False,
                              witness=("closed-form",))
-    axis = obs.axis if obs.axis in ("position", "momentum") else "position"
-    step, span = _axis_step_span(grid, axis, hbar)
-    if x_samples is None:
-        x_samples = tuple(float(c) for c in np.linspace(-0.3 * span,
-                                                        0.3 * span, 5))
-    def probe_at(v: float) -> State:
-        if axis == "position":
-            return _cell_state(grid, v)
-        return _momentum_cell_state(grid, v, hbar)
-
+    axis = _axis_or_position(obs)
+    points, step = grid.lattice(axis, hbar)
+    span = grid.n * step
+    # refined probes stay off the two end points of the lattice
+    lo = float(points[1])
+    hi = lo + step * (grid.n - 3)
     best = -1.0
     witness: tuple | None = None
     trace: list[dict] = []
-    for raw in x_samples:
-        x = (_snap_position(grid, raw) if axis == "position"
-             else _snap_momentum(grid, raw, hbar))
-        law = obs.distribution(probe_at(x), hbar)
+    for raw in np.linspace(-0.3 * span, 0.3 * span, 5):
+        _, x = _snap(points, step, float(raw))
+        law = obs.distribution(_cell_probe(grid, axis, hbar, x), hbar)
         w = min_centered_window(law, x, eps)
         # second pass: recenter the probe so the output's best interval
         # lands on the requested point
         offset = overall_width_interval(law, eps).center - x
         refined = x - offset
         label = "cell"
-        lo = grid.x0 + step if axis == "position" else -step * (grid.n // 2 - 1)
-        hi = lo + step * (grid.n - 3)
         if lo <= refined <= hi:
-            law2 = obs.distribution(probe_at(refined), hbar)
+            law2 = obs.distribution(_cell_probe(grid, axis, hbar, refined),
+                                    hbar)
             w2 = min_centered_window(law2, x, eps)
             if w2 < w:
                 w, label = w2, "offset"
@@ -403,14 +357,16 @@ def observable_distance(first: Observable, second: Observable, alpha: float,
     """Largest Wasserstein alpha-distance between the two output laws over
     the probe ensemble: a certified lower bound of the supremum over all
     states.  The divergence scan adds point-localized probes pushed toward
-    the grid edge; crossing w_cutoff sets infinite_flag.
+    the lattice edge; crossing w_cutoff (by default 0.4 times the span of
+    the lattice of the second observable's axis) sets infinite_flag.
     """
     ensemble = list(ensemble)
     if not ensemble:
         raise DomainError("need at least one probe state")
     grid = _as_mixed(ensemble[0]).grid
     if w_cutoff is None:
-        w_cutoff = 0.4 * grid.span
+        _, step = grid.lattice(_axis_or_position(second), hbar)
+        w_cutoff = _CUTOFF_FRACTION * grid.n * step
     best = -1.0
     witness: tuple | None = None
     trace: list[dict] = []
@@ -423,14 +379,11 @@ def observable_distance(first: Observable, second: Observable, alpha: float,
     if divergence_scan:
         axes = {first.axis, second.axis} & {"position", "momentum"}
         for axis in sorted(axes):
+            _, step = grid.lattice(axis, hbar)
             for frac in (0.5, 0.7, 0.9):
                 for sign in (1.0, -1.0):
-                    if axis == "position":
-                        c = sign * frac * 0.5 * grid.span
-                        probe: State = _cell_state(grid, c)
-                    else:
-                        c = sign * frac * 0.5 * grid.n * grid.momentum_step(hbar)
-                        probe = _momentum_cell_state(grid, c, hbar)
+                    c = sign * frac * 0.5 * grid.n * step
+                    probe = _cell_probe(grid, axis, hbar, c)
                     d = wasserstein(first.distribution(probe, hbar),
                                     second.distribution(probe, hbar), alpha)
                     trace.append({"probe": f"scan@{c:.6g}", "distance": d})

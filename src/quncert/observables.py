@@ -1,7 +1,8 @@
 """Observables: maps from states to outcome laws on the real line.
 
-Sharp position/momentum return the Born laws.  One `Smeared` type convolves
-a sharp law with a noise measure: either a fixed measure (`SmearedPosition`,
+One `Sharp` type returns the Born law of position or momentum
+(`SharpPosition`, `SharpMomentum`).  One `Smeared` type convolves a sharp
+law with a noise measure: either a fixed measure (`SmearedPosition`,
 `SmearedMomentum`) or the smearing measure of a covariant phase-space margin
 (`CovariantMarginal`), the position/momentum margin of the
 translation-covariant observable generated by a normalized reference state.
@@ -33,23 +34,29 @@ class Observable:
 
 
 @dataclass(frozen=True)
-class SharpPosition(Observable):
-    """Ideal position measurement."""
+class Sharp(Observable):
+    """Ideal position or momentum measurement: the Born law on `axis`."""
 
-    axis = "position"
+    axis: str
 
-    def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
-        return position_distribution(state)
-
-
-@dataclass(frozen=True)
-class SharpMomentum(Observable):
-    """Ideal momentum measurement."""
-
-    axis = "momentum"
+    def __post_init__(self) -> None:
+        if self.axis not in ("position", "momentum"):
+            raise DomainError("axis must be 'position' or 'momentum'")
 
     def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
+        if self.axis == "position":
+            return position_distribution(state)
         return momentum_distribution(state, hbar)
+
+
+def SharpPosition() -> Sharp:
+    """Ideal position measurement."""
+    return Sharp("position")
+
+
+def SharpMomentum() -> Sharp:
+    """Ideal momentum measurement."""
+    return Sharp("momentum")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,14 +105,13 @@ class Smeared(Observable):
     """
 
     def __init__(self, axis: str, noise: GridMeasure | MixedState) -> None:
-        if axis not in ("position", "momentum"):
-            raise DomainError("axis must be 'position' or 'momentum'")
+        self._sharp = Sharp(axis)
         self.axis = axis
         self.noise = noise
         self._cache: dict[float, GridMeasure] = {}
 
-    def sharp(self) -> Observable:
-        return SharpPosition() if self.axis == "position" else SharpMomentum()
+    def sharp(self) -> Sharp:
+        return self._sharp
 
     def smearing(self, hbar: float = 1.0) -> GridMeasure:
         if isinstance(self.noise, GridMeasure):
@@ -156,7 +162,7 @@ def _base_and_smearing(obs: Observable, state: State, hbar: float
                        ) -> tuple[GridMeasure, GridMeasure | None]:
     if isinstance(obs, Smeared):
         return obs.sharp().distribution(state, hbar), obs.smearing(hbar)
-    if isinstance(obs, (SharpPosition, SharpMomentum)):
+    if isinstance(obs, Sharp):
         return obs.distribution(state, hbar), None
     raise DomainError("moment statistics need a sharp or smeared observable")
 
@@ -231,6 +237,10 @@ def _smoothed_cdf(ref: GridMeasure):
     return cdf
 
 
+# total-variation gap allowed between the joint margins and the smeared laws
+_JOINT_TV_TOL = 1e-2
+
+
 def _binned_tv(masses: np.ndarray, centers: np.ndarray, step: float,
                ref: GridMeasure) -> float:
     # compare window-binned reference masses against the lattice masses;
@@ -246,15 +256,14 @@ def _binned_tv(masses: np.ndarray, centers: np.ndarray, step: float,
 
 def joint_covariant_distribution(tau: State, state: State,
                                  q_values: np.ndarray, p_values: np.ndarray,
-                                 hbar: float = 1.0,
-                                 tv_tol: float = 1e-2) -> JointDistribution:
+                                 hbar: float = 1.0) -> JointDistribution:
     """Joint phase-space law of the covariant observable generated by tau.
 
     The mass assigned to lattice point (q, p) is the outcome density there
     times the lattice cell area.  q_values must be cell-aligned multiples of
     the grid step and uniformly spaced; p_values must sit on the momentum
     lattice.  Margins are checked in total variation against the convolved
-    sharp laws; a gap beyond tv_tol raises AccuracyError (the lattice window
+    sharp laws; a gap beyond 1e-2 raises AccuracyError (the lattice window
     is clipping real mass or is too coarse).
     """
     if not hbar > 0.0:
@@ -298,10 +307,10 @@ def joint_covariant_distribution(tau: State, state: State,
     ref_p = convolve(momentum_distribution(s, hbar), nu_tau)
     tv_q = _binned_tv(mass.sum(axis=1), q_values, dq_step, ref_q)
     tv_p = _binned_tv(mass.sum(axis=0), p_values, dp_step, ref_p)
-    if max(tv_q, tv_p) > tv_tol:
+    if max(tv_q, tv_p) > _JOINT_TV_TOL:
         raise AccuracyError(
             f"joint margins drift from the smeared laws by TV "
-            f"{max(tv_q, tv_p):.3e} > {tv_tol:.1e}")
+            f"{max(tv_q, tv_p):.3e} > {_JOINT_TV_TOL:.1e}")
     return JointDistribution(q_values, p_values, mass, tv_q, tv_p)
 
 
@@ -361,14 +370,11 @@ def observable_from_spec(spec: dict, grid=None, hbar: float = 1.0) -> Observable
         _check_spec_keys(spec, _OBSERVABLE_SPEC_KEYS[kind],
                          f"observable kind {kind!r}")
     try:
-        if kind == "sharp_position":
-            return SharpPosition()
-        if kind == "sharp_momentum":
-            return SharpMomentum()
-        if kind == "smeared_position":
-            return SmearedPosition(measure_from_spec(spec["measure"]))
-        if kind == "smeared_momentum":
-            return SmearedMomentum(measure_from_spec(spec["measure"]))
+        if kind in ("sharp_position", "sharp_momentum"):
+            return Sharp(kind[len("sharp_"):])
+        if kind in ("smeared_position", "smeared_momentum"):
+            return Smeared(kind[len("smeared_"):],
+                           measure_from_spec(spec["measure"]))
         if kind == "trivial":
             return TrivialObservable(measure_from_spec(spec["measure"]),
                                      spec.get("axis", "position"))
@@ -386,10 +392,8 @@ def observable_from_spec(spec: dict, grid=None, hbar: float = 1.0) -> Observable
 def observable_to_spec(obs: Observable) -> dict:
     """Dict form of an observable where one exists (not every map or
     generator is serializable; those raise DomainError)."""
-    if isinstance(obs, SharpPosition):
-        return {"kind": "sharp_position"}
-    if isinstance(obs, SharpMomentum):
-        return {"kind": "sharp_momentum"}
+    if isinstance(obs, Sharp):
+        return {"kind": f"sharp_{obs.axis}"}
     if isinstance(obs, Smeared) and isinstance(obs.noise, GridMeasure):
         return {"kind": f"smeared_{obs.axis}",
                 "measure": _measure_spec(obs.noise)}

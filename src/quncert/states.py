@@ -59,6 +59,15 @@ class GridSpec:
         dp = self.momentum_step(hbar)
         return dp * (np.arange(self.n) - self.n // 2)
 
+    def lattice(self, axis: str, hbar: float = 1.0) -> tuple[np.ndarray, float]:
+        """Outcome points and step of the sharp law on axis: the grid points
+        with step dx, or the centered momentum lattice with step dp."""
+        if axis == "position":
+            return self.points(), self.dx
+        if axis == "momentum":
+            return self.momentum_points(hbar), self.momentum_step(hbar)
+        raise DomainError(f"no lattice for axis {axis!r}")
+
     def is_symmetric(self) -> bool:
         return abs(self.x0 + 0.5 * self.span) <= 1e-9 * max(1.0, self.span)
 
@@ -149,6 +158,15 @@ def _normalized(amp: np.ndarray, dx: float) -> np.ndarray:
     if norm <= 0.0:
         raise DomainError("cannot normalize a zero amplitude array")
     return amp / norm
+
+
+def _axis_state(grid: GridSpec, axis: str, amp: np.ndarray) -> WaveFunction:
+    """Normalized state with the given amplitudes on the lattice of axis:
+    position amplitudes as they are, momentum amplitudes (centered lattice)
+    mapped back to the grid by the inverse of the momentum convention."""
+    if axis == "momentum":
+        amp = np.fft.ifft(np.fft.ifftshift(amp))
+    return WaveFunction(grid.x0, grid.dx, _normalized(amp, grid.dx))
 
 
 # -- outcome distributions ----------------------------------------------------
@@ -250,13 +268,18 @@ def make_gaussian(grid: GridSpec, center: float, momentum: float, sigma: float,
     """Minimum-uncertainty Gaussian: position std sigma, momentum std hbar/2sigma.
 
     A sigma below the grid step cannot be resolved: the samples collapse to
-    a lattice delta or underflow, so it raises GridTooSmallError.
+    a lattice delta or underflow.  A sigma beyond the grid span leaves a flat
+    profile (and overflows sigma ** 2 when huge).  Both raise
+    GridTooSmallError.
     """
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise DomainError("sigma must be positive")
     if sigma < grid.dx:
         raise GridTooSmallError(
             f"gaussian sigma {sigma:g} is below the grid step dx {grid.dx:g}")
+    if sigma > grid.span:
+        raise GridTooSmallError(
+            f"gaussian sigma {sigma:g} exceeds the grid span {grid.span:g}")
     if not (grid.x0 < center < grid.x_end):
         raise DomainError("center must lie inside the grid")
     xs = grid.points()

@@ -23,6 +23,10 @@ _CELL_TOL = 1e-14
 
 LP_SIZE_CAP = 10_000
 
+# dual ascent stops once a round gains less than this, or after this many
+_DUAL_TOL = 1e-10
+_DUAL_ROUNDS = 1000
+
 
 # -- quantile-coupling distances ---------------------------------------------
 
@@ -163,8 +167,18 @@ def _monotone_plan(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     return plan, u, v, float(np.sum(plan * cost))
 
 
-def optimal_coupling_lp(m1: GridMeasure, m2: GridMeasure, alpha: float,
-                        size_cap: int = LP_SIZE_CAP):
+def _lp(m1: GridMeasure, m2: GridMeasure, alpha: float):
+    """Monotone plan of the transportation LP for |x-y|^alpha, at most
+    LP_SIZE_CAP cells.  Returns (plan, u, v, total)."""
+    n, m = len(m1), len(m2)
+    if n * m > LP_SIZE_CAP:
+        raise ResourceError(
+            f"LP instance {n}x{m} exceeds cell cap {LP_SIZE_CAP}")
+    cost = np.abs(m1.atoms[:, None] - m2.atoms[None, :]) ** alpha
+    return _monotone_plan(m1.weights, m2.weights, cost)
+
+
+def optimal_coupling_lp(m1: GridMeasure, m2: GridMeasure, alpha: float):
     """Exact optimal coupling and transportation cost for |x-y|^alpha.
 
     Returns (Coupling, cost) with cost the raw objective value, so that
@@ -172,25 +186,12 @@ def optimal_coupling_lp(m1: GridMeasure, m2: GridMeasure, alpha: float,
     """
     if not (alpha >= 1.0 and math.isfinite(alpha)):
         raise DomainError("alpha must be a finite real >= 1")
-    n, m = len(m1), len(m2)
-    if n * m > size_cap:
-        raise ResourceError(f"LP instance {n}x{m} exceeds cell cap {size_cap}")
-    cost = np.abs(m1.atoms[:, None] - m2.atoms[None, :]) ** alpha
-    plan, u, v, total = _monotone_plan(m1.weights, m2.weights, cost)
+    plan, _, _, total = _lp(m1, m2, alpha)
     coupling = Coupling(m1.atoms, m2.atoms, plan)
     if (np.max(np.abs(coupling.row_marginal() - m1.weights)) > 1e-10 or
             np.max(np.abs(coupling.col_marginal() - m2.weights)) > 1e-10):
         raise InternalError("LP plan marginals drifted beyond 1e-10")
     return coupling, total
-
-
-def _lp_dual_prices(m1: GridMeasure, m2: GridMeasure, alpha: float,
-                    size_cap: int = LP_SIZE_CAP):
-    if len(m1) * len(m2) > size_cap:
-        raise ResourceError(f"LP instance exceeds cell cap {size_cap}")
-    cost = np.abs(m1.atoms[:, None] - m2.atoms[None, :]) ** alpha
-    _, u, v, total = _monotone_plan(m1.weights, m2.weights, cost)
-    return u, v, total
 
 
 # -- Kantorovich duality ------------------------------------------------------
@@ -255,26 +256,21 @@ def dual_value(m1: GridMeasure, m2: GridMeasure, pair: DualPair) -> float:
                  - np.sum(pair.psi_values * m1.weights))
 
 
-def dual_ascent(m1: GridMeasure, m2: GridMeasure, alpha: float,
-                max_rounds: int = 1000, tol: float = 1e-10,
-                warm_start: bool = True) -> DualPair:
+def dual_ascent(m1: GridMeasure, m2: GridMeasure, alpha: float) -> DualPair:
     """Coordinate ascent by alternating c-transforms.
 
-    Warm started from the exact LP dual prices by default, in which case the
-    first round already attains the optimum and later rounds keep it.
+    Warm started from the exact LP dual prices, so the first round already
+    attains the optimum and later rounds keep it.
     """
-    if warm_start:
-        u, v, _ = _lp_dual_prices(m1, m2, alpha)
-        psi = -u
-    else:
-        psi = np.zeros(len(m1))
+    _, u, _, _ = _lp(m1, m2, alpha)
+    psi = -u
     phi = c_transform(psi, m1, m2, alpha)
     best = float(np.sum(phi * m2.weights) - np.sum(psi * m1.weights))
-    for _ in range(max_rounds):
+    for _ in range(_DUAL_ROUNDS):
         psi = c_transform_upper(phi, m2, m1, alpha)
         phi = c_transform(psi, m1, m2, alpha)
         value = float(np.sum(phi * m2.weights) - np.sum(psi * m1.weights))
-        if value - best < tol:
+        if value - best < _DUAL_TOL:
             best = max(best, value)
             break
         best = value

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -21,3 +23,15 @@ def rng():
 @pytest.fixture(scope="session")
 def small_grid():
     return GridSpec.symmetric(16.0, 512)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _child_processes_import_src():
+    """CLI tests start `python -m quncert.cli` in child processes; let them
+    import the package from src/ as pytest's pythonpath setting does here."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    patch = pytest.MonkeyPatch()
+    patch.setenv("PYTHONPATH", os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+    yield
+    patch.undo()

@@ -252,6 +252,14 @@ class TestErrorReporting:
         assert code == 5
         assert "GridTooSmallError" in err and "dx" in err
 
+    def test_gaussian_wider_than_grid_exit_code(self):
+        cmd = [sys.executable, "-m", "quncert.cli", "state",
+               '{"family": "gaussian", "sigma": 1e200}']
+        run = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 5
+        assert "GridTooSmallError" in run.stderr and "span" in run.stderr
+        assert "Traceback" not in run.stderr
+
 
 class TestDemoCommand:
     def test_demo_trace(self, capsys):

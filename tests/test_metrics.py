@@ -18,6 +18,7 @@ from quncert.metrics import (ProbeConfig, WidthEstimate, bias, bias_free_error,
 from quncert.observables import (CovariantMarginal, PushforwardObservable,
                                  SharpMomentum, SharpPosition, SmearedPosition,
                                  TrivialObservable, map_from_spec)
+from quncert.observables import SmearedMomentum
 from quncert.states import GridSpec, MixedState, make_box, make_gaussian
 
 GRID = GridSpec.symmetric(16.0, 512)
@@ -403,3 +404,38 @@ def test_global_noise_error_takes_supremum():
     assert abs(est.value - math.sqrt(0.65)) < 1e-6
     with pytest.raises(DomainError):
         global_noise_error(SharpPosition(), device, [])
+
+
+@pytest.mark.parametrize("mu", [two_point(-0.5, 1.0, 0.3),
+                                uniform_measure(-0.5, 0.5, 17)])
+def test_probe_widths_agree_on_both_axes_when_lattices_coincide(mu):
+    # hbar = N dx^2 / 2 pi makes dp == dx, so the momentum lattice is the
+    # position lattice and every probe width must come out the same
+    hbar = GRID.n * DX ** 2 / (2.0 * math.pi)
+    assert GRID.momentum_step(hbar) == DX
+    results = []
+    for obs, target, axis in ((SmearedPosition(mu), SharpPosition(),
+                               "position"),
+                              (SmearedMomentum(mu), SharpMomentum(),
+                               "momentum")):
+        cfg = default_probe_config(GRID, 0.1, axis, hbar)
+        ests = (error_bar_width(obs, target, cfg, GRID, hbar),
+                bias_free_error(obs, target, cfg, GRID, hbar),
+                gross_error_bar_width(obs, target, cfg, GRID, hbar),
+                resolution_width(obs, 0.1, GRID, hbar=hbar, method="probes"))
+        results.append([(e.value, e.witness) for e in ests])
+    assert results[0] == results[1]
+
+
+def test_momentum_distance_cutoff_follows_the_momentum_band():
+    # a momentum offset of 20 exceeds 0.4 of the position span (12.8) but
+    # is well inside 0.4 of the momentum band (about 40.2)
+    ensemble = [MixedState.pure(make_gaussian(GRID, 0.0, 0.0, s))
+                for s in (0.5, 1.0)]
+    est = observable_distance(SmearedMomentum(point_mass(20.0)),
+                              SharpMomentum(), 1.0, ensemble)
+    assert est.value == pytest.approx(20.0, abs=1e-9)
+    assert not est.infinite_flag
+    far = observable_distance(SmearedMomentum(point_mass(45.0)),
+                              SharpMomentum(), 1.0, ensemble)
+    assert far.infinite_flag

@@ -295,3 +295,10 @@ def test_wavefunction_csv_requires_uniform_grid(tmp_path):
                     "0.4,0.0,0.0\n")
     with pytest.raises(DomainError):
         load_wavefunction_csv(str(path))
+
+
+def test_gaussian_wider_than_grid_span_is_grid_too_small():
+    # a moderate excess leaves a flat profile; a huge one overflows sigma**2
+    for sigma in (2.0 * GRID.span, 1e200):
+        with pytest.raises(GridTooSmallError, match="sigma.*span"):
+            make_gaussian(GRID, 0.0, 0.0, sigma)
