@@ -22,14 +22,15 @@ from .exceptions import DomainError
 from .measures import (GridMeasure, PiecewiseLinearMap, alpha_deviation,
                        convolve, gaussian_measure, overall_width, point_mass,
                        pushforward, two_point, uniform_measure)
-from .metrics import (default_probe_config, delta_alpha_smeared_closed_form,
-                      gross_error_bar_width, observable_distance)
+from .metrics import (_CUTOFF_FRACTION, default_probe_config,
+                      delta_alpha_smeared_closed_form, gross_error_bar_width,
+                      observable_distance)
 from .observables import (CovariantMarginal, Observable, Sharp, Smeared,
                           SmearedPosition, covariant_marginals)
 from .states import (COVARIANT_GRID, UR_ENSEMBLE_GRID, GridSpec, State,
                      _as_mixed, ground_state, make_gaussian,
                      momentum_distribution, position_distribution,
-                     test_ensemble)
+                     solver_grid, test_ensemble)
 from .transport import tent_function
 
 # -- constants ------------------------------------------------------------------
@@ -63,10 +64,9 @@ def c_from_ground_energy(alpha: float, beta: float, g: float) -> float:
             * (g / (alpha + beta)) ** (alpha + beta)) ** (1.0 / (alpha * beta))
 
 
-_DEFAULT_SOLVER_GRID = GridSpec.symmetric(12.0, 1024)
-# |P|-type kinetic terms have power-law bound-state tails; they need a wider
-# box (edge gate relaxed) and a fine momentum lattice, since the kink of the
-# kinetic symbol at 0 biases the lattice energy by O(dp^2)
+# |P|-type kinetic terms have power-law bound-state tails: solver_grid gives
+# them a wide box and a fine momentum lattice (the kink of the kinetic symbol
+# at 0 biases the lattice energy by O(dp^2)), and their edge gate is relaxed
 _HEAVY_TAIL_BOUNDARY_TOL = 1e-3
 
 _ground_cache: dict[tuple, float] = {}
@@ -75,9 +75,9 @@ _ground_cache: dict[tuple, float] = {}
 def ground_energy(alpha: float, beta: float, grid: GridSpec | None = None,
                   tol: float = 1e-6,
                   boundary_tol: float | None = None) -> float:
-    """Cached ground energy of |Q|^alpha + |P|^beta on a suitable grid."""
+    """Cached ground energy of |Q|^alpha + |P|^beta; grid solver_grid(beta)."""
     if grid is None:
-        grid = COVARIANT_GRID if beta == 1.0 else _DEFAULT_SOLVER_GRID
+        grid = solver_grid(beta)
     if boundary_tol is None:
         boundary_tol = _HEAVY_TAIL_BOUNDARY_TOL if beta == 1.0 else 1e-8
     key = (float(alpha), float(beta), grid, float(tol), float(boundary_tol))
@@ -226,18 +226,17 @@ def verify_metric_ur(tau: State, alpha: float, beta: float,
     if method not in ("closed_form", "estimator"):
         raise DomainError(f"unknown method {method!r}")
     t = _as_mixed(tau)
-    grid = t.grid
     marg_q = CovariantMarginal(t, "position")
     marg_p = CovariantMarginal(t, "momentum")
-    span_q = grid.span
-    span_p = grid.n * grid.momentum_step(hbar)
+    span_q, span_p = (t.grid.n * t.grid.lattice(axis, hbar)[1]
+                      for axis in ("position", "momentum"))
     tiny_q = 1e-12 * span_q
     tiny_p = 1e-12 * span_p
     if method == "closed_form":
         dq = delta_alpha_smeared_closed_form(marg_q.smearing(hbar), alpha)
         dp = delta_alpha_smeared_closed_form(marg_p.smearing(hbar), beta)
-        inf_q = dq > 0.4 * span_q
-        inf_p = dp > 0.4 * span_p
+        inf_q = dq > _CUTOFF_FRACTION * span_q
+        inf_p = dp > _CUTOFF_FRACTION * span_p
         # A point-mass smearing forces its Fourier conjugate to fill the whole
         # band, yet the lattice caps the conjugate deviation at ~0.25*span,
         # under the spread threshold; certify that divergence structurally.
@@ -250,10 +249,10 @@ def verify_metric_ur(tau: State, alpha: float, beta: float,
         if not ensemble:
             raise DomainError("estimator method needs a probe ensemble")
         est_q = observable_distance(marg_q, Sharp("position"), alpha, ensemble,
-                                    hbar, w_cutoff=0.4 * span_q,
+                                    hbar, w_cutoff=_CUTOFF_FRACTION * span_q,
                                     divergence_scan=divergence_scan)
         est_p = observable_distance(marg_p, Sharp("momentum"), beta, ensemble,
-                                    hbar, w_cutoff=0.4 * span_p,
+                                    hbar, w_cutoff=_CUTOFF_FRACTION * span_p,
                                     divergence_scan=divergence_scan)
         dq, inf_q = est_q.value, est_q.infinite_flag
         dp, inf_p = est_p.value, est_p.infinite_flag

@@ -27,7 +27,8 @@ from .observables import (Observable, Sharp, SmearedPosition,
                           observable_from_spec)
 from .states import (COVARIANT_GRID, DEFAULT_GRID, UR_ENSEMBLE_GRID, GridSpec,
                      MixedState, momentum_distribution, position_distribution,
-                     save_wavefunction_csv, state_from_spec, test_ensemble)
+                     save_wavefunction_csv, solver_grid, state_from_spec,
+                     test_ensemble)
 from .transport import wasserstein
 
 _EXIT_CODES: tuple[tuple[type, int], ...] = (
@@ -81,9 +82,7 @@ def _resolve_grid(args: argparse.Namespace, fallback: GridSpec) -> GridSpec:
     if args.grid is not None:
         return _parse_grid(args.grid)
     env = os.environ.get("QUNCERT_GRID")
-    if env:
-        return _parse_grid(env)
-    return fallback
+    return _parse_grid(env) if env else fallback
 
 
 def _resolve_hbar(args: argparse.Namespace) -> float:
@@ -197,8 +196,7 @@ def _cmd_state(args: argparse.Namespace) -> dict:
 
 
 def _cmd_groundstate(args: argparse.Namespace) -> dict:
-    grid = None if args.grid is None and not os.environ.get("QUNCERT_GRID") \
-        else _resolve_grid(args, DEFAULT_GRID)
+    grid = _resolve_grid(args, solver_grid(args.beta))
     g = bounds.ground_energy(args.alpha, args.beta, grid, tol=args.tol,
                              boundary_tol=args.boundary_tol)
     return {"alpha": args.alpha, "beta": args.beta, "tol": args.tol,
@@ -301,8 +299,7 @@ def bounds_default_connection_instances() -> list[Observable]:
 
 def _cmd_demo(args: argparse.Namespace) -> dict:
     hbar = _resolve_hbar(args)
-    grid = None if args.grid is None and not os.environ.get("QUNCERT_GRID") \
-        else _resolve_grid(args, COVARIANT_GRID)
+    grid = _resolve_grid(args, bounds.DEMO_GRID)
     return bounds.demonstrate_sharp_marginal_divergence(grid, hbar,
                                                         eps2=args.eps2)
 

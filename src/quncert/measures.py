@@ -25,7 +25,8 @@ log = logging.getLogger(__name__)
 MASS_TOL = 1e-12
 _MASS_SLACK = 1e-12
 
-# Default cap on the number of output atoms a convolution may produce.
+# Default cap on the number of output atoms a convolution may produce; it
+# also caps n_atoms of a uniform or gaussian measure spec.
 DEFAULT_CONVOLVE_CAP = 4_000_000
 
 
@@ -476,6 +477,13 @@ _MEASURE_SPEC_KEYS = {
 }
 
 
+def _atom_count(spec: dict, default: int) -> int:
+    n_atoms = int(spec.get("n_atoms", default))
+    if n_atoms > DEFAULT_CONVOLVE_CAP:
+        raise ResourceError(f"n_atoms {n_atoms} exceeds the cap {DEFAULT_CONVOLVE_CAP}")
+    return n_atoms
+
+
 def measure_from_spec(spec: dict) -> GridMeasure:
     """Build a measure from a JSON-friendly dict.
 
@@ -502,11 +510,11 @@ def measure_from_spec(spec: dict) -> GridMeasure:
                              float(spec.get("w1", 0.5)))
         if family == "uniform":
             return uniform_measure(float(spec["lo"]), float(spec["hi"]),
-                                   int(spec.get("n_atoms", 201)))
+                                   _atom_count(spec, 201))
         if family == "gaussian":
             return gaussian_measure(float(spec.get("mean", 0.0)),
                                     float(spec["sigma"]),
-                                    n_atoms=int(spec.get("n_atoms", 801)),
+                                    n_atoms=_atom_count(spec, 801),
                                     half_width=float(spec.get("half_width", 8.0)))
         if family == "file":
             return load_measure_csv(str(spec["path"]))

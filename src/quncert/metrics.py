@@ -18,15 +18,18 @@ import numpy as np
 from .exceptions import DomainError, InternalError
 from .measures import GridMeasure, overall_width, overall_width_interval
 from .observables import Observable, Sharp, Smeared, moment_stats
-from .states import GridSpec, State, WaveFunction, _as_mixed, _axis_state
+from .states import (GridSpec, State, WaveFunction, _as_mixed, _axis_state,
+                     _cell_state)
 from .transport import wasserstein
 
 _PROBE_KINDS = ("flat", "ramped", "random")
 
-# default sweep: this many probe centers over the central fraction of the
-# lattice; a width beyond the cutoff fraction of the lattice span diverges
-_PROBE_CENTERS = 7
-_PROBE_EXTENT = 0.6
+# placements as fractions of the lattice span from the lattice midpoint:
+# default probe centers, resolution-width centers and divergence-scan probes;
+# a width beyond the cutoff fraction of the lattice span diverges
+_PROBE_FRACTIONS = (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)
+_RESOLUTION_FRACTIONS = (-0.3, -0.15, 0.0, 0.15, 0.3)
+_SCAN_FRACTIONS = (0.25, -0.25, 0.35, -0.35, 0.45, -0.45)
 _CUTOFF_FRACTION = 0.4
 
 
@@ -68,17 +71,14 @@ class ProbeConfig:
 def default_probe_config(grid: GridSpec, eps: float, axis: str = "position",
                          hbar: float = 1.0, delta: float | None = None,
                          seed: int = 0) -> ProbeConfig:
-    """Probe config spanning the central 60 % of the axis lattice, with
-    delta four lattice steps unless given."""
+    """Probe config with seven centers over the central 60 % of the axis
+    lattice around its midpoint, and delta four lattice steps unless given."""
     _, step = grid.lattice(axis, hbar)
-    span = grid.n * step
-    centers = np.linspace(-0.5 * _PROBE_EXTENT * span,
-                          0.5 * _PROBE_EXTENT * span, _PROBE_CENTERS)
     return ProbeConfig(
-        x_samples=tuple(float(c) for c in centers),
+        x_samples=tuple(grid.around_midpoint(axis, _PROBE_FRACTIONS, hbar)),
         delta=4.0 * step if delta is None else delta,
         eps=eps,
-        w_cutoff=_CUTOFF_FRACTION * span,
+        w_cutoff=_CUTOFF_FRACTION * grid.n * step,
         seed=seed)
 
 
@@ -95,39 +95,16 @@ class WidthEstimate:
 
 # -- probe families -----------------------------------------------------------
 
-def _snap(points: np.ndarray, step: float, x: float) -> tuple[int, float]:
-    """Index and value of the interior lattice point nearest to x."""
-    origin = float(points[0])
-    idx = int(round((x - origin) / step))
-    if not 0 < idx < points.size - 1:
-        raise DomainError("probe center falls outside the lattice")
-    return idx, origin + idx * step
-
-
-def _cell_probe(grid: GridSpec, axis: str, hbar: float, x: float
-                ) -> WaveFunction:
-    """Unit mass on the lattice point of axis nearest to x (exactly
-    localized on that axis)."""
-    points, step = grid.lattice(axis, hbar)
-    amp = np.zeros(grid.n, dtype=complex)
-    amp[_snap(points, step, x)[0]] = 1.0
-    return _axis_state(grid, axis, amp)
-
-
 def _localized_probes(grid: GridSpec, center: float, cfg: ProbeConfig,
                       axis: str, hbar: float
                       ) -> tuple[float, list[tuple[str, WaveFunction]]]:
     """Probe family exactly localized, on the given axis, inside the window
     of width cfg.delta around the snapped center.  Returns (center, probes)."""
     points, step = grid.lattice(axis, hbar)
-    if cfg.delta < 2.0 * step * (1.0 - 1e-12):
-        raise DomainError("delta must cover at least two lattice cells")
-    idx, x = _snap(points, step, center)
-    mask = np.abs(points - x) <= 0.5 * cfg.delta + 1e-12 * max(1.0, abs(x))
-    count = int(np.count_nonzero(mask))
-    if count < 2 or mask[0] or mask[-1]:
-        raise DomainError("probe window must lie inside the lattice")
+    idx, x = grid.snap(axis, center, hbar)
+    mask = grid.window(axis, x, cfg.delta, hbar)
     window = points[mask]
+    count = window.size
     # an offset on the conjugate axis acts on the window as a phase ramp
     phase = 1j if axis == "position" else -1j
     probes: list[tuple[str, WaveFunction]] = []
@@ -305,8 +282,9 @@ def resolution_width(obs: Observable, eps: float, grid: GridSpec,
     Smeared variants have the exact closed form: the overall width of the
     smearing measure.  The probe path minimizes over point-localized states
     (with one offset-refinement pass) and maximizes over five requested
-    centers on the central 60 % of the axis lattice; being an inner minimum
-    over a finite family it certifies an upper bound (is_lower_bound=False).
+    centers on the central 60 % of the axis lattice around its midpoint;
+    being an inner minimum over a finite family it certifies an upper bound
+    (is_lower_bound=False).
     """
     if method not in ("auto", "closed_form", "probes"):
         raise DomainError(f"unknown method {method!r}")
@@ -320,16 +298,15 @@ def resolution_width(obs: Observable, eps: float, grid: GridSpec,
                              witness=("closed-form",))
     axis = _axis_or_position(obs)
     points, step = grid.lattice(axis, hbar)
-    span = grid.n * step
     # refined probes stay off the two end points of the lattice
     lo = float(points[1])
     hi = lo + step * (grid.n - 3)
     best = -1.0
     witness: tuple | None = None
     trace: list[dict] = []
-    for raw in np.linspace(-0.3 * span, 0.3 * span, 5):
-        _, x = _snap(points, step, float(raw))
-        law = obs.distribution(_cell_probe(grid, axis, hbar, x), hbar)
+    for raw in grid.around_midpoint(axis, _RESOLUTION_FRACTIONS, hbar):
+        _, x = grid.snap(axis, raw, hbar)
+        law = obs.distribution(_cell_state(grid, x, axis, hbar), hbar)
         w = min_centered_window(law, x, eps)
         # second pass: recenter the probe so the output's best interval
         # lands on the requested point
@@ -337,7 +314,7 @@ def resolution_width(obs: Observable, eps: float, grid: GridSpec,
         refined = x - offset
         label = "cell"
         if lo <= refined <= hi:
-            law2 = obs.distribution(_cell_probe(grid, axis, hbar, refined),
+            law2 = obs.distribution(_cell_state(grid, refined, axis, hbar),
                                     hbar)
             w2 = min_centered_window(law2, x, eps)
             if w2 < w:
@@ -356,9 +333,9 @@ def observable_distance(first: Observable, second: Observable, alpha: float,
                         divergence_scan: bool = True) -> WidthEstimate:
     """Largest Wasserstein alpha-distance between the two output laws over
     the probe ensemble: a certified lower bound of the supremum over all
-    states.  The divergence scan adds point-localized probes pushed toward
-    the lattice edge; crossing w_cutoff (by default 0.4 times the span of
-    the lattice of the second observable's axis) sets infinite_flag.
+    states.  The divergence scan adds point-localized probes from the lattice
+    midpoint out toward its ends; crossing w_cutoff (by default 0.4 times the
+    span of the lattice of the second observable's axis) sets infinite_flag.
     """
     ensemble = list(ensemble)
     if not ensemble:
@@ -379,16 +356,13 @@ def observable_distance(first: Observable, second: Observable, alpha: float,
     if divergence_scan:
         axes = {first.axis, second.axis} & {"position", "momentum"}
         for axis in sorted(axes):
-            _, step = grid.lattice(axis, hbar)
-            for frac in (0.5, 0.7, 0.9):
-                for sign in (1.0, -1.0):
-                    c = sign * frac * 0.5 * grid.n * step
-                    probe = _cell_probe(grid, axis, hbar, c)
-                    d = wasserstein(first.distribution(probe, hbar),
-                                    second.distribution(probe, hbar), alpha)
-                    trace.append({"probe": f"scan@{c:.6g}", "distance": d})
-                    if d > best:
-                        best, witness = d, ("scan", c)
+            for c in grid.around_midpoint(axis, _SCAN_FRACTIONS, hbar):
+                probe = _cell_state(grid, c, axis, hbar)
+                d = wasserstein(first.distribution(probe, hbar),
+                                second.distribution(probe, hbar), alpha)
+                trace.append({"probe": f"scan@{c:.6g}", "distance": d})
+                if d > best:
+                    best, witness = d, ("scan", c)
     return WidthEstimate(best, True, best > w_cutoff, witness, tuple(trace))
 
 

@@ -20,8 +20,9 @@ from .exceptions import AccuracyError, DomainError
 from .measures import (BoundedRangeMap, BoundedShiftMap, GridMeasure,
                        MeasurableMap, PiecewiseLinearMap, _check_spec_keys,
                        convolve, identity_map, measure_from_spec, pushforward)
-from .states import (MixedState, State, _as_mixed, momentum_distribution,
-                     parity, position_distribution, state_from_spec)
+from .states import (MixedState, State, _as_mixed, _shift_cells,
+                     momentum_distribution, parity, position_distribution,
+                     state_from_spec)
 
 
 class Observable:
@@ -194,17 +195,6 @@ class JointDistribution:
     p_marginal_tv: float
 
 
-def _zero_shift(amp: np.ndarray, cells: int) -> np.ndarray:
-    if cells == 0:
-        return amp
-    out = np.zeros_like(amp)
-    if cells > 0:
-        out[cells:] = amp[:amp.size - cells]
-    else:
-        out[:amp.size + cells] = amp[-cells:]
-    return out
-
-
 def _lattice_indices(values: np.ndarray, step: float, offset: float,
                      label: str) -> np.ndarray:
     idx = np.round((values - offset) / step)
@@ -297,7 +287,7 @@ def joint_covariant_distribution(tau: State, state: State,
         for w_s, psi in s.components:
             w = w_t * w_s
             for iq, cells in enumerate(q_cells):
-                overlap = np.conj(_zero_shift(phi.amplitudes, int(cells))) \
+                overlap = np.conj(_shift_cells(phi.amplitudes, int(cells))) \
                     * psi.amplitudes
                 spectrum = np.fft.fftshift(np.fft.fft(overlap))
                 mass[iq] += w * scale * np.abs(spectrum[p_idx]) ** 2

@@ -16,10 +16,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DomainError, GridTooSmallError
+from .exceptions import (ConvergenceError, DomainError, GridTooSmallError,
+                         ResourceError)
 from .measures import GridMeasure, Interval, _check_spec_keys, _make
 
 _NORM_TOL = 1e-9
+# largest grid length accepted; the named grids use at most 4096 points
+MAX_GRID_POINTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -33,13 +36,14 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (self.dx > 0.0 and math.isfinite(self.dx) and math.isfinite(self.x0)):
             raise DomainError("grid needs finite x0 and positive dx")
+        if self.n > MAX_GRID_POINTS:
+            raise ResourceError(f"grid length {self.n} exceeds the cap {MAX_GRID_POINTS}")
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
             raise DomainError("grid length must be a power of two >= 4")
 
     @classmethod
     def symmetric(cls, half_width: float, n: int) -> "GridSpec":
-        dx = 2.0 * half_width / n
-        return cls(-half_width, dx, n)
+        return cls(-half_width, 2.0 * half_width / n, n)
 
     def points(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.n)
@@ -56,8 +60,7 @@ class GridSpec:
         return 2.0 * math.pi * hbar / self.span
 
     def momentum_points(self, hbar: float = 1.0) -> np.ndarray:
-        dp = self.momentum_step(hbar)
-        return dp * (np.arange(self.n) - self.n // 2)
+        return self.momentum_step(hbar) * (np.arange(self.n) - self.n // 2)
 
     def lattice(self, axis: str, hbar: float = 1.0) -> tuple[np.ndarray, float]:
         """Outcome points and step of the sharp law on axis: the grid points
@@ -68,8 +71,52 @@ class GridSpec:
             return self.momentum_points(hbar), self.momentum_step(hbar)
         raise DomainError(f"no lattice for axis {axis!r}")
 
+    def snap(self, axis: str, x: float, hbar: float = 1.0) -> tuple[int, float]:
+        """Index and value of the interior lattice point of axis nearest to x."""
+        points, step = self.lattice(axis, hbar)
+        origin = float(points[0])
+        idx = int(round((x - origin) / step))
+        if not 0 < idx < self.n - 1:
+            raise DomainError(f"point {x:g} lies outside the {axis} lattice interior")
+        return idx, origin + idx * step
+
+    def window(self, axis: str, center: float, width: float,
+               hbar: float = 1.0) -> np.ndarray:
+        """Mask of the lattice points of axis within width/2 of center (with a
+        1e-12 relative slack); at least two points, none at a lattice end."""
+        points, step = self.lattice(axis, hbar)
+        if width < 2.0 * step * (1.0 - 1e-12):
+            raise DomainError(f"window must span two {axis} lattice steps")
+        mask = np.abs(points - center) <= 0.5 * width + 1e-12 * max(1.0, abs(center))
+        if np.count_nonzero(mask) < 2 or mask[0] or mask[-1]:
+            raise DomainError(f"window must lie strictly inside the {axis} lattice")
+        return mask
+
+    def around_midpoint(self, axis: str, fractions: Sequence[float],
+                        hbar: float = 1.0) -> list[float]:
+        """Points at the given fractions of the lattice span of axis from the
+        lattice midpoint (the point of index n // 2)."""
+        points, step = self.lattice(axis, hbar)
+        return [float(points[self.n // 2]) + f * self.n * step for f in fractions]
+
     def is_symmetric(self) -> bool:
         return abs(self.x0 + 0.5 * self.span) <= 1e-9 * max(1.0, self.span)
+
+
+# -- named grids ----------------------------------------------------------------
+# DEFAULT_GRID      state specs, probe sweeps, test ensembles, connections
+# UR_ENSEMBLE_GRID  deviation products: fine momentum lattice for their kink
+# COVARIANT_GRID    covariant margins, |P|-kinetic ground states, the demo
+# SOLVER_GRID       ground states with a smooth kinetic term
+DEFAULT_GRID = GridSpec.symmetric(16.0, 2048)
+UR_ENSEMBLE_GRID = GridSpec.symmetric(102.4, 4096)
+COVARIANT_GRID = GridSpec.symmetric(64.0, 4096)
+SOLVER_GRID = GridSpec.symmetric(12.0, 1024)
+
+
+def solver_grid(beta: float) -> GridSpec:
+    """Named grid for the ground state of |Q|^alpha + |P|^beta."""
+    return COVARIANT_GRID if beta == 1.0 else SOLVER_GRID
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,11 +129,7 @@ class WaveFunction:
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        n = amp.size
-        if n < 4 or (n & (n - 1)) != 0:
-            raise DomainError("amplitude length must be a power of two >= 4")
-        if not (self.dx > 0.0 and math.isfinite(self.dx) and math.isfinite(self.x0)):
-            raise DomainError("wavefunction needs finite x0 and positive dx")
+        object.__setattr__(self, "_grid", GridSpec(self.x0, self.dx, amp.size))
         if not np.all(np.isfinite(amp.view(float))):
             raise DomainError("amplitudes must be finite")
         mass = float(np.sum(np.abs(amp) ** 2) * self.dx)
@@ -97,7 +140,7 @@ class WaveFunction:
 
     @property
     def grid(self) -> GridSpec:
-        return GridSpec(self.x0, self.dx, self.amplitudes.size)
+        return self._grid
 
     def xs(self) -> np.ndarray:
         return self.grid.points()
@@ -198,29 +241,32 @@ def momentum_distribution(state: State, hbar: float = 1.0) -> GridMeasure:
 
 # -- phase-space action ---------------------------------------------------------
 
+def _shift_cells(amp: np.ndarray, cells: int) -> np.ndarray:
+    """Amplitudes moved by whole lattice cells (right for cells > 0), with
+    zeros shifted in at the vacated end."""
+    if cells == 0:
+        return amp
+    out = np.zeros_like(amp)
+    if cells > 0:
+        out[cells:] = amp[:amp.size - cells]
+    else:
+        out[:amp.size + cells] = amp[-cells:]
+    return out
+
+
 def _shift_amplitudes(wf: WaveFunction, q: float, hbar: float) -> np.ndarray:
     """Amplitudes of psi(x - q): whole cells by array shift, remainder by a
     momentum-space phase ramp (exactly unitary for the sub-cell part)."""
     n = wf.amplitudes.size
-    grid = wf.grid
-    if abs(q) >= 0.5 * grid.span:
+    if abs(q) >= 0.5 * wf.grid.span:
         raise DomainError("shift exceeds the grid extent")
     cells = int(round(q / wf.dx))
-    amp = wf.amplitudes
-    if cells != 0:
-        if cells > 0:
-            dropped = float(np.sum(np.abs(amp[n - cells:]) ** 2) * wf.dx)
-        else:
-            dropped = float(np.sum(np.abs(amp[:-cells]) ** 2) * wf.dx)
-        if dropped > 1e-9:
-            raise DomainError(
-                f"shift would wrap {dropped:.3e} of the state past the grid edge")
-        out = np.zeros(n, dtype=complex)
-        if cells > 0:
-            out[cells:] = amp[:n - cells]
-        else:
-            out[:n + cells] = amp[-cells:]
-        amp = out
+    lost = wf.amplitudes[n - cells:] if cells > 0 else wf.amplitudes[:-cells]
+    dropped = float(np.sum(np.abs(lost) ** 2) * wf.dx)
+    if dropped > 1e-9:
+        raise DomainError(
+            f"shift would wrap {dropped:.3e} of the state past the grid edge")
+    amp = _shift_cells(wf.amplitudes, cells)
     residual = q - cells * wf.dx
     if residual != 0.0:
         p_raw = 2.0 * math.pi * hbar * np.fft.fftfreq(n, d=wf.dx)
@@ -291,16 +337,11 @@ def make_gaussian(grid: GridSpec, center: float, momentum: float, sigma: float,
 def make_box(grid: GridSpec, center: float, width: float,
              momentum_boost: float = 0.0, hbar: float = 1.0) -> WaveFunction:
     """Flat amplitude on the grid points inside [center - w/2, center + w/2]."""
-    if width < 2.0 * grid.dx:
-        raise DomainError("box width must be at least two grid cells")
-    xs = grid.points()
-    mask = np.abs(xs - center) <= 0.5 * width + 1e-12 * max(1.0, abs(center))
-    if not mask.any() or mask[0] or mask[-1]:
-        raise DomainError("box support must lie strictly inside the grid")
+    mask = grid.window("position", center, width)
     amp = np.zeros(grid.n, dtype=complex)
     amp[mask] = 1.0
     if momentum_boost != 0.0:
-        amp[mask] *= np.exp(1j * momentum_boost * xs[mask] / hbar)
+        amp[mask] *= np.exp(1j * momentum_boost * grid.points()[mask] / hbar)
     return WaveFunction(grid.x0, grid.dx, _normalized(amp, grid.dx))
 
 
@@ -336,14 +377,13 @@ def make_random_localized(grid: GridSpec, interval: Interval, seed: int) -> Wave
     return WaveFunction(grid.x0, grid.dx, _normalized(amp, grid.dx))
 
 
-def _cell_state(grid: GridSpec, center: float) -> WaveFunction:
-    """Unit mass on the single grid cell nearest to center (exactly localized)."""
-    idx = int(round((center - grid.x0) / grid.dx))
-    if not 0 < idx < grid.n - 1:
-        raise DomainError("cell center must lie inside the grid")
+def _cell_state(grid: GridSpec, center: float, axis: str = "position",
+                hbar: float = 1.0) -> WaveFunction:
+    """Unit mass on the interior lattice point of axis nearest to center
+    (exactly localized on that axis)."""
     amp = np.zeros(grid.n, dtype=complex)
-    amp[idx] = 1.0 / math.sqrt(grid.dx)
-    return WaveFunction(grid.x0, grid.dx, amp)
+    amp[grid.snap(axis, center, hbar)[0]] = 1.0
+    return _axis_state(grid, axis, amp)
 
 
 # -- ground states of |Q|^alpha + |P|^beta ---------------------------------------
@@ -427,9 +467,6 @@ def ground_state(alpha: float, beta: float, grid: GridSpec, tol: float = 1e-6,
 
 # -- built-in ensembles -----------------------------------------------------------
 
-DEFAULT_GRID = GridSpec.symmetric(16.0, 2048)
-
-
 def test_ensemble(grid: GridSpec = DEFAULT_GRID, hbar: float = 1.0,
                   seed: int = 0) -> list[MixedState]:
     """Fixed, varied family of states used by invariants and verifications."""
@@ -449,13 +486,6 @@ def test_ensemble(grid: GridSpec = DEFAULT_GRID, hbar: float = 1.0,
     right = make_gaussian(grid, 2.0, 0.0, 0.7, hbar)
     states.append(MixedState(((0.5, left), (0.5, right))))
     return states
-
-
-UR_ENSEMBLE_GRID = GridSpec.symmetric(102.4, 4096)
-
-# wide, fine-momentum grid for covariant margins, heavy-tailed ground states
-# and the divergence demonstration
-COVARIANT_GRID = GridSpec.symmetric(64.0, 4096)
 
 
 def random_ensemble(grid: GridSpec, n_states: int, seed: int,

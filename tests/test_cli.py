@@ -261,6 +261,68 @@ class TestErrorReporting:
         assert "Traceback" not in run.stderr
 
 
+class TestOffCentreGrid:
+    """Default probe centres sit around the lattice midpoint, so a valid
+    grid that does not straddle 0 gives the widths of the symmetric one."""
+
+    OFF_GRID_FLAG = "--grid=0,0.0625,512"
+    POINT = '{"kind": "smeared_position", "measure": {"family": "point", "at": 0.5}}'
+    # the pushforward hides the smearing, so resolution takes the probe path
+    PROBED = '{"kind": "pushforward", "inner": %s, "map": {"kind": "identity"}}' % POINT
+
+    @pytest.mark.parametrize("functional", ["error-bar", "resolution"])
+    @pytest.mark.parametrize("observable", [POINT, PROBED],
+                             ids=["smeared", "pushforward"])
+    def test_width_matches_symmetric_grid(self, capsys, functional,
+                                          observable):
+        argv = ["metric", functional, "--observable", observable]
+        off = _run_json(capsys, argv + [self.OFF_GRID_FLAG])["estimate"]
+        sym = _run_json(capsys, argv + [GRID_FLAG])["estimate"]
+        assert off["value"] == pytest.approx(sym["value"], rel=1e-9)
+
+    def test_connections_verdicts_match_symmetric_grid(self, capsys):
+        argv = ["verify", "--relation", "connections"]
+        off = _run_json(capsys, argv + [self.OFF_GRID_FLAG])
+        sym = _run_json(capsys, argv + [GRID_FLAG])
+        assert [r["verdict"] for r in off] == [r["verdict"] for r in sym]
+        assert [r["relation"] for r in off] == [r["relation"] for r in sym]
+        assert all(r["inputs"]["grid"] == [0.0, 0.0625, 512] for r in off)
+
+
+class TestEnvGrid:
+    def test_demo_echoes_env_grid(self, capsys, monkeypatch):
+        monkeypatch.setenv("QUNCERT_GRID", "-16.0,0.0625,512")
+        payload = _run_json(capsys, ["demo"])
+        assert payload["grid"] == [-16.0, 0.0625, 512]
+
+    def test_groundstate_cramped_env_grid_exit_code(self, capsys,
+                                                    monkeypatch):
+        monkeypatch.setenv("QUNCERT_GRID", "-4.0,0.0625,128")
+        code, _, err = _run(capsys, ["groundstate", "--alpha", "2",
+                                     "--beta", "2"])
+        assert code == 5
+        assert "GridTooSmallError" in err
+
+
+class TestSizeCaps:
+    # every size here is rejected while the spec or grid is parsed, before
+    # any array is built
+    def test_grid_above_cap_exit_code(self, capsys):
+        code, _, err = _run(capsys, ["state",
+                                     '{"family": "gaussian", "sigma": 1.0}',
+                                     "--grid=-1.0,1e-6,2097152"])
+        assert code == 3
+        assert "ResourceError" in err
+
+    @pytest.mark.parametrize("spec", [
+        '{"family": "uniform", "lo": 0.0, "hi": 1.0, "n_atoms": 4000001}',
+        '{"family": "gaussian", "sigma": 1.0, "n_atoms": 4000001}'])
+    def test_n_atoms_above_cap_exit_code(self, capsys, spec):
+        code, _, err = _run(capsys, ["measure", spec])
+        assert code == 3
+        assert "ResourceError" in err
+
+
 class TestDemoCommand:
     def test_demo_trace(self, capsys):
         payload = _run_json(capsys, ["demo", "--eps2", "0.1"])

@@ -13,6 +13,7 @@ from quncert import (BoundedRangeMap, BoundedShiftMap, DomainError,
                      save_measure_csv, sorted_measure, std_deviation,
                      translate, two_point, uniform_measure)
 from quncert import ResourceError
+from quncert.measures import DEFAULT_CONVOLVE_CAP
 
 HALF_HALF = sorted_measure([0.0, 1.0], [0.5, 0.5])
 
@@ -313,6 +314,18 @@ def test_convolve_cap_raises_before_pair_work(monkeypatch):
     monkeypatch.setattr(np, "bincount", no_pair_work)
     with pytest.raises(ResourceError, match="cap is 100"):
         convolve(a, b, max_atoms=100)
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "uniform", "lo": 0.0, "hi": 1.0},
+    {"family": "gaussian", "sigma": 1.0}])
+def test_spec_n_atoms_cap_raises_before_allocation(spec, monkeypatch):
+    def no_allocation(*_args, **_kwargs):
+        raise AssertionError("atoms were allocated before the cap check")
+
+    monkeypatch.setattr(np, "linspace", no_allocation)
+    with pytest.raises(ResourceError, match="n_atoms"):
+        measure_from_spec({**spec, "n_atoms": DEFAULT_CONVOLVE_CAP + 1})
 
 
 def test_pushforward_monotone_table():

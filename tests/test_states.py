@@ -13,6 +13,7 @@ from quncert import (ConvergenceError, DomainError, GridSpec,
                      save_wavefunction_csv, state_from_spec, std_deviation,
                      translate, weyl_translate)
 from quncert import test_ensemble as builtin_ensemble
+from quncert import ResourceError, states
 
 GRID = GridSpec.symmetric(16.0, 2048)
 
@@ -26,6 +27,30 @@ def test_grid_validation():
         GridSpec(0.0, -0.1, 128)
     with pytest.raises(DomainError):
         GridSpec(0.0, 0.1, 2)
+
+
+def test_grid_length_cap_is_resource_error():
+    # the constructor allocates nothing, so the oversized length is safe here
+    cap = states.MAX_GRID_POINTS
+    with pytest.raises(ResourceError, match="cap"):
+        GridSpec(-1.0, 1e-6, 2 * cap)
+    assert GridSpec(-1.0, 1e-6, cap).n == cap
+
+
+def test_lattice_geometry_from_the_midpoint():
+    off = GridSpec(0.0, 0.0625, 512)
+    assert off.around_midpoint("position", (-0.25, 0.0, 0.25)) == [8.0, 16.0, 24.0]
+    assert GRID.around_midpoint("position", (0.0, 0.3)) == [0.0, 0.3 * GRID.span]
+    assert off.around_midpoint("momentum", (0.0,)) == [0.0]
+    assert off.snap("position", 16.02) == (256, 16.0)
+    with pytest.raises(DomainError):
+        off.snap("position", -0.5)
+    mask = off.window("position", 16.0, 0.25)
+    assert off.points()[mask].tolist() == [15.875, 15.9375, 16.0, 16.0625, 16.125]
+    with pytest.raises(DomainError):
+        off.window("position", 16.0, 0.0625)  # below two steps
+    with pytest.raises(DomainError):
+        off.window("position", 0.0, 1.0)  # reaches the first point
 
 
 def test_grid_momentum_lattice():
