@@ -21,12 +21,12 @@ from .exceptions import (AccuracyError, ConvergenceError, DomainError,
                          GridTooSmallError, InternalError, QuncertError,
                          ResourceError)
 from .measures import (GridMeasure, alpha_deviation, gaussian_measure,
-                       load_measure_csv, measure_from_spec, overall_width,
-                       point_mass, save_measure_csv, std_deviation)
+                       measure_from_spec, overall_width, point_mass,
+                       save_measure_csv, std_deviation)
 from .observables import (Observable, Sharp, SmearedPosition,
                           observable_from_spec)
 from .states import (COVARIANT_GRID, DEFAULT_GRID, UR_ENSEMBLE_GRID, GridSpec,
-                     MixedState, momentum_distribution, position_distribution,
+                     momentum_distribution, position_distribution,
                      save_wavefunction_csv, solver_grid, state_from_spec,
                      test_ensemble)
 from .transport import wasserstein
@@ -55,20 +55,13 @@ def _looks_like_path(text: str) -> bool:
         and (os.sep in text or text.endswith(".csv"))
 
 
-def _measure_arg(text: str) -> GridMeasure:
+def _spec_arg(text: str, from_spec, *context):
+    """Build from a CSV path (the file family of from_spec) or a JSON spec."""
     if _looks_like_path(text):
         if not os.path.exists(text):
-            raise DomainError(f"no such measure file: {text}")
-        return load_measure_csv(text)
-    return measure_from_spec(_load_json_arg(text))
-
-
-def _state_arg(text: str, grid: GridSpec, hbar: float) -> MixedState:
-    if _looks_like_path(text):
-        if not os.path.exists(text):
-            raise DomainError(f"no such state file: {text}")
-        return state_from_spec({"family": "file", "path": text}, grid, hbar)
-    return state_from_spec(_load_json_arg(text), grid, hbar)
+            raise DomainError(f"no such file: {text}")
+        return from_spec({"family": "file", "path": text}, *context)
+    return from_spec(_load_json_arg(text), *context)
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -146,7 +139,7 @@ def _estimate_payload(est: metrics.WidthEstimate) -> dict:
 # -- subcommand handlers ------------------------------------------------------------
 
 def _cmd_measure(args: argparse.Namespace) -> dict:
-    m = _measure_arg(args.measure)
+    m = _spec_arg(args.measure, measure_from_spec)
     return {
         "n_atoms": len(m),
         "mean": m.mean(),
@@ -159,8 +152,8 @@ def _cmd_measure(args: argparse.Namespace) -> dict:
 
 
 def _cmd_wasserstein(args: argparse.Namespace) -> dict:
-    m1 = _measure_arg(args.first)
-    m2 = _measure_arg(args.second)
+    m1 = _spec_arg(args.first, measure_from_spec)
+    m2 = _spec_arg(args.second, measure_from_spec)
     alpha = math.inf if args.alpha == "inf" else float(args.alpha)
     return {"alpha": _render_alpha(alpha),
             "distance": wasserstein(m1, m2, alpha)}
@@ -178,7 +171,7 @@ def _law_summary(m: GridMeasure, eps: float) -> dict:
 def _cmd_state(args: argparse.Namespace) -> dict:
     grid = _resolve_grid(args, DEFAULT_GRID)
     hbar = _resolve_hbar(args)
-    s = _state_arg(args.state, grid, hbar)
+    s = _spec_arg(args.state, state_from_spec, grid, hbar)
     qlaw = position_distribution(s)
     plaw = momentum_distribution(s, hbar)
     if args.save_position:

@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import sys
 from dataclasses import dataclass
+from types import GenericAlias
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,8 +28,12 @@ MASS_TOL = 1e-12
 _MASS_SLACK = 1e-12
 
 # Default cap on the number of output atoms a convolution may produce; it
-# also caps n_atoms of a uniform or gaussian measure spec.
+# also caps n_atoms of uniform_measure and gaussian_measure.
 DEFAULT_CONVOLVE_CAP = 4_000_000
+
+# Golden-section steps: a search stops at 16 ulps of the larger end of its
+# bracket, at most 2**50 times narrower than it started: under 75 steps.
+_GOLDEN_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -69,11 +75,14 @@ class GridMeasure:
             raise DomainError("atoms and weights must be nonempty and equal length")
         if not np.all(np.isfinite(atoms)) or not np.all(np.isfinite(weights)):
             raise DomainError("atoms and weights must be finite")
+        if not math.isfinite(float(atoms.max()) - float(atoms.min())):
+            raise DomainError("atom span must be a finite float")
         if atoms.size > 1 and not np.all(np.diff(atoms) > 0.0):
             raise DomainError("atoms must be strictly increasing")
         if np.any(weights < 0.0):
             raise DomainError("weights must be nonnegative")
-        cum = np.cumsum(weights)
+        with np.errstate(over="ignore"):  # an infinite total fails below
+            cum = np.cumsum(weights)
         total = float(cum[-1])
         if abs(total - 1.0) > MASS_TOL:
             raise DomainError(f"weights must sum to 1 within {MASS_TOL}, got {total!r}")
@@ -141,9 +150,10 @@ def _make(atoms: np.ndarray, weights: np.ndarray, normalize: bool = True) -> Gri
     # internal constructor: optional exact renormalization of positive weights
     weights = np.asarray(weights, dtype=float)
     if normalize:
-        total = float(np.sum(weights))
-        if total <= 0.0:
-            raise DomainError("total mass must be positive")
+        with np.errstate(over="ignore"):
+            total = float(np.sum(weights))
+        if not 0.0 < total < math.inf:
+            raise DomainError("total mass must be positive and finite")
         weights = weights / total
     return GridMeasure(np.asarray(atoms, dtype=float), weights)
 
@@ -174,12 +184,14 @@ def two_point(a: float, b: float, weight_a: float = 0.5) -> GridMeasure:
 
 def uniform_measure(lo: float, hi: float, n_atoms: int) -> GridMeasure:
     """Equal weights on n_atoms equally spaced points of [lo, hi]."""
+    if n_atoms > DEFAULT_CONVOLVE_CAP:
+        raise ResourceError(f"n_atoms {n_atoms} exceeds the cap {DEFAULT_CONVOLVE_CAP}")
     if n_atoms < 1:
         raise DomainError("n_atoms must be positive")
     if n_atoms == 1:
         return point_mass(0.5 * (lo + hi))
-    if not hi > lo:
-        raise DomainError("need hi > lo")
+    if not (hi > lo and math.isfinite(hi - lo)):
+        raise DomainError("need hi > lo with a finite span")
     atoms = np.linspace(lo, hi, n_atoms)
     return _make(atoms, np.full(n_atoms, 1.0 / n_atoms), normalize=True)
 
@@ -187,24 +199,34 @@ def uniform_measure(lo: float, hi: float, n_atoms: int) -> GridMeasure:
 def gaussian_measure(mean: float, sigma: float, n_atoms: int = 801,
                      half_width: float = 8.0) -> GridMeasure:
     """Gaussian density sampled on a regular grid of +-half_width*sigma."""
+    if n_atoms > DEFAULT_CONVOLVE_CAP:
+        raise ResourceError(f"n_atoms {n_atoms} exceeds the cap {DEFAULT_CONVOLVE_CAP}")
     if sigma <= 0.0:
         raise DomainError("sigma must be positive")
+    if not math.isfinite(2.0 * half_width * max(sigma, 1.0) + abs(mean)):
+        raise DomainError("gaussian support must have a finite span")
     xs = mean + sigma * np.linspace(-half_width, half_width, n_atoms)
-    w = np.exp(-0.5 * ((xs - mean) / sigma) ** 2)
+    # the weight is 0 beyond 40 sigma anyway; the clip keeps the square finite
+    w = np.exp(-0.5 * np.clip((xs - mean) / sigma, -40.0, 40.0) ** 2)
     return _make(xs, w, normalize=True)
 
 
 # -- spread functionals -----------------------------------------------------
 
 def _golden_min(fun: Callable[[float], float], lo: float, hi: float,
-                xtol: float = 1e-10) -> float:
-    """Golden-section minimizer of a convex function on [lo, hi]."""
+                xtol: float) -> float:
+    """Golden-section minimizer of a convex function on [lo, hi]; stops at a
+    bracket of xtol, or of 16 ulps of the larger end of [lo, hi] if wider
+    (a narrower bracket can fall below the float resolution)."""
     g = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
+    tol = max(xtol, 16.0 * math.ulp(max(abs(a), abs(b))))
     c = b - g * (b - a)
     d = a + g * (b - a)
     fc, fd = fun(c), fun(d)
-    while (b - a) > xtol:
+    for _ in range(_GOLDEN_STEPS):
+        if (b - a) <= tol:
+            return 0.5 * (a + b)
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - g * (b - a)
@@ -213,7 +235,7 @@ def _golden_min(fun: Callable[[float], float], lo: float, hi: float,
             a, c, fc = c, d, fd
             d = a + g * (b - a)
             fd = fun(d)
-    return 0.5 * (a + b)
+    raise InternalError(f"golden-section search exceeded {_GOLDEN_STEPS} steps")
 
 
 def alpha_deviation(m: GridMeasure, alpha: float) -> float:
@@ -222,28 +244,45 @@ def alpha_deviation(m: GridMeasure, alpha: float) -> float:
     Minimizes sum_i w_i |x_i - y|^alpha over y in [min atom, max atom] (the
     objective is convex for alpha >= 1) and returns the alpha-th root of the
     minimum.  For alpha = 2 this equals the standard deviation.
+
+    Where |x - y| ** alpha could leave the float range, the atoms are scaled
+    by 2**-e, with 2**e just above their span (elsewhere the sums stay
+    bit-exact); a minimum that still underflows to 0 raises DomainError.
     """
     if not (alpha >= 1.0) or not math.isfinite(alpha):
         raise DomainError("alpha must be a finite real >= 1")
     if len(m) == 1:
         return 0.0
-    atoms, w = m.atoms, m.weights
+    e = math.frexp(float(m.atoms[-1] - m.atoms[0]))[1]
+    if alpha * abs(e) <= 512.0:
+        e = 0
+    atoms, w = np.ldexp(m.atoms, -e), m.weights
 
     def objective(y: float) -> float:
         return float(np.sum(w * np.abs(atoms - y) ** alpha))
 
-    y_star = _golden_min(objective, float(atoms[0]), float(atoms[-1]), xtol=1e-10)
-    return objective(y_star) ** (1.0 / alpha)
+    # capped, as a scaled bracket is narrower than 1 and stops at once anyway
+    y_star = _golden_min(objective, float(atoms[0]), float(atoms[-1]),
+                         xtol=math.ldexp(1e-10, min(-e, 64)))
+    minimum = objective(y_star)
+    if minimum == 0.0 and m.support_lo < m.support_hi:
+        raise DomainError(f"alpha {alpha:g} is too large: the moment underflows")
+    return math.ldexp(minimum ** (1.0 / alpha), e)
 
 
 def std_deviation(m: GridMeasure) -> float:
-    """Standard deviation via raw moments, clamping tiny negative variance."""
-    variance = m.moment(2) - m.mean() ** 2
+    """Standard deviation via raw moments, clamping tiny negative variance;
+    the atoms are scaled exactly by 2**-e, with 2**e just above their
+    largest magnitude, so the squares stay finite."""
+    e = math.frexp(float(np.max(np.abs(m.atoms))))[1]
+    x = np.ldexp(m.atoms, -e)
+    variance = float(np.sum(m.weights * x ** 2)) - float(np.sum(m.weights * x)) ** 2
     if variance < 0.0:
-        if variance < -1e-12:
-            raise InternalError(f"negative variance {variance!r} beyond tolerance")
+        if variance < -math.ldexp(1e-12, -2 * e):
+            raise InternalError(f"negative variance {variance!r} (in units of "
+                                f"4**{e}) beyond tolerance")
         variance = 0.0
-    return math.sqrt(variance)
+    return math.ldexp(math.sqrt(variance), e)
 
 
 def _narrowest_window(m: GridMeasure, eps: float) -> tuple[int, int] | None:
@@ -459,29 +498,70 @@ def pushforward(m: GridMeasure, f: MeasurableMap) -> GridMeasure:
 
 # -- file format ------------------------------------------------------------
 
-def _check_spec_keys(spec: dict, allowed: frozenset, what: str) -> None:
-    """Reject unknown spec keys so a typo cannot silently change defaults."""
-    unknown = sorted(set(spec) - set(allowed))
+_KINDS = {float: "a finite number", int: "an integer", str: "a string",
+          dict: "an object", list: "a list"}
+
+
+def _typed(key: str, value, kind):
+    """value checked as kind: float a finite number and int an integral one
+    (never a bool), str, dict, or list[item] with each item checked."""
+    base = getattr(kind, "__origin__", kind)
+    if kind is int:
+        ok = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    elif kind is float:
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, base)
+    if isinstance(value, bool) or not ok:
+        raise DomainError(f"spec key {key} must be {_KINDS[base]}, "
+                          f"not {type(value).__name__}")
+    if base is list:
+        return [_typed(f"{key}[{i}]", v, kind.__args__[0])
+                for i, v in enumerate(value)]
+    return kind(value) if kind in (float, int) else value
+
+
+def _read_spec(spec, what: str, table: dict, tag: str, *context):
+    """Build what a JSON spec describes from its row table[spec.get(tag)]:
+    a builder and its parameters in argument order after context, each
+    mapped to its default (whose type is the parameter's) or, if required,
+    to a bare type.  Other keys are rejected, so a typo cannot silently
+    change defaults."""
+    if not isinstance(spec, dict):
+        raise DomainError(f"{what} spec must be a dict")
+    name = spec.get(tag)
+    row = table.get(name) if name is None or isinstance(name, str) else None
+    if row is None:
+        raise DomainError(f"unknown {what} {tag} {name!r}")
+    build, params = row
+    unknown = sorted(set(spec) - {tag, *params})
     if unknown:
         raise DomainError(
-            f"{what} spec has unrecognized keys {unknown}; "
-            f"allowed keys are {sorted(allowed)}")
+            f"{what} {tag} {name!r} spec has unrecognized keys {unknown}; "
+            f"allowed keys are {sorted({tag, *params})}")
+    args = []
+    for key, default in params.items():
+        required = isinstance(default, (type, GenericAlias))
+        if key in spec:
+            args.append(_typed(key, spec[key],
+                               default if required else type(default)))
+        elif required:
+            raise DomainError(f"{what} spec missing key {key!r}")
+        else:
+            args.append(default)
+    return build(*context, *args)
 
 
-_MEASURE_SPEC_KEYS = {
-    "point": frozenset({"family", "at"}),
-    "two_point": frozenset({"family", "x1", "x2", "w1"}),
-    "uniform": frozenset({"family", "lo", "hi", "n_atoms"}),
-    "gaussian": frozenset({"family", "mean", "sigma", "n_atoms", "half_width"}),
-    "file": frozenset({"family", "path"}),
+# a measure spec without a family is the explicit form
+_MEASURE_FAMILIES = {
+    None: (sorted_measure, {"atoms": list[float], "weights": list[float]}),
+    "point": (point_mass, {"at": 0.0}),
+    "two_point": (two_point, {"x1": float, "x2": float, "w1": 0.5}),
+    "uniform": (uniform_measure, {"lo": float, "hi": float, "n_atoms": 201}),
+    "gaussian": (gaussian_measure, {"mean": 0.0, "sigma": float,
+                                    "n_atoms": 801, "half_width": 8.0}),
+    "file": (lambda path: load_measure_csv(path), {"path": str}),
 }
-
-
-def _atom_count(spec: dict, default: int) -> int:
-    n_atoms = int(spec.get("n_atoms", default))
-    if n_atoms > DEFAULT_CONVOLVE_CAP:
-        raise ResourceError(f"n_atoms {n_atoms} exceeds the cap {DEFAULT_CONVOLVE_CAP}")
-    return n_atoms
 
 
 def measure_from_spec(spec: dict) -> GridMeasure:
@@ -491,73 +571,54 @@ def measure_from_spec(spec: dict) -> GridMeasure:
     point/two_point/uniform/gaussian/file with that family's parameters.
     Keys outside the chosen form are rejected.
     """
-    if not isinstance(spec, dict):
-        raise DomainError("measure spec must be a dict")
-    if "atoms" in spec:
-        if "weights" not in spec:
-            raise DomainError("explicit measure spec needs 'weights'")
-        _check_spec_keys(spec, frozenset({"atoms", "weights"}), "measure")
-        return sorted_measure(spec["atoms"], spec["weights"])
-    family = spec.get("family")
-    if family in _MEASURE_SPEC_KEYS:
-        _check_spec_keys(spec, _MEASURE_SPEC_KEYS[family],
-                         f"measure family {family!r}")
-    try:
-        if family == "point":
-            return point_mass(float(spec.get("at", 0.0)))
-        if family == "two_point":
-            return two_point(float(spec["x1"]), float(spec["x2"]),
-                             float(spec.get("w1", 0.5)))
-        if family == "uniform":
-            return uniform_measure(float(spec["lo"]), float(spec["hi"]),
-                                   _atom_count(spec, 201))
-        if family == "gaussian":
-            return gaussian_measure(float(spec.get("mean", 0.0)),
-                                    float(spec["sigma"]),
-                                    n_atoms=_atom_count(spec, 801),
-                                    half_width=float(spec.get("half_width", 8.0)))
-        if family == "file":
-            return load_measure_csv(str(spec["path"]))
-    except KeyError as exc:
-        raise DomainError(f"measure spec missing key {exc}") from None
-    raise DomainError(f"unknown measure family {family!r}")
+    return _read_spec(spec, "measure", _MEASURE_FAMILIES, "family")
+
+
+def _write_csv(path: str, header: Sequence[str], *columns: np.ndarray) -> None:
+    """Write equal-length columns as CSV rows under header; floats as repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([v.item() for v in row] for row in zip(*columns))
+
+
+def _read_csv(path: str, header: Sequence[str], what: str) -> np.ndarray:
+    """One float column per header name of a CSV table whose first row
+    starts with header.  Blank rows are skipped; a shorter row, or a cell
+    that is not a finite number, is rejected; further cells are ignored."""
+    k = len(header)
+    cells: list[float] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise DomainError(f"{path}: empty {what} file")
+        if [c.strip().lower() for c in first[:k]] != list(header):
+            raise DomainError(f"{path}: expected header '{','.join(header)}'")
+        for row in reader:
+            if row and (len(row) > 1 or row[0].strip()):
+                try:
+                    cells.extend([float(row[i]) for i in range(k)])
+                except (ValueError, IndexError):
+                    raise DomainError(f"{path}: malformed row {row!r}") from None
+    table = np.array(cells, dtype=float).reshape(-1, k).T
+    if not np.all(np.isfinite(table)):
+        raise DomainError(f"{path}: values must be finite")
+    return table
 
 
 def save_measure_csv(m: GridMeasure, path: str) -> None:
     """Write the measure as CSV with header 'x,w', atoms ascending."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "w"])
-        for x, w in zip(m.atoms, m.weights):
-            writer.writerow([repr(float(x)), repr(float(w))])
+    _write_csv(path, ("x", "w"), m.atoms, m.weights)
 
 
 def load_measure_csv(path: str) -> GridMeasure:
     """Read a 'x,w' CSV measure; renormalizes, logging drifts beyond 1e-9."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DomainError(f"{path}: empty measure file") from None
-        if [c.strip().lower() for c in header[:2]] != ["x", "w"]:
-            raise DomainError(f"{path}: expected header 'x,w'")
-        xs: list[float] = []
-        ws: list[float] = []
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise DomainError(f"{path}: malformed row {row!r}")
-            xs.append(float(row[0]))
-            ws.append(float(row[1]))
-    if not xs:
+    atoms, weights = _read_csv(path, ("x", "w"), "measure")
+    if not atoms.size:
         raise DomainError(f"{path}: no atoms")
-    atoms = np.asarray(xs, dtype=float)
-    weights = np.asarray(ws, dtype=float)
-    if atoms.size > 1 and not np.all(np.diff(atoms) > 0.0):
-        raise DomainError(f"{path}: rows must be sorted by strictly increasing x")
-    total = float(np.sum(weights))
+    with np.errstate(over="ignore"):  # _make rejects an infinite total
+        total = float(np.sum(weights))
     if abs(total - 1.0) > 1e-9:
         log.info("normalizing measure from %s: total mass deviated by %.3e",
                  path, total - 1.0)

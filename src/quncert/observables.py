@@ -18,7 +18,7 @@ import numpy as np
 
 from .exceptions import AccuracyError, DomainError
 from .measures import (BoundedRangeMap, BoundedShiftMap, GridMeasure,
-                       MeasurableMap, PiecewiseLinearMap, _check_spec_keys,
+                       MeasurableMap, PiecewiseLinearMap, _read_spec,
                        convolve, identity_map, measure_from_spec, pushforward)
 from .states import (MixedState, State, _as_mixed, _shift_cells,
                      momentum_distribution, parity, position_distribution,
@@ -256,8 +256,6 @@ def joint_covariant_distribution(tau: State, state: State,
     sharp laws; a gap beyond 1e-2 raises AccuracyError (the lattice window
     is clipping real mass or is too coarse).
     """
-    if not hbar > 0.0:
-        raise DomainError("hbar must be positive")
     t = _as_mixed(tau)
     s = _as_mixed(state)
     grid = s.grid
@@ -306,77 +304,52 @@ def joint_covariant_distribution(tau: State, state: State,
 
 # -- JSON-friendly specs --------------------------------------------------------
 
-_MAP_SPEC_KEYS = {
-    "identity": frozenset({"kind"}),
-    "table": frozenset({"kind", "xs", "ys"}),
-    "cos_shift": frozenset({"kind", "amplitude"}),
-    "bounded_range": frozenset({"kind", "half_range"}),
+def _bounded_range(r: float) -> BoundedRangeMap:
+    if r <= 0.0:
+        raise DomainError("half_range must be positive")
+    return BoundedRangeMap(lambda x: r * np.tanh(x / r), -r, r)
+
+
+_MAP_KINDS = {
+    "identity": (identity_map, {}),
+    "table": (PiecewiseLinearMap, {"xs": list[float], "ys": list[float]}),
+    "cos_shift": (lambda a: BoundedShiftMap(lambda x: a * np.cos(x), abs(a)),
+                  {"amplitude": float}),
+    "bounded_range": (_bounded_range, {"half_range": float}),
 }
 
-_OBSERVABLE_SPEC_KEYS = {
-    "sharp_position": frozenset({"kind"}),
-    "sharp_momentum": frozenset({"kind"}),
-    "smeared_position": frozenset({"kind", "measure"}),
-    "smeared_momentum": frozenset({"kind", "measure"}),
-    "trivial": frozenset({"kind", "measure", "axis"}),
-    "pushforward": frozenset({"kind", "inner", "map"}),
-    "covariant_marginal": frozenset({"kind", "tau", "axis"}),
+# builders take (grid, hbar, *parameters); nested specs use the readers by name
+_OBSERVABLE_KINDS = {
+    "sharp_position": (lambda grid, hbar: Sharp("position"), {}),
+    "sharp_momentum": (lambda grid, hbar: Sharp("momentum"), {}),
+    "smeared_position": (lambda grid, hbar, measure:
+                         Smeared("position", measure_from_spec(measure)),
+                         {"measure": dict}),
+    "smeared_momentum": (lambda grid, hbar, measure:
+                         Smeared("momentum", measure_from_spec(measure)),
+                         {"measure": dict}),
+    "trivial": (lambda grid, hbar, measure, axis:
+                TrivialObservable(measure_from_spec(measure), axis),
+                {"measure": dict, "axis": "position"}),
+    "pushforward": (lambda grid, hbar, inner, f: PushforwardObservable(
+                        observable_from_spec(inner, grid, hbar),
+                        map_from_spec(f)),
+                    {"inner": dict, "map": dict}),
+    "covariant_marginal": (lambda grid, hbar, tau, axis: CovariantMarginal(
+                               state_from_spec(tau, grid, hbar), axis),
+                           {"tau": dict, "axis": "position"}),
 }
 
 
 def map_from_spec(spec: dict) -> MeasurableMap:
     """Build a value-space map from a dict: identity, table(xs, ys),
     cos_shift(amplitude), or bounded_range(half_range)."""
-    if not isinstance(spec, dict):
-        raise DomainError("map spec must be a dict")
-    kind = spec.get("kind")
-    if kind in _MAP_SPEC_KEYS:
-        _check_spec_keys(spec, _MAP_SPEC_KEYS[kind], f"map kind {kind!r}")
-    try:
-        if kind == "identity":
-            return identity_map()
-        if kind == "table":
-            return PiecewiseLinearMap(np.asarray(spec["xs"], dtype=float),
-                                      np.asarray(spec["ys"], dtype=float))
-        if kind == "cos_shift":
-            a = float(spec["amplitude"])
-            return BoundedShiftMap(lambda x: a * np.cos(x), abs(a))
-        if kind == "bounded_range":
-            r = float(spec["half_range"])
-            if r <= 0.0:
-                raise DomainError("half_range must be positive")
-            return BoundedRangeMap(lambda x: r * np.tanh(x / r), -r, r)
-    except KeyError as exc:
-        raise DomainError(f"map spec missing key {exc}") from None
-    raise DomainError(f"unknown map kind {kind!r}")
+    return _read_spec(spec, "map", _MAP_KINDS, "kind")
 
 
 def observable_from_spec(spec: dict, grid=None, hbar: float = 1.0) -> Observable:
     """Build an observable from a JSON-friendly dict (CLI input format)."""
-    if not isinstance(spec, dict):
-        raise DomainError("observable spec must be a dict")
-    kind = spec.get("kind")
-    if kind in _OBSERVABLE_SPEC_KEYS:
-        _check_spec_keys(spec, _OBSERVABLE_SPEC_KEYS[kind],
-                         f"observable kind {kind!r}")
-    try:
-        if kind in ("sharp_position", "sharp_momentum"):
-            return Sharp(kind[len("sharp_"):])
-        if kind in ("smeared_position", "smeared_momentum"):
-            return Smeared(kind[len("smeared_"):],
-                           measure_from_spec(spec["measure"]))
-        if kind == "trivial":
-            return TrivialObservable(measure_from_spec(spec["measure"]),
-                                     spec.get("axis", "position"))
-        if kind == "pushforward":
-            inner = observable_from_spec(spec["inner"], grid, hbar)
-            return PushforwardObservable(inner, map_from_spec(spec["map"]))
-        if kind == "covariant_marginal":
-            tau = state_from_spec(spec["tau"], grid, hbar)
-            return CovariantMarginal(tau, spec.get("axis", "position"))
-    except KeyError as exc:
-        raise DomainError(f"observable spec missing key {exc}") from None
-    raise DomainError(f"unknown observable kind {kind!r}")
+    return _read_spec(spec, "observable", _OBSERVABLE_KINDS, "kind", grid, hbar)
 
 
 def observable_to_spec(obs: Observable) -> dict:

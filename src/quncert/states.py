@@ -9,7 +9,6 @@ discrete position and momentum masses agree exactly (Parseval).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -18,11 +17,16 @@ import numpy as np
 
 from .exceptions import (ConvergenceError, DomainError, GridTooSmallError,
                          ResourceError)
-from .measures import GridMeasure, Interval, _check_spec_keys, _make
+from .measures import (GridMeasure, Interval, _make, _read_csv, _read_spec,
+                       _typed, _write_csv)
 
 _NORM_TOL = 1e-9
 # largest grid length accepted; the named grids use at most 4096 points
 MAX_GRID_POINTS = 2 ** 20
+# largest Hermite n; hermval and the squared amplitudes overflow from n ~ 150
+MAX_HERMITE_N = 100
+# points within +-_SCALE, steps in [1/_SCALE, _SCALE]: lattice products stay finite
+_SCALE = 1e100
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,8 @@ class GridSpec:
             raise ResourceError(f"grid length {self.n} exceeds the cap {MAX_GRID_POINTS}")
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
             raise DomainError("grid length must be a power of two >= 4")
+        if not (self.dx >= 1 / _SCALE and abs(self.x0) + self.span <= _SCALE):
+            raise DomainError(f"grid |x0|+span or dx not in [{1 / _SCALE:g}, {_SCALE:g}]")
 
     @classmethod
     def symmetric(cls, half_width: float, n: int) -> "GridSpec":
@@ -57,7 +63,12 @@ class GridSpec:
         return self.x0 + (self.n - 1) * self.dx
 
     def momentum_step(self, hbar: float = 1.0) -> float:
-        return 2.0 * math.pi * hbar / self.span
+        if not 0.0 < hbar < math.inf:
+            raise DomainError("hbar must be finite and positive")
+        dp = 2.0 * math.pi * hbar / self.span
+        if not 1 / _SCALE <= dp <= _SCALE:
+            raise DomainError(f"momentum step {dp:g} not in [{1 / _SCALE:g}, {_SCALE:g}]")
+        return dp
 
     def momentum_points(self, hbar: float = 1.0) -> np.ndarray:
         return self.momentum_step(hbar) * (np.arange(self.n) - self.n // 2)
@@ -75,7 +86,8 @@ class GridSpec:
         """Index and value of the interior lattice point of axis nearest to x."""
         points, step = self.lattice(axis, hbar)
         origin = float(points[0])
-        idx = int(round((x - origin) / step))
+        cells = (x - origin) / step
+        idx = int(round(cells)) if -1.0 < cells < self.n else 0
         if not 0 < idx < self.n - 1:
             raise DomainError(f"point {x:g} lies outside the {axis} lattice interior")
         return idx, origin + idx * step
@@ -226,8 +238,6 @@ def position_distribution(state: State) -> GridMeasure:
 
 def momentum_distribution(state: State, hbar: float = 1.0) -> GridMeasure:
     """Born momentum law on the centered momentum lattice, renormalized."""
-    if not hbar > 0.0:
-        raise DomainError("hbar must be positive")
     s = _as_mixed(state)
     grid = s.grid
     dp = grid.momentum_step(hbar)
@@ -280,9 +290,8 @@ def weyl_translate(state: State, point: PhasePoint, hbar: float = 1.0) -> MixedS
     Operator ordering: W(q, p) = exp(iqp/2hbar) exp(-iqP/hbar) exp(ipQ/hbar),
     which acts on amplitudes as psi(x) -> exp(-iqp/2hbar) e^{ipx/hbar} psi(x-q).
     """
-    if not hbar > 0.0:
-        raise DomainError("hbar must be positive")
     s = _as_mixed(state)
+    s.grid.momentum_step(hbar)  # validates hbar
     q, p = point.q, point.p
     out = []
     for w, wf in s.components:
@@ -316,8 +325,9 @@ def make_gaussian(grid: GridSpec, center: float, momentum: float, sigma: float,
     A sigma below the grid step cannot be resolved: the samples collapse to
     a lattice delta or underflow.  A sigma beyond the grid span leaves a flat
     profile (and overflows sigma ** 2 when huge).  Both raise
-    GridTooSmallError.
+    GridTooSmallError.  The momentum must lie inside the momentum band.
     """
+    _check_momentum(grid, momentum, hbar)
     if not sigma > 0.0:
         raise DomainError("sigma must be positive")
     if sigma < grid.dx:
@@ -337,6 +347,7 @@ def make_gaussian(grid: GridSpec, center: float, momentum: float, sigma: float,
 def make_box(grid: GridSpec, center: float, width: float,
              momentum_boost: float = 0.0, hbar: float = 1.0) -> WaveFunction:
     """Flat amplitude on the grid points inside [center - w/2, center + w/2]."""
+    _check_momentum(grid, momentum_boost, hbar)
     mask = grid.window("position", center, width)
     amp = np.zeros(grid.n, dtype=complex)
     amp[mask] = 1.0
@@ -345,12 +356,28 @@ def make_box(grid: GridSpec, center: float, width: float,
     return WaveFunction(grid.x0, grid.dx, _normalized(amp, grid.dx))
 
 
+def _check_momentum(grid: GridSpec, p: float, hbar: float) -> None:
+    if not abs(p) < 0.5 * grid.n * grid.momentum_step(hbar):
+        raise DomainError(f"momentum {p:g} lies outside the momentum band")
+
+
 def make_hermite(grid: GridSpec, n: int, hbar: float = 1.0) -> WaveFunction:
-    """n-th oscillator eigenstate of (Q^2 + P^2)/2; n = 0 has sigma sqrt(hbar/2)."""
+    """n-th oscillator eigenstate of (Q^2 + P^2)/2 about the grid midpoint;
+    n = 0 has sigma sqrt(hbar/2).  Its turning points sqrt((2n + 1) hbar)
+    must lie inside the grid and the momentum band (GridTooSmallError), and
+    n at most MAX_HERMITE_N (ResourceError).  The Gaussian factor is 0
+    beyond |xi| = 40, so the polynomial is evaluated at most there."""
     if n < 0 or not isinstance(n, (int, np.integer)):
         raise DomainError("excitation number must be a nonnegative integer")
-    xs = grid.points()
-    xi = xs / math.sqrt(hbar)
+    center = grid.around_midpoint("position", (0.0,))[0]
+    reach = min(center - grid.x0, grid.x_end - center,
+                0.5 * grid.n * grid.momentum_step(hbar))
+    if 2 * n + 1 > reach * reach / hbar:
+        raise GridTooSmallError(
+            f"hermite n = {n} has turning points beyond the grid reach {reach:g}")
+    if n > MAX_HERMITE_N:
+        raise ResourceError(f"hermite n = {n} exceeds the cap {MAX_HERMITE_N}")
+    xi = np.clip((grid.points() - center) / math.sqrt(hbar), -40.0, 40.0)
     coeffs = np.zeros(int(n) + 1)
     coeffs[-1] = 1.0
     herm = np.polynomial.hermite.hermval(xi, coeffs)
@@ -469,21 +496,22 @@ def ground_state(alpha: float, beta: float, grid: GridSpec, tol: float = 1e-6,
 
 def test_ensemble(grid: GridSpec = DEFAULT_GRID, hbar: float = 1.0,
                   seed: int = 0) -> list[MixedState]:
-    """Fixed, varied family of states used by invariants and verifications."""
+    """Fixed, varied states around the grid midpoint for invariants and checks."""
+    c = grid.around_midpoint("position", (0.0,))[0]
     states: list[MixedState] = []
     for sigma in (0.5, 1.0, 2.0):
-        states.append(MixedState.pure(make_gaussian(grid, 0.0, 0.0, sigma, hbar)))
-    states.append(MixedState.pure(make_gaussian(grid, 1.5, -2.0, 0.8, hbar)))
+        states.append(MixedState.pure(make_gaussian(grid, c, 0.0, sigma, hbar)))
+    states.append(MixedState.pure(make_gaussian(grid, c + 1.5, -2.0, 0.8, hbar)))
     for width in (0.5, 2.0):
-        states.append(MixedState.pure(make_box(grid, 0.0, width, 0.0, hbar)))
-    states.append(MixedState.pure(make_box(grid, -1.0, 1.0, 3.0, hbar)))
+        states.append(MixedState.pure(make_box(grid, c, width, 0.0, hbar)))
+    states.append(MixedState.pure(make_box(grid, c - 1.0, 1.0, 3.0, hbar)))
     for n in (1, 2, 3):
         states.append(MixedState.pure(make_hermite(grid, n, hbar)))
     for k in range(3):
         states.append(MixedState.pure(
-            make_random_localized(grid, Interval(0.0, 4.0), seed + 17 * k)))
-    left = make_gaussian(grid, -2.0, 0.0, 0.7, hbar)
-    right = make_gaussian(grid, 2.0, 0.0, 0.7, hbar)
+            make_random_localized(grid, Interval(c, 4.0), seed + 17 * k)))
+    left = make_gaussian(grid, c - 2.0, 0.0, 0.7, hbar)
+    right = make_gaussian(grid, c + 2.0, 0.0, 0.7, hbar)
     states.append(MixedState(((0.5, left), (0.5, right))))
     return states
 
@@ -498,10 +526,11 @@ def random_ensemble(grid: GridSpec, n_states: int, seed: int,
     """
     rng = np.random.default_rng(seed)
     p_max = math.pi * hbar / grid.dx
+    mid = grid.around_midpoint("position", (0.0,))[0]
     states: list[MixedState] = []
     while len(states) < n_states:
         kind = rng.integers(0, 4)
-        center = float(rng.uniform(-0.1, 0.1) * grid.span / 4.0)
+        center = mid + float(rng.uniform(-0.1, 0.1) * grid.span / 4.0)
         if kind == 0:
             sigma = float(rng.uniform(0.3, 2.0))
             boost = float(rng.uniform(-0.1, 0.1) * p_max)
@@ -523,14 +552,37 @@ def random_ensemble(grid: GridSpec, n_states: int, seed: int,
     return states
 
 
-_STATE_SPEC_KEYS = {
-    "gaussian": frozenset({"family", "center", "momentum", "sigma"}),
-    "box": frozenset({"family", "center", "width", "momentum_boost"}),
-    "hermite": frozenset({"family", "n"}),
-    "random": frozenset({"family", "center", "width", "seed"}),
-    "cell": frozenset({"family", "center"}),
-    "file": frozenset({"family", "path"}),
-    "mixture": frozenset({"family", "components"}),
+def _mixture(grid: GridSpec, hbar: float, components: list) -> MixedState:
+    parts = []
+    for comp in components:
+        if "weight" not in comp:
+            raise DomainError("mixture components need a 'weight'")
+        rest = {k: v for k, v in comp.items() if k != "weight"}
+        (_, wf), *more = state_from_spec(rest, grid, hbar).components
+        if more:
+            raise DomainError("mixture components must be pure")
+        parts.append((_typed("weight", comp["weight"], float), wf))
+    return MixedState(tuple(parts))
+
+
+# builders take (grid, hbar, *parameters) and look the factories up by name
+# at call time, so a wrapper installed on a module attribute sees each call
+_STATE_FAMILIES = {
+    "gaussian": (lambda grid, hbar, center, momentum, sigma:
+                 make_gaussian(grid, center, momentum, sigma, hbar),
+                 {"center": 0.0, "momentum": 0.0, "sigma": 1.0}),
+    "box": (lambda grid, hbar, center, width, boost:
+            make_box(grid, center, width, boost, hbar),
+            {"center": 0.0, "width": float, "momentum_boost": 0.0}),
+    "hermite": (lambda grid, hbar, n: make_hermite(grid, n, hbar), {"n": int}),
+    "random": (lambda grid, hbar, center, width, seed:
+               make_random_localized(grid, Interval(center, width), seed),
+               {"center": 0.0, "width": float, "seed": 0}),
+    "cell": (lambda grid, hbar, center: _cell_state(grid, center),
+             {"center": 0.0}),
+    "file": (lambda grid, hbar, path: load_wavefunction_csv(path),
+             {"path": str}),
+    "mixture": (_mixture, {"components": list[dict]}),
 }
 
 
@@ -543,94 +595,27 @@ def state_from_spec(spec: dict, grid: GridSpec | None = None,
     file(path), mixture(components=[{weight, ...}, ...]).  Keys outside the
     chosen family are rejected.
     """
-    if grid is None:
-        grid = DEFAULT_GRID
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise DomainError("state spec must be a dict with a 'family' key")
-    family = spec["family"]
-    if family in _STATE_SPEC_KEYS:
-        _check_spec_keys(spec, _STATE_SPEC_KEYS[family],
-                         f"state family {family!r}")
-    try:
-        if family == "gaussian":
-            wf = make_gaussian(grid, float(spec.get("center", 0.0)),
-                               float(spec.get("momentum", 0.0)),
-                               float(spec.get("sigma", 1.0)), hbar)
-        elif family == "box":
-            wf = make_box(grid, float(spec.get("center", 0.0)),
-                          float(spec["width"]),
-                          float(spec.get("momentum_boost", 0.0)), hbar)
-        elif family == "hermite":
-            wf = make_hermite(grid, int(spec["n"]), hbar)
-        elif family == "random":
-            interval = Interval(float(spec.get("center", 0.0)),
-                                float(spec["width"]))
-            wf = make_random_localized(grid, interval, int(spec.get("seed", 0)))
-        elif family == "cell":
-            wf = _cell_state(grid, float(spec.get("center", 0.0)))
-        elif family == "file":
-            wf = load_wavefunction_csv(str(spec["path"]))
-        elif family == "mixture":
-            comps = spec["components"]
-            if not (isinstance(comps, list)
-                    and all(isinstance(c, dict) for c in comps)):
-                raise DomainError("mixture components must be a list of dicts")
-            parts = []
-            for comp in comps:
-                if "weight" not in comp:
-                    raise DomainError("mixture components need a 'weight'")
-                sub = state_from_spec(
-                    {k: v for k, v in comp.items() if k != "weight"},
-                    grid, hbar)
-                if len(sub.components) != 1:
-                    raise DomainError("mixture components must be pure")
-                parts.append((float(comp["weight"]), sub.components[0][1]))
-            return MixedState(tuple(parts))
-        else:
-            raise DomainError(f"unknown state family {family!r}")
-    except KeyError as exc:
-        raise DomainError(f"state spec missing key {exc}") from None
-    return MixedState.pure(wf)
+    return _as_mixed(_read_spec(spec, "state", _STATE_FAMILIES, "family",
+                                DEFAULT_GRID if grid is None else grid, hbar))
 
 
 # -- file format -------------------------------------------------------------------
 
 def save_wavefunction_csv(wf: WaveFunction, path: str) -> None:
     """Write amplitudes as CSV rows 'x,re,im' on the uniform grid."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "re", "im"])
-        for x, a in zip(wf.xs(), wf.amplitudes):
-            writer.writerow([repr(float(x)), repr(float(a.real)), repr(float(a.imag))])
+    _write_csv(path, ("x", "re", "im"), wf.xs(), wf.amplitudes.real,
+               wf.amplitudes.imag)
 
 
 def load_wavefunction_csv(path: str) -> WaveFunction:
     """Read a 'x,re,im' CSV wavefunction; validates grid uniformity."""
-    xs: list[float] = []
-    res: list[float] = []
-    ims: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DomainError(f"{path}: empty state file") from None
-        if [c.strip().lower() for c in header[:3]] != ["x", "re", "im"]:
-            raise DomainError(f"{path}: expected header 'x,re,im'")
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 3:
-                raise DomainError(f"{path}: malformed row {row!r}")
-            xs.append(float(row[0]))
-            res.append(float(row[1]))
-            ims.append(float(row[2]))
-    if len(xs) < 4:
+    x, re, im = _read_csv(path, ("x", "re", "im"), "state")
+    if x.size < 4:
         raise DomainError(f"{path}: too few samples")
-    x = np.asarray(xs)
-    steps = np.diff(x)
-    dx = float(steps[0])
-    if dx <= 0.0 or np.max(np.abs(steps - dx)) > 1e-9 * max(1.0, abs(dx)):
-        raise DomainError(f"{path}: grid must be uniform and increasing")
-    amp = np.asarray(res) + 1j * np.asarray(ims)
-    return WaveFunction(float(x[0]), dx, _normalized(amp, dx))
+    # values that overflow give an infinite dx or norm, which WaveFunction rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(x)
+        dx = float(steps[0])
+        if dx <= 0.0 or np.max(np.abs(steps - dx)) > 1e-9 * max(1.0, abs(dx)):
+            raise DomainError(f"{path}: grid must be uniform and increasing")
+        return WaveFunction(float(x[0]), dx, _normalized(re + 1j * im, dx))

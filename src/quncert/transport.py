@@ -4,31 +4,33 @@ The production distance path uses the monotone (quantile) coupling, which is
 optimal on the line for every order alpha >= 1 and for the sup-displacement
 distance.  The same monotone plan, built cell by cell on the atom lattice,
 gives the exact coupling; its dual prices, certified optimal by their reduced
-costs, warm start coordinate ascent on the Kantorovich dual.
+costs, give an optimal Kantorovich dual pair after one c-transform round.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DomainError, InternalError, ResourceError
-from .measures import GridMeasure
+from .measures import GridMeasure, _write_csv
 
 # Cell masses below this are treated as cumulative-sum rounding noise.
 _CELL_TOL = 1e-14
 
 LP_SIZE_CAP = 10_000
 
-# dual ascent stops once a round gains less than this, or after this many
-_DUAL_TOL = 1e-10
-_DUAL_ROUNDS = 1000
-
 
 # -- quantile-coupling distances ---------------------------------------------
+
+def _check_displacements(m1: GridMeasure, m2: GridMeasure) -> None:
+    lo = min(float(m1.atoms[0]), float(m2.atoms[0]))
+    hi = max(float(m1.atoms[-1]), float(m2.atoms[-1]))
+    if not math.isfinite(hi - lo):
+        raise DomainError("transport displacements must be finite floats")
+
 
 def _quantile_cells(m1: GridMeasure, m2: GridMeasure):
     """Common refinement of both quantile partitions of (0, 1].
@@ -36,6 +38,7 @@ def _quantile_cells(m1: GridMeasure, m2: GridMeasure):
     Returns (masses, q1, q2): cell masses and the constant quantile values of
     each measure on each cell.
     """
+    _check_displacements(m1, m2)
     c1 = np.asarray(m1._cum) / float(m1._cum[-1])
     c2 = np.asarray(m2._cum) / float(m2._cum[-1])
     ts = np.union1d(c1, c2)
@@ -174,6 +177,7 @@ def _lp(m1: GridMeasure, m2: GridMeasure, alpha: float):
     if n * m > LP_SIZE_CAP:
         raise ResourceError(
             f"LP instance {n}x{m} exceeds cell cap {LP_SIZE_CAP}")
+    _check_displacements(m1, m2)
     cost = np.abs(m1.atoms[:, None] - m2.atoms[None, :]) ** alpha
     return _monotone_plan(m1.weights, m2.weights, cost)
 
@@ -257,24 +261,12 @@ def dual_value(m1: GridMeasure, m2: GridMeasure, pair: DualPair) -> float:
 
 
 def dual_ascent(m1: GridMeasure, m2: GridMeasure, alpha: float) -> DualPair:
-    """Coordinate ascent by alternating c-transforms.
-
-    Warm started from the exact LP dual prices, so the first round already
-    attains the optimum and later rounds keep it.
-    """
+    """Optimal dual pair from one round of c-transforms (phi, psi, phi) of
+    the LP dual prices, which are already optimal; more rounds keep it."""
     _, u, _, _ = _lp(m1, m2, alpha)
-    psi = -u
-    phi = c_transform(psi, m1, m2, alpha)
-    best = float(np.sum(phi * m2.weights) - np.sum(psi * m1.weights))
-    for _ in range(_DUAL_ROUNDS):
-        psi = c_transform_upper(phi, m2, m1, alpha)
-        phi = c_transform(psi, m1, m2, alpha)
-        value = float(np.sum(phi * m2.weights) - np.sum(psi * m1.weights))
-        if value - best < _DUAL_TOL:
-            best = max(best, value)
-            break
-        best = value
-    return DualPair(psi, phi, alpha)
+    phi = c_transform(-u, m1, m2, alpha)
+    psi = c_transform_upper(phi, m2, m1, alpha)
+    return DualPair(psi, c_transform(psi, m1, m2, alpha), alpha)
 
 
 def lipschitz_witness_values(psi_values: np.ndarray, m1: GridMeasure,
@@ -299,12 +291,7 @@ def tent_function(points: np.ndarray, peak: float, height: float) -> np.ndarray:
 
 def save_coupling_csv(coupling: Coupling, path: str) -> None:
     """Write positive coupling cells as CSV rows 'i,j,xi,yj,w'."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "xi", "yj", "w"])
-        rows, cols = np.nonzero(coupling.joint > 0.0)
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            writer.writerow([i, j,
-                             repr(float(coupling.row_atoms[i])),
-                             repr(float(coupling.col_atoms[j])),
-                             repr(float(coupling.joint[i, j]))])
+    rows, cols = np.nonzero(coupling.joint > 0.0)
+    _write_csv(path, ("i", "j", "xi", "yj", "w"), rows, cols,
+               coupling.row_atoms[rows], coupling.col_atoms[cols],
+               coupling.joint[rows, cols])

@@ -226,3 +226,35 @@ def tv_distance(m1, m2) -> float:
         return w
 
     return 0.5 * float(np.sum(np.abs(on(m1) - on(m2))))
+
+
+def dual_ascent_reference(m1, m2, alpha: float):
+    """Alternating c-transforms from the LP dual prices until a round gains
+    less than 1e-10 (at most 1000 rounds); returns (psi, phi, rounds)."""
+    from quncert.transport import _lp, c_transform, c_transform_upper
+
+    _, u, _, _ = _lp(m1, m2, alpha)
+    psi = -u
+    phi = c_transform(psi, m1, m2, alpha)
+    best = float(np.sum(phi * m2.weights) - np.sum(psi * m1.weights))
+    rounds = 0
+    for _ in range(1000):
+        rounds += 1
+        psi = c_transform_upper(phi, m2, m1, alpha)
+        phi = c_transform(psi, m1, m2, alpha)
+        value = float(np.sum(phi * m2.weights) - np.sum(psi * m1.weights))
+        if value - best < 1e-10:
+            break
+        best = value
+    return psi, phi, rounds
+
+
+def hermite_reference(grid, n: int, hbar: float = 1.0) -> np.ndarray:
+    """Normalized amplitudes of the n-th oscillator state about x = 0 from
+    hermval over the whole grid (overflows for large n or wide grids)."""
+    xi = grid.points() / math.sqrt(hbar)
+    coeffs = np.zeros(n + 1)
+    coeffs[-1] = 1.0
+    amp = (np.polynomial.hermite.hermval(xi, coeffs)
+           * np.exp(-0.5 * xi ** 2)).astype(complex)
+    return amp / math.sqrt(float(np.sum(np.abs(amp) ** 2) * grid.dx))

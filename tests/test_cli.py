@@ -330,3 +330,56 @@ class TestDemoCommand:
         masses = [row["captured"]["4"] for row in payload["sweep"]]
         assert masses[0] > masses[-1]
         assert masses[-1] < 1e-6
+
+
+class TestOffCentreEnsembles:
+    """The test ensembles sit around the grid midpoint, so distance and
+    noise on a grid that does not straddle 0 match the symmetric grid."""
+
+    @pytest.mark.parametrize("functional", ["distance", "noise"])
+    def test_ensemble_functionals_match_symmetric_grid(self, capsys,
+                                                       functional):
+        argv = ["metric", functional, "--observable", TestOffCentreGrid.POINT]
+        off = _run_json(capsys, argv + [TestOffCentreGrid.OFF_GRID_FLAG])
+        sym = _run_json(capsys, argv + [GRID_FLAG])
+        assert off["estimate"]["value"] == pytest.approx(
+            sym["estimate"]["value"], rel=1e-9)
+
+
+class TestExtremeInputs:
+    """Each input ends in its documented exit class, without a traceback or
+    a RuntimeWarning (tier-1 turns RuntimeWarnings into errors)."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["state", '{"family": "hermite", "n": 400}'], 5),
+        (["state", '{"family": "hermite", "n": 1%s}' % ("0" * 400)], 5),
+        (["state", '{"family": "gaussian"}', "--hbar", "inf"], 2),
+        (["measure", '{"family": "two_point", "x1": 0, "x2": 2}',
+          "--alpha", "1e300"], 2),
+        (["measure", '{"family": "two_point", "x1": -1e308, "x2": 1e308}'], 2),
+        (["measure", '{"atoms": [0, 1], "weights": [1e308, 1e308]}'], 2),
+        (["wasserstein", '{"family": "point", "at": -1e308}',
+          '{"family": "point", "at": 1e308}'], 2),
+    ])
+    def test_exit_class(self, capsys, argv, code):
+        got, _, err = _run(capsys, argv)
+        assert got == code, err
+
+    def test_far_two_point_returns(self, capsys):
+        payload = _run_json(capsys, [
+            "measure", '{"family": "two_point", "x1": 0, "x2": 2e6}'])
+        assert payload["alpha_deviation"] == pytest.approx(1e6, rel=1e-12)
+
+    def test_wide_measures_report_finite_spreads(self):
+        # the uniform one ended in an OverflowError traceback, the two-point
+        # one printed a silent "inf"
+        for spec, std in [
+                ('{"family": "uniform", "lo": 0, "hi": 1e308, "n_atoms": 3}',
+                 0.5e308 * math.sqrt(2.0 / 3.0)),
+                ('{"family": "two_point", "x1": -1e200, "x2": 1e200}', 1e200)]:
+            run = subprocess.run([sys.executable, "-m", "quncert.cli",
+                                  "measure", spec],
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            assert run.stderr == ""
+            assert json.loads(run.stdout)["std"] == pytest.approx(std, rel=1e-12)

@@ -414,3 +414,59 @@ def test_csv_header_enforced(tmp_path):
     path.write_text("a,b\n0.0,1.0\n")
     with pytest.raises(DomainError):
         load_measure_csv(str(path))
+
+
+# -- spreads far from the origin and at extreme magnitudes --------------------
+
+def test_alpha_deviation_returns_far_from_the_origin():
+    # the absolute 1e-10 stop lies below the float spacing of 1e6 (1.2e-10)
+    for alpha in (1.0, 2.0, 3.0):
+        near = alpha_deviation(two_point(0.0, 1.0), alpha)
+        assert alpha_deviation(two_point(1e6, 1e6 + 1.0), alpha) == \
+            pytest.approx(near, rel=1e-9)
+    assert alpha_deviation(two_point(0.0, 2e6), 2.0) == pytest.approx(1e6, rel=1e-12)
+
+
+def test_golden_section_budget_is_a_backstop(monkeypatch):
+    import quncert.measures as measures
+    from quncert import InternalError
+    monkeypatch.setattr(measures, "_GOLDEN_STEPS", 5)
+    with pytest.raises(InternalError, match="golden-section"):
+        alpha_deviation(HALF_HALF, 2.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spreads_at_extreme_magnitudes_stay_finite():
+    wide = two_point(-1e200, 1e200)
+    assert std_deviation(wide) == 1e200
+    assert alpha_deviation(wide, 2.0) == pytest.approx(1e200, rel=1e-12)
+    assert alpha_deviation(wide, 1.0) == pytest.approx(1e200, rel=1e-12)
+    huge = uniform_measure(0.0, 1e308, 3)
+    assert std_deviation(huge) == pytest.approx(0.5e308 * math.sqrt(2.0 / 3.0),
+                                                rel=1e-12)
+    with pytest.raises(DomainError, match="alpha 1e\\+300 is too large"):
+        alpha_deviation(two_point(0.0, 2.0), 1e300)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_std_deviation_scaling_is_exact(rng):
+    for _ in range(200):
+        m = random_measure(rng, max_atoms=30, span=float(rng.uniform(0.1, 300)))
+        variance = max(m.moment(2) - m.mean() ** 2, 0.0)
+        assert std_deviation(m) == math.sqrt(variance)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_measures_beyond_the_float_range_are_domain_errors():
+    with pytest.raises(DomainError, match="atom span"):
+        two_point(-1e308, 1e308)
+    with pytest.raises(DomainError, match="total mass"):
+        sorted_measure([0.0, 1.0], [1e308, 1e308])
+    with pytest.raises(DomainError, match="weights must sum to 1"):
+        GridMeasure(np.array([0.0, 1.0]), np.array([1e308, 1e308]))
+    with pytest.raises(DomainError, match="finite span"):
+        uniform_measure(-1e308, 1e308, 5)
+    with pytest.raises(DomainError, match="finite span"):
+        gaussian_measure(0.0, 1e308)
+    wide = gaussian_measure(0.0, 1.0, 11, half_width=1e200)
+    assert wide.weights[5] == 1.0

@@ -1,0 +1,221 @@
+"""The typed spec reader and the CSV table codec at the input boundary."""
+
+import json
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from quncert import (DomainError, GridSpec, map_from_spec, measure_from_spec,
+                     observable_from_spec, state_from_spec)
+from quncert.cli import main
+from quncert.measures import (_MEASURE_FAMILIES,
+                              load_measure_csv, save_measure_csv,
+                              sorted_measure)
+from quncert.observables import _MAP_KINDS, _OBSERVABLE_KINDS
+from quncert.states import (_STATE_FAMILIES, load_wavefunction_csv,
+                            make_gaussian, save_wavefunction_csv)
+from quncert.transport import optimal_coupling_lp, save_coupling_csv
+
+GRID = GridSpec.symmetric(16.0, 512)
+
+# one valid spec per row of every table
+VALID = {
+    "measure": [{"family": "point", "at": 1.0},
+                {"family": "two_point", "x1": 0, "x2": 1},
+                {"family": "uniform", "lo": 0, "hi": 1, "n_atoms": 3},
+                {"family": "gaussian", "sigma": 1, "n_atoms": 11},
+                {"atoms": [0, 1], "weights": [1, 1]}],
+    "state": [{"family": "gaussian"}, {"family": "box", "width": 1},
+              {"family": "hermite", "n": 2},
+              {"family": "random", "width": 2}, {"family": "cell"},
+              {"family": "mixture",
+               "components": [{"family": "cell", "weight": 1}]}],
+    "map": [{"kind": "identity"}, {"kind": "table", "xs": [0, 1], "ys": [0, 2]},
+            {"kind": "cos_shift", "amplitude": 0.5},
+            {"kind": "bounded_range", "half_range": 2}],
+    "observable": [{"kind": "sharp_position"}, {"kind": "sharp_momentum"},
+                   {"kind": "smeared_position",
+                    "measure": {"family": "point"}},
+                   {"kind": "smeared_momentum",
+                    "measure": {"family": "point"}},
+                   {"kind": "trivial", "measure": {"family": "point"}},
+                   {"kind": "pushforward", "inner": {"kind": "sharp_position"},
+                    "map": {"kind": "identity"}},
+                   {"kind": "covariant_marginal",
+                    "tau": {"family": "gaussian"}}],
+}
+READERS = {
+    "measure": measure_from_spec,
+    "state": lambda spec: state_from_spec(spec, GRID),
+    "map": map_from_spec,
+    "observable": lambda spec: observable_from_spec(spec, GRID),
+}
+
+
+def _cases():
+    for what, specs in VALID.items():
+        for spec in specs:
+            yield pytest.param(what, spec, id=f"{what}-{json.dumps(spec)[:40]}")
+
+
+@pytest.mark.parametrize("what,spec", _cases())
+def test_valid_specs_build_and_a_stray_key_is_named(what, spec):
+    READERS[what](spec)
+    with pytest.raises(DomainError, match=r"unrecognized keys \['zz'\]; "
+                                          r"allowed keys are \["):
+        READERS[what]({**spec, "zz": 1})
+
+
+def test_allowed_keys_are_the_row_parameters_plus_the_tag():
+    tables = [(READERS["measure"], _MEASURE_FAMILIES, "family"),
+              (READERS["state"], _STATE_FAMILIES, "family"),
+              (READERS["map"], _MAP_KINDS, "kind"),
+              (READERS["observable"], _OBSERVABLE_KINDS, "kind")]
+    for read, table, tag in tables:
+        for name, (_, params) in table.items():
+            with pytest.raises(DomainError) as err:
+                read({tag: name, "zz": 0})
+            assert str(err.value).endswith(f"are {sorted({tag, *params})}")
+    # a measure spec without a family is the explicit form
+    assert list(_MEASURE_FAMILIES[None][1]) == ["atoms", "weights"]
+    with pytest.raises(DomainError, match="unrecognized keys"):
+        measure_from_spec({"atoms": [0.0], "weights": [1.0],
+                           "family": "point"})
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"family": "hermite", "n": 2.5}, "n must be an integer"),
+    ({"family": "hermite", "n": True}, "n must be an integer, not bool"),
+    ({"family": "gaussian", "sigma": "1"}, "sigma must be a finite number, not str"),
+    ({"family": "gaussian", "sigma": None}, "not NoneType"),
+    ({"family": "gaussian", "center": [1]}, "center must be a finite number, not list"),
+    ({"family": "gaussian", "sigma": 10 ** 400}, "sigma must be a finite number, not int"),
+    ({"family": "gaussian", "sigma": float("nan")}, "finite number"),
+    ({"family": "gaussian", "momentum": float("inf")}, "finite number"),
+    ({"family": "random", "width": 2, "seed": 1.5}, "seed must be an integer"),
+    ({"family": "file", "path": 3}, "path must be a string, not int"),
+    ({"family": "mixture", "components": {"a": 1}}, "components must be a list"),
+    ({"family": "mixture", "components": [1]}, r"components\[0\] must be an object"),
+    ({"family": "mixture", "components": [{"family": "cell", "weight": True}]},
+     "weight must be a finite number, not bool"),
+    ({"family": "box"}, "state spec missing key 'width'"),
+    ({"family": 3}, "unknown state family 3"),
+    ({"family": ["gaussian"]}, r"unknown state family \['gaussian'\]"),
+    ([], "state spec must be a dict"),
+])
+def test_state_values_are_typed(spec, message):
+    with pytest.raises(DomainError, match=message):
+        state_from_spec(spec, GRID)
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"family": "uniform", "lo": 0, "hi": 1, "n_atoms": "5"}, "n_atoms must be an integer"),
+    ({"family": "two_point", "x1": 0, "x2": 1, "w1": False}, "w1 must be a finite number"),
+    ({"atoms": [0, "1"], "weights": [1, 1]}, r"atoms\[1\] must be a finite number"),
+    ({"atoms": [[0, 1]], "weights": [1]}, r"atoms\[0\] must be a finite number, not list"),
+    ({"atoms": [0, 1e400], "weights": [1, 1]}, r"atoms\[1\] must be a finite number"),
+    ({"atoms": [0, 1], "weights": 1}, "weights must be a list"),
+    ({"atoms": [0, 1]}, "measure spec missing key 'weights'"),
+])
+def test_measure_values_are_typed(spec, message):
+    with pytest.raises(DomainError, match=message):
+        measure_from_spec(spec)
+
+
+def test_observable_and_map_values_are_typed():
+    with pytest.raises(DomainError, match="measure must be an object"):
+        observable_from_spec({"kind": "smeared_position", "measure": 1.0}, GRID)
+    with pytest.raises(DomainError, match="axis must be a string"):
+        observable_from_spec({"kind": "trivial", "axis": 1,
+                              "measure": {"family": "point"}}, GRID)
+    with pytest.raises(DomainError, match=r"xs\[0\] must be a finite number"):
+        map_from_spec({"kind": "table", "xs": [None, 1], "ys": [0, 1]})
+    with pytest.raises(DomainError, match="amplitude must be a finite number"):
+        map_from_spec({"kind": "cos_shift", "amplitude": 1e400})
+
+
+def test_integral_floats_are_counts_and_ints_are_numbers():
+    a = measure_from_spec({"family": "uniform", "lo": 0, "hi": 2, "n_atoms": 5.0})
+    b = measure_from_spec({"family": "uniform", "lo": 0.0, "hi": 2.0, "n_atoms": 5})
+    assert np.array_equal(a.atoms, b.atoms) and np.array_equal(a.weights, b.weights)
+
+
+@pytest.mark.parametrize("text", [
+    '{"family": "gaussian", "sigma": null}',
+    '{"family": "gaussian", "center": [1]}',
+    '{"family": "gaussian", "sigma": 1%s}' % ("0" * 400),
+    '{"family": "gaussian", "sigma": NaN}',
+    '{"family": "gaussian", "sigma": Infinity}',
+    '{"family": "gaussian", "sigma": 1e400}',
+])
+def test_state_reproducers_exit_2_without_traceback(text):
+    # the first three ended in a TypeError or OverflowError traceback
+    run = subprocess.run([sys.executable, "-m", "quncert.cli", "state", text],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2, run.stderr
+    assert "DomainError" in run.stderr
+    assert "Traceback" not in run.stderr and "Warning" not in run.stderr
+
+
+@pytest.mark.parametrize("text", ['{"family": "hermite", "n": 2.5}',
+                                  '{"family": "hermite", "n": true}',
+                                  '{"family": "gaussian", "sigma": "1"}'])
+def test_coerced_values_exit_2(capsys, text):
+    assert main(["state", text]) == 2
+    assert "DomainError" in capsys.readouterr().err
+
+
+# -- CSV tables -----------------------------------------------------------------
+
+def test_written_tables_keep_their_byte_format(tmp_path):
+    m = sorted_measure([0.1, -2.0, 3e-20], [1.0, 2.0, 1.0])
+    save_measure_csv(m, str(tmp_path / "m.csv"))
+    assert (tmp_path / "m.csv").read_bytes().decode() == (
+        "x,w\r\n-2.0,0.5\r\n3e-20,0.25\r\n0.1,0.25\r\n")
+    wf = make_gaussian(GridSpec(-1.0, 0.5, 4), 0.0, 0.0, 0.6)
+    save_wavefunction_csv(wf, str(tmp_path / "wf.csv"))
+    lines = (tmp_path / "wf.csv").read_bytes().decode().split("\r\n")
+    assert lines[0] == "x,re,im" and lines[1].startswith("-1.0,")
+    assert lines[3] == f"0.0,{float(wf.amplitudes[2].real)!r},0.0"
+    coupling, _ = optimal_coupling_lp(m, sorted_measure([0.0, 1.0], [1, 1]), 2.0)
+    save_coupling_csv(coupling, str(tmp_path / "c.csv"))
+    rows = (tmp_path / "c.csv").read_bytes().decode().split("\r\n")
+    assert rows[0] == "i,j,xi,yj,w" and rows[1] == "0,0,-2.0,0.0,0.5"
+
+
+def test_table_reader_rules(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(" X , w ,note\n0.0,1,a\n\n  \n1.0,3\n")
+    m = load_measure_csv(str(path))
+    assert m.atoms.tolist() == [0.0, 1.0] and m.weights.tolist() == [0.25, 0.75]
+    for body, message in [("", "empty measure file"),
+                          ("x,v\n0,1\n", "expected header 'x,w'"),
+                          ("x,w\n0\n", "malformed row"),
+                          ("x,w\n0,one\n", "malformed row"),
+                          ("x,w\n0,inf\n", "values must be finite"),
+                          ("x,w\nnan,1\n", "values must be finite"),
+                          ("x,w\n", "no atoms")]:
+        path.write_text(body)
+        with pytest.raises(DomainError, match=message):
+            load_measure_csv(str(path))
+    path.write_text("x,re,im\n" + "".join(f"{x},1,0\n" for x in range(3)))
+    with pytest.raises(DomainError, match="too few samples"):
+        load_wavefunction_csv(str(path))
+    path.write_text("x,re\n0,1\n")
+    with pytest.raises(DomainError, match="expected header 'x,re,im'"):
+        load_wavefunction_csv(str(path))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("body,message", [
+    ("-1e308,1,0\n1e308,1,0\n3e307,1,0\n4e307,1,0\n", "finite x0 and positive dx"),
+    ("".join(f"{x},1e200,0\n" for x in range(4)), "state norm deviates"),
+])
+def test_wavefunction_values_that_overflow_are_domain_errors(tmp_path, body,
+                                                             message):
+    path = tmp_path / "wf.csv"
+    path.write_text("x,re,im\n" + body)
+    with pytest.raises(DomainError, match=message):
+        load_wavefunction_csv(str(path))

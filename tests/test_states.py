@@ -327,3 +327,62 @@ def test_gaussian_wider_than_grid_span_is_grid_too_small():
     for sigma in (2.0 * GRID.span, 1e200):
         with pytest.raises(GridTooSmallError, match="sigma.*span"):
             make_gaussian(GRID, 0.0, 0.0, sigma)
+
+
+# -- Hermite gate and midpoint placement ----------------------------------------
+
+NAMED_GRIDS = [states.DEFAULT_GRID, states.UR_ENSEMBLE_GRID,
+               states.COVARIANT_GRID, states.SOLVER_GRID]
+
+
+@pytest.mark.parametrize("grid", NAMED_GRIDS, ids=["default", "ur", "cov", "solver"])
+def test_low_hermite_amplitudes_are_unchanged(grid):
+    for n in range(6):
+        assert np.array_equal(make_hermite(grid, n).amplitudes,
+                              oracles.hermite_reference(grid, n))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("grid", NAMED_GRIDS, ids=["default", "ur", "cov", "solver"])
+def test_largest_accepted_hermite_builds(grid):
+    reach = min(grid.x_end, 0.5 * grid.n * grid.momentum_step())
+    largest = min(states.MAX_HERMITE_N, int((reach * reach - 1.0) // 2))
+    assert np.all(np.isfinite(make_hermite(grid, largest).amplitudes))
+    with pytest.raises((GridTooSmallError, ResourceError)):
+        make_hermite(grid, largest + 1)
+
+
+def test_hermite_turning_point_outside_grid_is_grid_too_small():
+    for n in (400, 10 ** 400):
+        with pytest.raises(GridTooSmallError, match="turning points"):
+            make_hermite(states.DEFAULT_GRID, n)
+    with pytest.raises(ResourceError, match="cap"):
+        make_hermite(states.UR_ENSEMBLE_GRID, states.MAX_HERMITE_N + 1)
+    # the momentum band bounds the reach too: dp = 2 pi / 8 here
+    with pytest.raises(GridTooSmallError):
+        make_hermite(GridSpec.symmetric(64.0, 16), 1)
+
+
+def test_ensembles_sit_around_the_grid_midpoint():
+    sym = GridSpec.symmetric(16.0, 512)
+    off = GridSpec(0.0, sym.dx, sym.n)
+    for a, b in zip(builtin_ensemble(sym), builtin_ensemble(off)):
+        assert position_distribution(b).mean() == pytest.approx(
+            position_distribution(a).mean() + 16.0, abs=1e-9)
+        assert np.allclose(momentum_distribution(a).weights,
+                           momentum_distribution(b).weights, atol=1e-12)
+    for a, b in zip(random_ensemble(sym, 8, seed=2),
+                    random_ensemble(off, 8, seed=2)):
+        assert position_distribution(b).mean() == pytest.approx(
+            position_distribution(a).mean() + 16.0, abs=1e-9)
+
+
+def test_momentum_outside_the_band_is_a_domain_error():
+    band = 0.5 * GRID.n * GRID.momentum_step()
+    with pytest.raises(DomainError, match="momentum band"):
+        make_gaussian(GRID, 0.0, band, 1.0)
+    with pytest.raises(DomainError, match="momentum band"):
+        make_box(GRID, 0.0, 1.0, -band)
+    for hbar in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="hbar must be finite and positive"):
+            make_gaussian(GRID, 0.0, 0.0, 1.0, hbar)

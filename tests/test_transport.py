@@ -272,3 +272,46 @@ def test_coupling_csv(tmp_path, rng):
     assert lines[0] == "i,j,xi,yj,w"
     total = sum(float(line.split(",")[4]) for line in lines[1:])
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def _dual_instances():
+    """The draws of the dual-ascent tests above, then a seeded battery:
+    1-39 atoms per side, spreads 0.1-10, alpha in {1, 1.5, 2, 3}."""
+    for count, max_atoms, alphas in ((15, 10, (1.0, 2.0)), (10, 15, (1.0, 2.0)),
+                                     (10, 12, (1.0,))):
+        rng = np.random.default_rng(20260819)
+        for _ in range(count):
+            m1 = random_measure(rng, max_atoms=max_atoms)
+            m2 = random_measure(rng, max_atoms=max_atoms)
+            for alpha in alphas:
+                yield m1, m2, alpha
+    rng = np.random.default_rng(6)
+    for _ in range(400):
+        pair = []
+        for _ in range(2):
+            n = int(rng.integers(1, 40))
+            atoms = np.unique(rng.normal(rng.uniform(-5, 5),
+                                         rng.uniform(0.1, 10.0), n))
+            pair.append(sorted_measure(atoms, rng.dirichlet(np.ones(atoms.size))))
+        yield pair[0], pair[1], float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+
+
+def test_dual_ascent_is_the_first_round_of_the_reference_loop():
+    for m1, m2, alpha in _dual_instances():
+        psi, phi, rounds = oracles.dual_ascent_reference(m1, m2, alpha)
+        pair = dual_ascent(m1, m2, alpha)
+        assert rounds == 1
+        assert np.array_equal(pair.psi_values, psi)
+        assert np.array_equal(pair.phi_values, phi)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_displacements_beyond_the_float_range_are_domain_errors():
+    far = (point_mass(-1e308), point_mass(1e308))
+    with pytest.raises(DomainError, match="displacements must be finite"):
+        wasserstein(*far, 1.0)
+    with pytest.raises(DomainError, match="displacements must be finite"):
+        wasserstein_inf(*far)
+    with pytest.raises(DomainError, match="displacements must be finite"):
+        optimal_coupling_lp(*far, 2.0)
+    assert wasserstein(point_mass(-1e307), point_mass(1e307), 2.0) == 2e307
