@@ -28,7 +28,7 @@ from .metrics import (_CUTOFF_FRACTION, default_probe_config,
 from .observables import (CovariantMarginal, Observable, Sharp, Smeared,
                           SmearedPosition, covariant_marginals)
 from .states import (COVARIANT_GRID, UR_ENSEMBLE_GRID, GridSpec, State,
-                     _as_mixed, ground_state, make_gaussian,
+                     _as_mixed, _check_exponents, ground_state, make_gaussian,
                      momentum_distribution, position_distribution,
                      solver_grid, test_ensemble)
 from .transport import tent_function
@@ -55,8 +55,7 @@ def K_tilde(eps1: float, eps2: float) -> float:
 
 def c_from_ground_energy(alpha: float, beta: float, g: float) -> float:
     """Deviation-product constant from the ground energy of |Q|^a + |P|^b."""
-    if alpha < 1.0 or beta < 1.0:
-        raise DomainError("exponents must be >= 1")
+    _check_exponents(alpha, beta)
     if not g > 0.0:
         raise DomainError("ground energy must be positive")
     # single-root grouping keeps dyadic cases exact (e.g. a = b = 2, g = 1)

@@ -26,9 +26,13 @@ from .states import (MixedState, State, _as_mixed, _shift_cells,
 
 
 class Observable:
-    """Base type; subclasses implement distribution(state, hbar)."""
+    """Base type for distribution(state, hbar); checks dataclass subclasses' axis."""
 
     axis: str = "none"
+
+    def __post_init__(self) -> None:
+        if self.axis not in ("position", "momentum"):
+            raise DomainError("axis must be 'position' or 'momentum'")
 
     def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
         raise NotImplementedError
@@ -39,10 +43,6 @@ class Sharp(Observable):
     """Ideal position or momentum measurement: the Born law on `axis`."""
 
     axis: str
-
-    def __post_init__(self) -> None:
-        if self.axis not in ("position", "momentum"):
-            raise DomainError("axis must be 'position' or 'momentum'")
 
     def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
         if self.axis == "position":

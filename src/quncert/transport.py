@@ -75,6 +75,15 @@ def wasserstein_inf(m1: GridMeasure, m2: GridMeasure) -> float:
 
 # -- exact transportation LP --------------------------------------------------
 
+def _cost_matrix(xs: np.ndarray, ys: np.ndarray, alpha: float) -> np.ndarray:
+    """|x - y|^alpha for every pair of atoms (x from xs, y from ys)."""
+    with np.errstate(over="ignore"):
+        cost = np.abs(xs[:, None] - ys[None, :]) ** alpha
+    if not np.all(np.isfinite(cost)):
+        raise DomainError(f"transport cost |x - y|^{alpha:g} overflows")
+    return cost
+
+
 @dataclass(frozen=True, eq=False)
 class Coupling:
     """Joint distribution on atoms(m1) x atoms(m2) with given marginals."""
@@ -105,8 +114,8 @@ class Coupling:
         return self.joint.sum(axis=0)
 
     def cost(self, alpha: float) -> float:
-        diff = np.abs(self.row_atoms[:, None] - self.col_atoms[None, :])
-        return float(np.sum(self.joint * diff ** alpha))
+        return float(np.sum(self.joint * _cost_matrix(self.row_atoms,
+                                                      self.col_atoms, alpha)))
 
     def max_displacement(self) -> float:
         diff = np.abs(self.row_atoms[:, None] - self.col_atoms[None, :])
@@ -178,8 +187,7 @@ def _lp(m1: GridMeasure, m2: GridMeasure, alpha: float):
         raise ResourceError(
             f"LP instance {n}x{m} exceeds cell cap {LP_SIZE_CAP}")
     _check_displacements(m1, m2)
-    cost = np.abs(m1.atoms[:, None] - m2.atoms[None, :]) ** alpha
-    return _monotone_plan(m1.weights, m2.weights, cost)
+    return _monotone_plan(m1.weights, m2.weights, _cost_matrix(m1.atoms, m2.atoms, alpha))
 
 
 def optimal_coupling_lp(m1: GridMeasure, m2: GridMeasure, alpha: float):
@@ -229,8 +237,7 @@ def c_transform(psi_values: np.ndarray, m1: GridMeasure, m2: GridMeasure,
     psi = np.asarray(psi_values, dtype=float).reshape(-1)
     if psi.size != len(m1):
         raise DomainError("psi must have one value per atom of m1")
-    cost = np.abs(m1.atoms[:, None] - m2.atoms[None, :]) ** alpha
-    return np.min(psi[:, None] + cost, axis=0)
+    return np.min(psi[:, None] + _cost_matrix(m1.atoms, m2.atoms, alpha), axis=0)
 
 
 def c_transform_upper(phi_values: np.ndarray, m2: GridMeasure, m1: GridMeasure,
@@ -239,14 +246,13 @@ def c_transform_upper(phi_values: np.ndarray, m2: GridMeasure, m1: GridMeasure,
     phi = np.asarray(phi_values, dtype=float).reshape(-1)
     if phi.size != len(m2):
         raise DomainError("phi must have one value per atom of m2")
-    cost = np.abs(m1.atoms[:, None] - m2.atoms[None, :]) ** alpha
-    return np.max(phi[None, :] - cost, axis=1)
+    return np.max(phi[None, :] - _cost_matrix(m1.atoms, m2.atoms, alpha), axis=1)
 
 
 def feasibility_violation(m1: GridMeasure, m2: GridMeasure, pair: DualPair) -> float:
     """Largest excess of phi(y) - psi(x) over |x - y|^alpha (<= 0 if feasible)."""
-    cost = np.abs(m1.atoms[:, None] - m2.atoms[None, :]) ** pair.alpha
-    gap = pair.phi_values[None, :] - pair.psi_values[:, None] - cost
+    gap = (pair.phi_values[None, :] - pair.psi_values[:, None]
+           - _cost_matrix(m1.atoms, m2.atoms, pair.alpha))
     return float(np.max(gap))
 
 

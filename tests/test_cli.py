@@ -63,6 +63,26 @@ class TestGroundstate:
         assert code == 4
         assert "ConvergenceError" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "nan", "--beta", "2"],
+        ["--alpha", "inf", "--beta", "2"],
+        ["--alpha", "2", "--beta", "2", "--tol", "nan"],
+        ["--alpha", "2", "--beta", "2", "--boundary-tol", "nan"],
+    ])
+    def test_bad_exponent_or_tolerance_exits_2(self, capsys, flags):
+        code, _, err = _run(capsys, ["groundstate", *flags])
+        assert code == 2, err
+        assert "DomainError" in err and "Warning" not in err
+
+    def test_quartic_kink_constant_matches_swapped_pair(self, capsys):
+        swapped = _run_json(capsys, ["groundstate", "--alpha", "4",
+                                     "--beta", "1"])
+        direct = _run_json(capsys, ["groundstate", "--alpha", "1",
+                                    "--beta", "4",
+                                    "--grid=-24,0.046875,1024"])
+        assert abs(swapped["c_constant"] - direct["c_constant"]) <= 5e-4
+
 
 class TestMeasureAndTransport:
     def test_measure_summary(self, capsys):

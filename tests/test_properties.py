@@ -157,8 +157,31 @@ def common(draw):
 
 
 @st.composite
+def groundstate_argv(draw):
+    """Exponents from [1, 4] or odd values; a grid of at most 512 points,
+    mostly symmetric about 0 (as the solver needs); tolerances usual or
+    odd."""
+    exponents = mostly(st.floats(1.0, 4.0),
+                       st.sampled_from(["nan", "inf", "-inf", "0.5", "x"]))
+    argv = ["groundstate", f"--alpha={draw(exponents)}",
+            f"--beta={draw(exponents)}"]
+    if draw(st.booleans()):
+        argv.append(f"--tol={draw(mostly(st.floats(1e-9, 1e-3), flags))}")
+    if draw(st.booleans()):
+        argv.append(
+            f"--boundary-tol={draw(mostly(st.floats(1e-8, 1.0), flags))}")
+    n = draw(st.sampled_from([4, 64, 256, 512]))
+    half = draw(mostly(st.floats(1.0, 40.0), st.floats()))
+    x0 = draw(mostly(st.just(-half), st.floats(-40.0, 40.0)))
+    return argv + [f"--grid={x0},{2.0 * half / n},{n}"]
+
+
+@st.composite
 def argvs(draw):
-    command = draw(st.sampled_from(["measure", "wasserstein", "state"]))
+    command = draw(st.sampled_from(["measure", "wasserstein", "state",
+                                    "groundstate"]))
+    if command == "groundstate":
+        return draw(groundstate_argv())
     alphas = mostly(st.floats(1.0, 8.0), st.one_of(flags, st.just("inf")))
     if command == "measure":
         argv = ["measure", _text(draw(measure_specs()))]

@@ -219,3 +219,9 @@ def test_wavefunction_values_that_overflow_are_domain_errors(tmp_path, body,
     path.write_text("x,re,im\n" + body)
     with pytest.raises(DomainError, match=message):
         load_wavefunction_csv(str(path))
+
+
+def test_trivial_observable_axis_is_checked(capsys):
+    spec = '{"kind": "trivial", "measure": {"family": "point"}, "axis": "foo"}'
+    assert main(["metric", "resolution", "--observable", spec]) == 2
+    assert "axis must be 'position' or 'momentum'" in capsys.readouterr().err

@@ -386,3 +386,21 @@ def test_momentum_outside_the_band_is_a_domain_error():
     for hbar in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError, match="hbar must be finite and positive"):
             make_gaussian(GRID, 0.0, 0.0, 1.0, hbar)
+
+
+@pytest.mark.parametrize("alpha,beta,half_width", [(1.0, 4.0, 16.0),
+                                                   (4.0, 1.0, 32.0)])
+def test_ground_state_quartic_kink_pairs_match_dense_oracle(alpha, beta,
+                                                            half_width):
+    grid = GridSpec.symmetric(half_width, 512)
+    energy, _ = ground_state(alpha, beta, grid, boundary_tol=1e-2)
+    ref = oracles.dense_ground_energy(alpha, beta, grid.x0, grid.dx, grid.n)
+    assert abs(energy - ref) <= 1e-9
+
+
+def test_ground_state_step_budget_is_a_convergence_error():
+    # (4, 4) needs hundreds of steps, so ten run out before any stall
+    with pytest.raises(ConvergenceError, match="at step 10$"):
+        ground_state(4.0, 4.0, GridSpec.symmetric(12.0, 256), max_steps=10)
+    with pytest.raises(ConvergenceError, match="at step 0$"):
+        ground_state(1.0, 2.0, GridSpec.symmetric(12.0, 256), max_steps=-1)

@@ -12,7 +12,7 @@ from quncert import (DomainError, DualPair, GridMeasure, InternalError,
                      point_mass, save_coupling_csv, sorted_measure,
                      tent_function, uniform_measure, wasserstein,
                      wasserstein_inf)
-from quncert.transport import (_monotone_plan, c_transform_upper,
+from quncert.transport import (Coupling, _monotone_plan, c_transform_upper,
                                feasibility_violation)
 
 HALF_HALF = sorted_measure([0.0, 1.0], [0.5, 0.5])
@@ -315,3 +315,18 @@ def test_displacements_beyond_the_float_range_are_domain_errors():
     with pytest.raises(DomainError, match="displacements must be finite"):
         optimal_coupling_lp(*far, 2.0)
     assert wasserstein(point_mass(-1e307), point_mass(1e307), 2.0) == 2e307
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cost_matrix_overflow_is_a_domain_error():
+    near, far = point_mass(0.0), point_mass(1e200)
+    with pytest.raises(DomainError, match="overflows"):
+        optimal_coupling_lp(near, far, 2.0)
+    with pytest.raises(DomainError, match="overflows"):
+        c_transform(np.zeros(1), near, far, 2.0)
+    with pytest.raises(DomainError, match="overflows"):
+        c_transform_upper(np.zeros(1), far, near, 2.0)
+    with pytest.raises(DomainError, match="overflows"):
+        feasibility_violation(near, far, DualPair([0.0], [0.0], 2.0))
+    with pytest.raises(DomainError, match="overflows"):
+        Coupling([0.0], [1e200], [[1.0]]).cost(2.0)
