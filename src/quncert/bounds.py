@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from io import StringIO
 from typing import Sequence
 
@@ -27,10 +27,10 @@ from .metrics import (_CUTOFF_FRACTION, default_probe_config,
                       observable_distance)
 from .observables import (CovariantMarginal, Observable, Sharp, Smeared,
                           SmearedPosition, covariant_marginals)
-from .states import (COVARIANT_GRID, UR_ENSEMBLE_GRID, GridSpec, State,
-                     _as_mixed, _check_exponents, ground_state, make_gaussian,
-                     momentum_distribution, position_distribution,
-                     solver_grid, test_ensemble)
+from .states import (COVARIANT_GRID, UR_ENSEMBLE_GRID, GridSpec, MixedState,
+                     State, _as_mixed, _check_exponents, ground_state,
+                     make_gaussian, momentum_distribution,
+                     position_distribution, solver_grid, test_ensemble)
 from .transport import tent_function
 
 # -- constants ------------------------------------------------------------------
@@ -87,11 +87,9 @@ def ground_energy(alpha: float, beta: float, grid: GridSpec | None = None,
     return _ground_cache[key]
 
 
-def c_alpha_beta(alpha: float, beta: float, grid: GridSpec | None = None,
-                 tol: float = 1e-6, boundary_tol: float | None = None) -> float:
+def c_alpha_beta(alpha: float, beta: float) -> float:
     """Deviation-product constant computed from the ground-state solver."""
-    return c_from_ground_energy(
-        alpha, beta, ground_energy(alpha, beta, grid, tol, boundary_tol))
+    return c_from_ground_energy(alpha, beta, ground_energy(alpha, beta))
 
 
 # -- reports -----------------------------------------------------------------------
@@ -164,30 +162,27 @@ def verify_preparation_ur(state: State, alpha: float, beta: float,
                         1e-4 * rhs, inputs)
 
 
+def _width_product(relation: str, s: MixedState, mu: GridMeasure,
+                   nu: GridMeasure, eps1: float, eps2: float, hbar: float,
+                   role: str) -> VerificationReport:
+    """Overall-width product of the laws mu and nu against 2*pi*hbar*K; the
+    state s, summarized under inputs[role], sets the lattice tolerance."""
+    w1 = overall_width(mu, eps1)
+    w2 = overall_width(nu, eps2)
+    rhs = 2.0 * math.pi * hbar * K(eps1, eps2)
+    tol = 2.0 * s.grid.dx * (w1 + w2)
+    inputs = {"eps1": eps1, "eps2": eps2, "hbar": hbar,
+              role: _state_summary(s)}
+    return _make_report(relation, w1 * w2, rhs, tol, inputs)
+
+
 def verify_overall_width_ur(state: State, eps1: float, eps2: float,
                             hbar: float = 1.0) -> VerificationReport:
     """Overall-width product of one state's laws against 2*pi*hbar*K."""
     s = _as_mixed(state)
-    w1 = overall_width(position_distribution(s), eps1)
-    w2 = overall_width(momentum_distribution(s, hbar), eps2)
-    rhs = 2.0 * math.pi * hbar * K(eps1, eps2)
-    tol = 2.0 * s.grid.dx * (w1 + w2)
-    inputs = {"eps1": eps1, "eps2": eps2, "hbar": hbar,
-              "state": _state_summary(s)}
-    return _make_report("overall-width-product", w1 * w2, rhs, tol, inputs)
-
-
-def _covariant_width_product(tau: State, eps1: float, eps2: float,
-                             hbar: float, relation: str) -> VerificationReport:
-    t = _as_mixed(tau)
-    mu, nu = covariant_marginals(t, hbar)
-    w1 = overall_width(mu, eps1)
-    w2 = overall_width(nu, eps2)
-    rhs = 2.0 * math.pi * hbar * K(eps1, eps2)
-    tol = 2.0 * t.grid.dx * (w1 + w2)
-    inputs = {"eps1": eps1, "eps2": eps2, "hbar": hbar,
-              "tau": _state_summary(t)}
-    return _make_report(relation, w1 * w2, rhs, tol, inputs)
+    return _width_product("overall-width-product", s, position_distribution(s),
+                          momentum_distribution(s, hbar), eps1, eps2, hbar,
+                          "state")
 
 
 def verify_covariant_error_ur(tau: State, eps1: float, eps2: float,
@@ -195,16 +190,21 @@ def verify_covariant_error_ur(tau: State, eps1: float, eps2: float,
     """Bias-free error widths of the two covariant margins (their exact
     closed forms: the overall widths of the smearing measures) against
     2*pi*hbar*K."""
-    return _covariant_width_product(tau, eps1, eps2, hbar,
-                                    "covariant-bias-free-error-product")
+    t = _as_mixed(tau)
+    return _width_product("covariant-bias-free-error-product", t,
+                          *covariant_marginals(t, hbar), eps1, eps2, hbar,
+                          "tau")
+
+
+def _as_resolution(report: VerificationReport) -> VerificationReport:
+    return replace(report, relation="covariant-resolution-product")
 
 
 def verify_covariant_resolution_ur(tau: State, eps1: float, eps2: float,
                                    hbar: float = 1.0) -> VerificationReport:
     """Resolution widths of the two covariant margins; numerically the same
     product as the bias-free check, reported under its own relation id."""
-    return _covariant_width_product(tau, eps1, eps2, hbar,
-                                    "covariant-resolution-product")
+    return _as_resolution(verify_covariant_error_ur(tau, eps1, eps2, hbar))
 
 
 def verify_metric_ur(tau: State, alpha: float, beta: float,
@@ -407,8 +407,8 @@ def run_suite(seed: int = 0, hbar: float = 1.0) -> list[VerificationReport]:
         reports.append(verify_overall_width_ur(s, 0.1, 0.2, hbar))
     for sigma in (0.5, 1.0, 2.0):
         tau = make_gaussian(COVARIANT_GRID, 0.0, 0.0, sigma, hbar)
-        reports.append(verify_covariant_error_ur(tau, 0.05, 0.05, hbar))
-        reports.append(verify_covariant_resolution_ur(tau, 0.05, 0.05, hbar))
+        error = verify_covariant_error_ur(tau, 0.05, 0.05, hbar)
+        reports += [error, _as_resolution(error)]
         reports.append(verify_noise_ur(tau, hbar))
     tau1 = make_gaussian(COVARIANT_GRID, 0.0, 0.0, math.sqrt(0.5 * hbar),
                          hbar)

@@ -72,24 +72,8 @@ def _parse_grid(text: str) -> GridSpec:
 
 
 def _resolve_grid(args: argparse.Namespace, fallback: GridSpec) -> GridSpec:
-    if args.grid is not None:
-        return _parse_grid(args.grid)
-    env = os.environ.get("QUNCERT_GRID")
-    return _parse_grid(env) if env else fallback
-
-
-def _resolve_hbar(args: argparse.Namespace) -> float:
-    if args.hbar is not None:
-        return args.hbar
-    env = os.environ.get("QUNCERT_HBAR")
-    return float(env) if env else 1.0
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QUNCERT_SEED")
-    return int(env) if env else 0
+    # parsed here, not by argparse, so that a grid over the size cap exits 3
+    return fallback if args.grid is None else _parse_grid(args.grid)
 
 
 # -- output plumbing -------------------------------------------------------------
@@ -169,8 +153,7 @@ def _law_summary(m: GridMeasure, eps: float) -> dict:
 
 
 def _cmd_state(args: argparse.Namespace) -> dict:
-    grid = _resolve_grid(args, DEFAULT_GRID)
-    hbar = _resolve_hbar(args)
+    grid, hbar = _resolve_grid(args, DEFAULT_GRID), args.hbar
     s = _spec_arg(args.state, state_from_spec, grid, hbar)
     qlaw = position_distribution(s)
     plaw = momentum_distribution(s, hbar)
@@ -197,16 +180,10 @@ def _cmd_groundstate(args: argparse.Namespace) -> dict:
             "c_constant": bounds.c_from_ground_energy(args.alpha, args.beta, g)}
 
 
-def _default_target(obs: Observable) -> Observable:
-    return Sharp("momentum" if obs.axis == "momentum" else "position")
-
-
 def _cmd_metric(args: argparse.Namespace) -> dict:
-    grid = _resolve_grid(args, DEFAULT_GRID)
-    hbar = _resolve_hbar(args)
-    seed = _resolve_seed(args)
+    grid, hbar, seed = _resolve_grid(args, DEFAULT_GRID), args.hbar, args.seed
     obs = observable_from_spec(_load_json_arg(args.observable), grid, hbar)
-    target = (_default_target(obs) if args.target is None
+    target = (Sharp(obs.axis) if args.target is None
               else observable_from_spec(_load_json_arg(args.target), grid, hbar))
     name = args.functional
     if name == "distance":
@@ -244,8 +221,7 @@ def _cmd_metric(args: argparse.Namespace) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace):
-    hbar = _resolve_hbar(args)
-    seed = _resolve_seed(args)
+    hbar, seed = args.hbar, args.seed
     if args.suite:
         if args.suite != "all":
             raise DomainError("the only suite is 'all'")
@@ -291,20 +267,30 @@ def bounds_default_connection_instances() -> list[Observable]:
 
 
 def _cmd_demo(args: argparse.Namespace) -> dict:
-    hbar = _resolve_hbar(args)
     grid = _resolve_grid(args, bounds.DEMO_GRID)
-    return bounds.demonstrate_sharp_marginal_divergence(grid, hbar,
+    return bounds.demonstrate_sharp_marginal_divergence(grid, args.hbar,
                                                         eps2=args.eps2)
 
 
 # -- parser ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", help="grid as x0,dx,N (env QUNCERT_GRID)")
-    p.add_argument("--hbar", type=float, default=None,
-                   help="action scale (env QUNCERT_HBAR, default 1)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="rng seed (env QUNCERT_SEED, default 0)")
+# input flags: (type, default, help); each also reads QUNCERT_<NAME>, and an
+# empty variable counts as unset.  argparse applies the type to a string
+# default, so a malformed variable is rejected like a malformed flag.
+_INPUT_FLAGS = {
+    "grid": (None, None, "grid as x0,dx,N (env QUNCERT_GRID)"),
+    "hbar": (float, 1.0, "action scale (env QUNCERT_HBAR, default 1)"),
+    "seed": (int, 0, "rng seed (env QUNCERT_SEED, default 0)"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *inputs: str) -> None:
+    """The output flags, plus the input flags the subcommand reads."""
+    for name in inputs:
+        kind, default, text = _INPUT_FLAGS[name]
+        p.add_argument(f"--{name}", type=kind, help=text,
+                       default=os.environ.get(f"QUNCERT_{name.upper()}")
+                       or default)
     p.add_argument("--out", help="write output to this path (atomic)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -320,16 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("measure", help="CSV path or JSON spec")
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--eps", type=float, default=0.05)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_measure)
+    # measure and wasserstein accept --grid and --hbar but read neither flag,
+    # so neither reads the environment
+    _add_common(p, "grid", "hbar")
+    p.set_defaults(handler=_cmd_measure, grid=None, hbar=None)
 
     p = sub.add_parser("wasserstein", help="transport distance of two measures")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--alpha", default="1",
                    help="order >= 1, or 'inf'")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_wasserstein)
+    _add_common(p, "grid", "hbar")
+    p.set_defaults(handler=_cmd_wasserstein, grid=None, hbar=None)
 
     p = sub.add_parser("state", help="build a state and summarize its laws")
     p.add_argument("state", help="CSV path or JSON spec")
@@ -337,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-position")
     p.add_argument("--save-momentum")
     p.add_argument("--save-wavefunction")
-    _add_common(p)
+    _add_common(p, "grid", "hbar")
     p.set_defaults(handler=_cmd_state)
 
     p = sub.add_parser("groundstate",
@@ -346,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--boundary-tol", type=float, default=None)
-    _add_common(p)
+    _add_common(p, "grid")
     p.set_defaults(handler=_cmd_groundstate)
 
     p = sub.add_parser("metric", help="one error functional of an observable")
@@ -359,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--delta", type=float, default=None,
                    help="fixed localization width; omit for the shrinking sweep")
-    _add_common(p)
+    _add_common(p, "grid", "hbar", "seed")
     p.set_defaults(handler=_cmd_metric)
 
     p = sub.add_parser("verify", help="check one relation or the whole battery")
@@ -375,12 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--eps2", type=float, default=0.05)
-    _add_common(p)
+    _add_common(p, "grid", "hbar", "seed")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("demo", help="sharp-marginal divergence demonstration")
     p.add_argument("--eps2", type=float, default=0.1)
-    _add_common(p)
+    _add_common(p, "grid", "hbar")
     p.set_defaults(handler=_cmd_demo)
 
     return parser

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -44,8 +44,9 @@ class ProbeConfig:
     w_cutoff: float
     probes_per_center: int = 4
     probe_kinds: tuple[str, ...] = _PROBE_KINDS
-    bisection_tol: float = 1e-9
     seed: int = 0
+    # slack allowed when the floating window beats the centered one
+    bisection_tol: ClassVar[float] = 1e-9
 
     def __post_init__(self) -> None:
         xs = tuple(float(x) for x in self.x_samples)
@@ -64,8 +65,6 @@ class ProbeConfig:
         if not kinds or any(k not in _PROBE_KINDS for k in kinds):
             raise DomainError(f"probe kinds must come from {_PROBE_KINDS}")
         object.__setattr__(self, "probe_kinds", kinds)
-        if not self.bisection_tol > 0.0:
-            raise DomainError("bisection_tol must be positive")
 
 
 def default_probe_config(grid: GridSpec, eps: float, axis: str = "position",
@@ -91,6 +90,22 @@ class WidthEstimate:
     infinite_flag: bool = False
     witness: tuple | None = None
     trace: tuple | None = None
+
+
+def _worst(rows: Iterable[tuple[tuple, dict]], key: str,
+           is_lower_bound: bool, cutoff: float = math.inf) -> WidthEstimate:
+    """Largest entry[key] over (witness, trace entry) rows, the first row
+    winning ties; every entry goes to the trace, and a value beyond cutoff
+    sets infinite_flag."""
+    best = -1.0
+    witness: tuple | None = None
+    trace: list[dict] = []
+    for wit, entry in rows:
+        trace.append(entry)
+        if entry[key] > best:
+            best, witness = entry[key], wit
+    return WidthEstimate(best, is_lower_bound, best > cutoff, witness,
+                         tuple(trace))
 
 
 # -- probe families -----------------------------------------------------------
@@ -190,22 +205,19 @@ def _sharp_axis(target: Observable) -> str:
 def _probe_sweep(approx: Observable, target: Observable, cfg: ProbeConfig,
                  grid: GridSpec, hbar: float, centered: bool) -> WidthEstimate:
     axis = _sharp_axis(target)
-    best = -1.0
-    witness: tuple | None = None
-    trace: list[dict] = []
-    for raw_center in cfg.x_samples:
-        x, probes = _localized_probes(grid, raw_center, cfg, axis, hbar)
-        for label, probe in probes:
-            _assert_localized(target.distribution(probe, hbar), x, cfg.delta)
-            law = approx.distribution(probe, hbar)
-            if centered:
-                w = min_centered_window(law, x, cfg.eps)
-            else:
-                w = overall_width(law, cfg.eps)
-            trace.append({"center": x, "probe": label, "width": w})
-            if w > best:
-                best, witness = w, (x, label)
-    return WidthEstimate(best, True, best > cfg.w_cutoff, witness, tuple(trace))
+
+    def rows():
+        for raw_center in cfg.x_samples:
+            x, probes = _localized_probes(grid, raw_center, cfg, axis, hbar)
+            for label, probe in probes:
+                _assert_localized(target.distribution(probe, hbar), x,
+                                  cfg.delta)
+                law = approx.distribution(probe, hbar)
+                w = (min_centered_window(law, x, cfg.eps) if centered
+                     else overall_width(law, cfg.eps))
+                yield (x, label), {"center": x, "probe": label, "width": w}
+
+    return _worst(rows(), "width", True, cfg.w_cutoff)
 
 
 def error_bar_width(approx: Observable, target: Observable, cfg: ProbeConfig,
@@ -270,10 +282,6 @@ def bias(approx: Observable, target: Observable, cfg: ProbeConfig,
 
 # -- resolution width -----------------------------------------------------------
 
-def _axis_or_position(obs: Observable) -> str:
-    return obs.axis if obs.axis in ("position", "momentum") else "position"
-
-
 def resolution_width(obs: Observable, eps: float, grid: GridSpec,
                      hbar: float = 1.0, method: str = "auto") -> WidthEstimate:
     """Smallest window width within which the device can concentrate its
@@ -296,33 +304,31 @@ def resolution_width(obs: Observable, eps: float, grid: GridSpec,
             raise DomainError("observable has no closed-form smearing")
         return WidthEstimate(overall_width(smearing, eps), False,
                              witness=("closed-form",))
-    axis = _axis_or_position(obs)
+    axis = obs.axis
     points, step = grid.lattice(axis, hbar)
     # refined probes stay off the two end points of the lattice
     lo = float(points[1])
     hi = lo + step * (grid.n - 3)
-    best = -1.0
-    witness: tuple | None = None
-    trace: list[dict] = []
-    for raw in grid.around_midpoint(axis, _RESOLUTION_FRACTIONS, hbar):
-        _, x = grid.snap(axis, raw, hbar)
-        law = obs.distribution(_cell_state(grid, x, axis, hbar), hbar)
-        w = min_centered_window(law, x, eps)
-        # second pass: recenter the probe so the output's best interval
-        # lands on the requested point
-        offset = overall_width_interval(law, eps).center - x
-        refined = x - offset
-        label = "cell"
-        if lo <= refined <= hi:
-            law2 = obs.distribution(_cell_state(grid, refined, axis, hbar),
-                                    hbar)
-            w2 = min_centered_window(law2, x, eps)
-            if w2 < w:
-                w, label = w2, "offset"
-        trace.append({"center": x, "probe": label, "width": w})
-        if w > best:
-            best, witness = w, (x, label)
-    return WidthEstimate(best, False, False, witness, tuple(trace))
+
+    def rows():
+        for raw in grid.around_midpoint(axis, _RESOLUTION_FRACTIONS, hbar):
+            _, x = grid.snap(axis, raw, hbar)
+            law = obs.distribution(_cell_state(grid, x, axis, hbar), hbar)
+            w = min_centered_window(law, x, eps)
+            # second pass: recenter the probe so the output's best interval
+            # lands on the requested point
+            offset = overall_width_interval(law, eps).center - x
+            refined = x - offset
+            label = "cell"
+            if lo <= refined <= hi:
+                law2 = obs.distribution(
+                    _cell_state(grid, refined, axis, hbar), hbar)
+                w2 = min_centered_window(law2, x, eps)
+                if w2 < w:
+                    w, label = w2, "offset"
+            yield (x, label), {"center": x, "probe": label, "width": w}
+
+    return _worst(rows(), "width", False)
 
 
 # -- Wasserstein observable distance ---------------------------------------------
@@ -342,28 +348,21 @@ def observable_distance(first: Observable, second: Observable, alpha: float,
         raise DomainError("need at least one probe state")
     grid = _as_mixed(ensemble[0]).grid
     if w_cutoff is None:
-        _, step = grid.lattice(_axis_or_position(second), hbar)
+        _, step = grid.lattice(second.axis, hbar)
         w_cutoff = _CUTOFF_FRACTION * grid.n * step
-    best = -1.0
-    witness: tuple | None = None
-    trace: list[dict] = []
-    for i, s in enumerate(ensemble):
-        d = wasserstein(first.distribution(s, hbar),
-                        second.distribution(s, hbar), alpha)
-        trace.append({"probe": f"ensemble{i}", "distance": d})
-        if d > best:
-            best, witness = d, ("ensemble", i)
+    probes = [(("ensemble", i), f"ensemble{i}", s)
+              for i, s in enumerate(ensemble)]
     if divergence_scan:
-        axes = {first.axis, second.axis} & {"position", "momentum"}
-        for axis in sorted(axes):
-            for c in grid.around_midpoint(axis, _SCAN_FRACTIONS, hbar):
-                probe = _cell_state(grid, c, axis, hbar)
-                d = wasserstein(first.distribution(probe, hbar),
-                                second.distribution(probe, hbar), alpha)
-                trace.append({"probe": f"scan@{c:.6g}", "distance": d})
-                if d > best:
-                    best, witness = d, ("scan", c)
-    return WidthEstimate(best, True, best > w_cutoff, witness, tuple(trace))
+        probes += [(("scan", c), f"scan@{c:.6g}",
+                    _cell_state(grid, c, axis, hbar))
+                   for axis in sorted({first.axis, second.axis})
+                   for c in grid.around_midpoint(axis, _SCAN_FRACTIONS, hbar)]
+    rows = ((wit, {"probe": label,
+                   "distance": wasserstein(first.distribution(s, hbar),
+                                           second.distribution(s, hbar),
+                                           alpha)})
+            for wit, label, s in probes)
+    return _worst(rows, "distance", True, w_cutoff)
 
 
 def delta_alpha_smeared_closed_form(mu: GridMeasure, alpha: float) -> float:
@@ -414,12 +413,8 @@ def global_noise_error(target: Observable, device: Observable,
     ensemble = list(ensemble)
     if not ensemble:
         raise DomainError("need at least one probe state")
-    best = -1.0
-    witness: tuple | None = None
-    trace: list[dict] = []
-    for i, s in enumerate(ensemble):
-        e = noise_based_error(target, device, s, hbar)
-        trace.append({"probe": f"ensemble{i}", "error": e})
-        if e > best:
-            best, witness = e, ("ensemble", i)
-    return WidthEstimate(best, True, False, witness, tuple(trace))
+    rows = ((("ensemble", i),
+             {"probe": f"ensemble{i}",
+              "error": noise_based_error(target, device, s, hbar)})
+            for i, s in enumerate(ensemble))
+    return _worst(rows, "error", True)

@@ -117,11 +117,6 @@ class Coupling:
         return float(np.sum(self.joint * _cost_matrix(self.row_atoms,
                                                       self.col_atoms, alpha)))
 
-    def max_displacement(self) -> float:
-        diff = np.abs(self.row_atoms[:, None] - self.col_atoms[None, :])
-        live = self.joint > _CELL_TOL
-        return float(np.max(diff[live])) if np.any(live) else 0.0
-
 
 def _northwest_corner(a: np.ndarray, b: np.ndarray):
     """North-west-corner plan; returns (plan, staircase path of basic cells)."""

@@ -1,6 +1,7 @@
 """Bound constants, relation checks, report plumbing, and the demo trace."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -460,3 +461,24 @@ class TestSuiteAndSinks:
         row = report_to_dict(r)
         assert row["lhs"] == "inf"
         json.dumps(row)
+
+
+def test_resolution_report_is_the_error_report_renamed():
+    tau = _gauss(sigma=0.5, grid=COV_GRID)
+    err = verify_covariant_error_ur(tau, 0.05, 0.1)
+    res = verify_covariant_resolution_ur(tau, 0.05, 0.1)
+    assert res.relation == "covariant-resolution-product"
+    assert dataclasses.replace(res, relation=err.relation) == err
+
+
+def test_suite_relation_ids_in_order():
+    covariant = ["covariant-bias-free-error-product",
+                 "covariant-resolution-product", "covariant-noise-product"]
+    connection = ["finite-distance-errorbar-bound"] * 2 \
+        + ["finite-noise-errorbar-bound"]
+    expected = (["preparation-deviation-product"] * 12
+                + ["overall-width-product"] * 8 + covariant * 3
+                + ["covariant-noise-product"]
+                + ["covariant-distance-product"] * 2 + connection * 12)
+    assert len(expected) == 68
+    assert [r.relation for r in run_suite(0)] == expected

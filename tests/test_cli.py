@@ -403,3 +403,12 @@ class TestExtremeInputs:
             assert run.returncode == 0, run.stderr
             assert run.stderr == ""
             assert json.loads(run.stdout)["std"] == pytest.approx(std, rel=1e-12)
+
+
+@pytest.mark.parametrize("flag", [["--hbar", "5"], ["--seed", "3"]])
+def test_groundstate_rejects_flags_it_does_not_read(capsys, flag):
+    # the solver takes neither; hbar = 5 used to print the hbar = 1 result
+    with pytest.raises(SystemExit) as exc:
+        main(["groundstate", "--alpha", "2", "--beta", "2", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

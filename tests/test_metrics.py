@@ -18,8 +18,9 @@ from quncert.metrics import (ProbeConfig, WidthEstimate, bias, bias_free_error,
 from quncert.observables import (CovariantMarginal, PushforwardObservable,
                                  SharpMomentum, SharpPosition, SmearedPosition,
                                  TrivialObservable, map_from_spec)
-from quncert.observables import SmearedMomentum
+from quncert.observables import Sharp, Smeared, SmearedMomentum
 from quncert.states import GridSpec, MixedState, make_box, make_gaussian
+from quncert.states import test_ensemble as builtin_ensemble
 
 GRID = GridSpec.symmetric(16.0, 512)
 DX = GRID.dx
@@ -439,3 +440,20 @@ def test_momentum_distance_cutoff_follows_the_momentum_band():
     far = observable_distance(SmearedMomentum(point_mass(45.0)),
                               SharpMomentum(), 1.0, ensemble)
     assert far.infinite_flag
+
+
+def test_distance_tie_keeps_the_first_probe_and_traces_every_probe():
+    # a shift by 0.5 moves every law by exactly 0.5, so all probes tie
+    ensemble = builtin_ensemble(GRID)
+    est = observable_distance(Sharp("position"),
+                              Smeared("position", point_mass(0.5)), 2.0,
+                              ensemble)
+    assert est.value == 0.5
+    assert est.witness == ("ensemble", 0)
+    assert est.is_lower_bound and not est.infinite_flag
+    labels = [row["probe"] for row in est.trace]
+    assert labels[:len(ensemble)] == [f"ensemble{i}"
+                                      for i in range(len(ensemble))]
+    scans = labels[len(ensemble):]
+    assert len(scans) == 6 and all(p.startswith("scan@") for p in scans)
+    assert all(row["distance"] == 0.5 for row in est.trace)
