@@ -12,25 +12,26 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from io import StringIO
 from typing import Sequence
 
 import numpy as np
 
 from .exceptions import DomainError
-from .measures import (GridMeasure, PiecewiseLinearMap, alpha_deviation,
-                       convolve, gaussian_measure, overall_width, point_mass,
-                       pushforward, two_point, uniform_measure)
+from .measures import (GridMeasure, Interval, PiecewiseLinearMap,
+                       alpha_deviation, convolve, gaussian_measure,
+                       overall_width, point_mass, pushforward, two_point,
+                       uniform_measure)
 from .metrics import (_CUTOFF_FRACTION, default_probe_config,
                       delta_alpha_smeared_closed_form, gross_error_bar_width,
                       observable_distance)
 from .observables import (CovariantMarginal, Observable, Sharp, Smeared,
                           SmearedPosition, covariant_marginals)
-from .states import (COVARIANT_GRID, UR_ENSEMBLE_GRID, GridSpec, MixedState,
-                     State, _as_mixed, _check_exponents, ground_state,
-                     make_gaussian, momentum_distribution,
-                     position_distribution, solver_grid, test_ensemble)
+from .states import (COVARIANT_GRID, UR_ENSEMBLE_GRID, GridSpec, State,
+                     _check_exponents, ground_state, make_gaussian,
+                     momentum_distribution, position_distribution, solver_grid,
+                     test_ensemble)
 from .transport import tent_function
 
 # -- constants ------------------------------------------------------------------
@@ -142,8 +143,8 @@ def _grid_summary(grid: GridSpec) -> list:
 
 
 def _state_summary(state: State) -> dict:
-    s = _as_mixed(state)
-    return {"components": len(s.components), "grid": _grid_summary(s.grid)}
+    return {"components": len(state.components),
+            "grid": _grid_summary(state.grid)}
 
 
 # -- relation checks ------------------------------------------------------------------
@@ -152,17 +153,16 @@ def verify_preparation_ur(state: State, alpha: float, beta: float,
                           hbar: float = 1.0) -> VerificationReport:
     """Deviation product of one state's position/momentum laws against the
     ground-energy constant."""
-    s = _as_mixed(state)
-    lhs = (alpha_deviation(position_distribution(s), alpha)
-           * alpha_deviation(momentum_distribution(s, hbar), beta))
+    lhs = (alpha_deviation(position_distribution(state), alpha)
+           * alpha_deviation(momentum_distribution(state, hbar), beta))
     rhs = c_alpha_beta(alpha, beta) * hbar
     inputs = {"alpha": alpha, "beta": beta, "hbar": hbar,
-              "state": _state_summary(s)}
+              "state": _state_summary(state)}
     return _make_report("preparation-deviation-product", lhs, rhs,
                         1e-4 * rhs, inputs)
 
 
-def _width_product(relation: str, s: MixedState, mu: GridMeasure,
+def _width_product(relation: str, s: State, mu: GridMeasure,
                    nu: GridMeasure, eps1: float, eps2: float, hbar: float,
                    role: str) -> VerificationReport:
     """Overall-width product of the laws mu and nu against 2*pi*hbar*K; the
@@ -179,9 +179,9 @@ def _width_product(relation: str, s: MixedState, mu: GridMeasure,
 def verify_overall_width_ur(state: State, eps1: float, eps2: float,
                             hbar: float = 1.0) -> VerificationReport:
     """Overall-width product of one state's laws against 2*pi*hbar*K."""
-    s = _as_mixed(state)
-    return _width_product("overall-width-product", s, position_distribution(s),
-                          momentum_distribution(s, hbar), eps1, eps2, hbar,
+    return _width_product("overall-width-product", state,
+                          position_distribution(state),
+                          momentum_distribution(state, hbar), eps1, eps2, hbar,
                           "state")
 
 
@@ -190,9 +190,8 @@ def verify_covariant_error_ur(tau: State, eps1: float, eps2: float,
     """Bias-free error widths of the two covariant margins (their exact
     closed forms: the overall widths of the smearing measures) against
     2*pi*hbar*K."""
-    t = _as_mixed(tau)
-    return _width_product("covariant-bias-free-error-product", t,
-                          *covariant_marginals(t, hbar), eps1, eps2, hbar,
+    return _width_product("covariant-bias-free-error-product", tau,
+                          *covariant_marginals(tau, hbar), eps1, eps2, hbar,
                           "tau")
 
 
@@ -224,10 +223,9 @@ def verify_metric_ur(tau: State, alpha: float, beta: float,
     """
     if method not in ("closed_form", "estimator"):
         raise DomainError(f"unknown method {method!r}")
-    t = _as_mixed(tau)
-    marg_q = CovariantMarginal(t, "position")
-    marg_p = CovariantMarginal(t, "momentum")
-    span_q, span_p = (t.grid.n * t.grid.lattice(axis, hbar)[1]
+    marg_q = CovariantMarginal(tau, "position")
+    marg_p = CovariantMarginal(tau, "momentum")
+    span_q, span_p = (tau.grid.n * tau.grid.lattice(axis, hbar)[1]
                       for axis in ("position", "momentum"))
     tiny_q = 1e-12 * span_q
     tiny_p = 1e-12 * span_p
@@ -263,7 +261,7 @@ def verify_metric_ur(tau: State, alpha: float, beta: float,
         else dq * dp
     rhs = c_alpha_beta(alpha, beta) * hbar
     inputs = {"alpha": alpha, "beta": beta, "hbar": hbar, "method": method,
-              "tau": _state_summary(t), "factors": [dq, dp]}
+              "tau": _state_summary(tau), "factors": [dq, dp]}
     return _make_report("covariant-distance-product", lhs, rhs, 1e-4 * rhs,
                         inputs, lhs_is_lower_bound=lower)
 
@@ -271,11 +269,10 @@ def verify_metric_ur(tau: State, alpha: float, beta: float,
 def verify_noise_ur(tau: State, hbar: float = 1.0) -> VerificationReport:
     """Global noise-error product of the covariant margins (closed forms:
     root second moments of the smearing measures) against hbar/2."""
-    t = _as_mixed(tau)
-    mu, nu = covariant_marginals(t, hbar)
+    mu, nu = covariant_marginals(tau, hbar)
     lhs = math.sqrt(mu.moment(2)) * math.sqrt(nu.moment(2))
     rhs = 0.5 * hbar
-    inputs = {"hbar": hbar, "tau": _state_summary(t)}
+    inputs = {"hbar": hbar, "tau": _state_summary(tau)}
     return _make_report("covariant-noise-product", lhs, rhs, 1e-5 * hbar,
                         inputs)
 
@@ -360,13 +357,9 @@ def demonstrate_sharp_marginal_divergence(grid: GridSpec | None = None,
     guess_law = convolve(pushforward(position_distribution(profile), scaling),
                          gaussian_measure(0.0, _DEMO_KERNEL_SD))
 
-    def window_masses(law: GridMeasure, center: float) -> dict:
-        out = {}
-        for w in _DEMO_WINDOWS:
-            lo = int(np.searchsorted(law.atoms, center - 0.5 * w, side="left"))
-            hi = int(np.searchsorted(law.atoms, center + 0.5 * w, side="right"))
-            out[f"{w:g}"] = float(np.sum(law.weights[lo:hi]))
-        return out
+    def captured(center: float) -> dict:
+        return {f"{w:g}": guess_law.interval_mass(Interval(center, w))
+                for w in _DEMO_WINDOWS}
 
     sweep = []
     for n in _DEMO_BOOSTS:
@@ -377,7 +370,7 @@ def demonstrate_sharp_marginal_divergence(grid: GridSpec | None = None,
             - float(np.sum(guess_law.weights
                            * tent_function(guess_law.atoms, n, n))))
         sweep.append({"boost": int(n),
-                      "captured": window_masses(guess_law, float(n)),
+                      "captured": captured(float(n)),
                       "d1_lower_bound": witness_gap})
     return {
         "kernel": {"slope": kernel_slope, "sd": _DEMO_KERNEL_SD,
@@ -385,7 +378,7 @@ def demonstrate_sharp_marginal_divergence(grid: GridSpec | None = None,
         "hbar": hbar,
         "grid": _grid_summary(grid),
         "confidence_threshold": 1.0 - eps2,
-        "unboosted": window_masses(guess_law, 0.0),
+        "unboosted": captured(0.0),
         "sweep": sweep,
     }
 
@@ -426,31 +419,24 @@ def run_suite(seed: int = 0, hbar: float = 1.0) -> list[VerificationReport]:
     return reports
 
 
-def report_to_dict(report: VerificationReport) -> dict:
-    return {"relation": report.relation,
-            "lhs": _json_value(report.lhs),
-            "rhs": _json_value(report.rhs),
-            "slack": _json_value(report.slack),
-            "passed": report.passed,
-            "verdict": report.verdict,
-            "tolerance": _json_value(report.tolerance),
-            "inputs": _sanitize(report.inputs)}
-
-
-def _json_value(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return repr(x)
-    return x
-
-
 def _sanitize(value):
+    """JSON-ready copy of value: dataclasses become dicts of their fields,
+    tuples lists, NumPy scalars Python numbers, non-finite floats strings."""
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(value)
     if isinstance(value, dict):
         return {str(k): _sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_sanitize(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    return _json_value(value)
+    if is_dataclass(value):
+        return {f.name: _sanitize(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+def report_to_dict(report: VerificationReport) -> dict:
+    return _sanitize(report)
 
 
 def inputs_hash(inputs: dict) -> str:
@@ -458,9 +444,13 @@ def inputs_hash(inputs: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def reports_to_json(reports: Sequence[VerificationReport]) -> str:
-    return json.dumps([report_to_dict(r) for r in reports], indent=2,
-                      sort_keys=True)
+def to_json(payload) -> str:
+    """Canonical JSON (sorted keys, indent 2) of any payload: reports,
+    estimates, and dicts and lists of them."""
+    return json.dumps(_sanitize(payload), indent=2, sort_keys=True)
+
+
+reports_to_json = to_json
 
 
 def reports_to_csv(reports: Sequence[VerificationReport]) -> str:

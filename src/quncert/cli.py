@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict
 
 from . import bounds, metrics
 from .exceptions import (AccuracyError, ConvergenceError, DomainError,
@@ -95,29 +94,17 @@ def _flatten(value, prefix: str, rows: list[tuple[str, str]]) -> None:
     if isinstance(value, dict):
         for k in sorted(value):
             _flatten(value[k], f"{prefix}.{k}" if prefix else str(k), rows)
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, list):
         for i, v in enumerate(value):
             _flatten(v, f"{prefix}[{i}]", rows)
     else:
         rows.append((prefix, repr(value) if isinstance(value, float) else str(value)))
 
 
-def _render(payload, fmt: str) -> str:
-    if isinstance(payload, list) and payload \
-            and isinstance(payload[0], bounds.VerificationReport):
-        if fmt == "csv":
-            return bounds.reports_to_csv(payload)
-        return bounds.reports_to_json(payload) + "\n"
-    data = bounds._sanitize(payload)
-    if fmt == "csv":
-        rows: list[tuple[str, str]] = []
-        _flatten(data, "", rows)
-        return "key,value\n" + "".join(f"{k},{v}\n" for k, v in rows)
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def _estimate_payload(est: metrics.WidthEstimate) -> dict:
-    return asdict(est)
+def _key_value_csv(payload) -> str:
+    rows: list[tuple[str, str]] = []
+    _flatten(bounds._sanitize(payload), "", rows)
+    return "key,value\n" + "".join(f"{k},{v}\n" for k, v in rows)
 
 
 # -- subcommand handlers ------------------------------------------------------------
@@ -191,15 +178,15 @@ def _cmd_metric(args: argparse.Namespace) -> dict:
         est = metrics.observable_distance(obs, target, args.alpha, ensemble,
                                           hbar)
         return {"functional": name, "alpha": args.alpha,
-                "estimate": _estimate_payload(est)}
+                "estimate": est}
     if name == "resolution":
         est = metrics.resolution_width(obs, args.eps, grid, hbar=hbar)
         return {"functional": name, "eps": args.eps,
-                "estimate": _estimate_payload(est)}
+                "estimate": est}
     if name == "noise":
         ensemble = test_ensemble(grid, hbar, seed)
         est = metrics.global_noise_error(target, obs, ensemble, hbar)
-        return {"functional": name, "estimate": _estimate_payload(est)}
+        return {"functional": name, "estimate": est}
     axis = target.axis
     cfg = metrics.default_probe_config(grid, args.eps, axis, hbar,
                                        delta=args.delta, seed=seed)
@@ -217,7 +204,7 @@ def _cmd_metric(args: argparse.Namespace) -> dict:
     else:
         raise DomainError(f"unknown functional {name!r}")
     return {"functional": name, "eps": args.eps, "delta": args.delta,
-            "estimate": _estimate_payload(est)}
+            "estimate": est}
 
 
 def _cmd_verify(args: argparse.Namespace):
@@ -225,6 +212,9 @@ def _cmd_verify(args: argparse.Namespace):
     if args.suite:
         if args.suite != "all":
             raise DomainError("the only suite is 'all'")
+        if args.grid is not None:
+            raise DomainError("the suite runs on its own named grids; "
+                              "it takes no --grid or QUNCERT_GRID")
         return bounds.run_suite(seed=seed, hbar=hbar)
     relation = args.relation
     if relation is None:
@@ -285,7 +275,8 @@ _INPUT_FLAGS = {
 
 
 def _add_common(p: argparse.ArgumentParser, *inputs: str) -> None:
-    """The output flags, plus the input flags the subcommand reads."""
+    """The output flags and key,value CSV, plus the input flags the
+    subcommand reads."""
     for name in inputs:
         kind, default, text = _INPUT_FLAGS[name]
         p.add_argument(f"--{name}", type=kind, help=text,
@@ -293,6 +284,7 @@ def _add_common(p: argparse.ArgumentParser, *inputs: str) -> None:
                        or default)
     p.add_argument("--out", help="write output to this path (atomic)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(to_csv=_key_value_csv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--eps2", type=float, default=0.05)
     _add_common(p, "grid", "hbar", "seed")
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler=_cmd_verify, to_csv=bounds.reports_to_csv)
 
     p = sub.add_parser("demo", help="sharp-marginal divergence demonstration")
     p.add_argument("--eps2", type=float, default=0.1)
@@ -378,7 +370,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload = args.handler(args)
-        text = _render(payload, args.format)
+        text = (args.to_csv(payload) if args.format == "csv"
+                else bounds.to_json(payload) + "\n")
         if args.out:
             _atomic_write(args.out, text)
         else:

@@ -412,10 +412,6 @@ class PiecewiseLinearMap:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
-    @property
-    def increasing(self) -> bool:
-        return bool(self.ys[1] > self.ys[0])
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         y = np.interp(x, self.xs, self.ys)
@@ -479,21 +475,10 @@ MeasurableMap = PiecewiseLinearMap | BoundedShiftMap | BoundedRangeMap
 
 
 def pushforward(m: GridMeasure, f: MeasurableMap) -> GridMeasure:
-    """Image measure of m under f.
-
-    Monotone table maps keep atom multiplicity; closure-form maps may collide
-    atoms, whose weights are then merged.
-    """
-    if isinstance(f, PiecewiseLinearMap):
-        ys = np.asarray(f(m.atoms), dtype=float)
-        if f.increasing:
-            return GridMeasure(ys, m.weights)
-        return GridMeasure(ys[::-1], m.weights[::-1])
-    if isinstance(f, (BoundedShiftMap, BoundedRangeMap)):
-        ys = np.asarray(f(m.atoms), dtype=float)
-        return sorted_measure(ys, m.weights, normalize=False)
-    raise DomainError(
-        "pushforward requires a PiecewiseLinearMap, BoundedShiftMap, or BoundedRangeMap")
+    """Image measure of m under f.  Atoms that f maps to one float merge
+    their weights; a strictly monotone table can merge them too, when its
+    images round together."""
+    return sorted_measure(f(m.atoms), m.weights, normalize=False)
 
 
 # -- file format ------------------------------------------------------------

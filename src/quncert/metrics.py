@@ -18,8 +18,7 @@ import numpy as np
 from .exceptions import DomainError, InternalError
 from .measures import GridMeasure, overall_width, overall_width_interval
 from .observables import Observable, Sharp, Smeared, moment_stats
-from .states import (GridSpec, State, WaveFunction, _as_mixed, _axis_state,
-                     _cell_state)
+from .states import GridSpec, State, WaveFunction, _axis_state, _cell_state
 from .transport import wasserstein
 
 _PROBE_KINDS = ("flat", "ramped", "random")
@@ -346,7 +345,7 @@ def observable_distance(first: Observable, second: Observable, alpha: float,
     ensemble = list(ensemble)
     if not ensemble:
         raise DomainError("need at least one probe state")
-    grid = _as_mixed(ensemble[0]).grid
+    grid = ensemble[0].grid
     if w_cutoff is None:
         _, step = grid.lattice(second.axis, hbar)
         w_cutoff = _CUTOFF_FRACTION * grid.n * step

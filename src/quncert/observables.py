@@ -20,9 +20,8 @@ from .exceptions import AccuracyError, DomainError
 from .measures import (BoundedRangeMap, BoundedShiftMap, GridMeasure,
                        MeasurableMap, PiecewiseLinearMap, _read_spec,
                        convolve, identity_map, measure_from_spec, pushforward)
-from .states import (MixedState, State, _as_mixed, _shift_cells,
-                     momentum_distribution, parity, position_distribution,
-                     state_from_spec)
+from .states import (State, _shift_cells, momentum_distribution, parity,
+                     position_distribution, state_from_spec)
 
 
 class Observable:
@@ -105,7 +104,7 @@ class Smeared(Observable):
     depends on it).
     """
 
-    def __init__(self, axis: str, noise: GridMeasure | MixedState) -> None:
+    def __init__(self, axis: str, noise: GridMeasure | State) -> None:
         self._sharp = Sharp(axis)
         self.axis = axis
         self.noise = noise
@@ -139,7 +138,7 @@ def SmearedMomentum(nu: GridMeasure) -> Smeared:
 
 def CovariantMarginal(tau: State, axis: str) -> Smeared:
     """One margin of the covariant phase-space observable generated by tau."""
-    return Smeared(axis, _as_mixed(tau))
+    return Smeared(axis, tau)
 
 
 # -- outcome moments ---------------------------------------------------------
@@ -256,10 +255,8 @@ def joint_covariant_distribution(tau: State, state: State,
     sharp laws; a gap beyond 1e-2 raises AccuracyError (the lattice window
     is clipping real mass or is too coarse).
     """
-    t = _as_mixed(tau)
-    s = _as_mixed(state)
-    grid = s.grid
-    if t.grid != grid:
+    grid = state.grid
+    if tau.grid != grid:
         raise DomainError("tau and state must share one grid")
     q_values = np.asarray(q_values, dtype=float).reshape(-1)
     p_values = np.asarray(p_values, dtype=float).reshape(-1)
@@ -281,8 +278,8 @@ def joint_covariant_distribution(tau: State, state: State,
 
     scale = dx * dx / (2.0 * math.pi * hbar) * dq_step * dp_step
     mass = np.zeros((q_values.size, p_values.size))
-    for w_t, phi in t.components:
-        for w_s, psi in s.components:
+    for w_t, phi in tau.components:
+        for w_s, psi in state.components:
             w = w_t * w_s
             for iq, cells in enumerate(q_cells):
                 overlap = np.conj(_shift_cells(phi.amplitudes, int(cells))) \
@@ -290,9 +287,9 @@ def joint_covariant_distribution(tau: State, state: State,
                 spectrum = np.fft.fftshift(np.fft.fft(overlap))
                 mass[iq] += w * scale * np.abs(spectrum[p_idx]) ** 2
 
-    mu_tau, nu_tau = covariant_marginals(t, hbar)
-    ref_q = convolve(position_distribution(s), mu_tau)
-    ref_p = convolve(momentum_distribution(s, hbar), nu_tau)
+    mu_tau, nu_tau = covariant_marginals(tau, hbar)
+    ref_q = convolve(position_distribution(state), mu_tau)
+    ref_p = convolve(momentum_distribution(state, hbar), nu_tau)
     tv_q = _binned_tv(mass.sum(axis=1), q_values, dq_step, ref_q)
     tv_p = _binned_tv(mass.sum(axis=0), p_values, dp_step, ref_p)
     if max(tv_q, tv_p) > _JOINT_TV_TOL:

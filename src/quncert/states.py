@@ -154,6 +154,11 @@ class WaveFunction:
     def grid(self) -> GridSpec:
         return self._grid
 
+    @property
+    def components(self) -> tuple[tuple[float, "WaveFunction"], ...]:
+        """A pure state is the mixture of one."""
+        return ((1.0, self),)
+
     def xs(self) -> np.ndarray:
         return self.grid.points()
 
@@ -201,11 +206,8 @@ class MixedState:
         return self.components[0][1].grid
 
 
+# both kinds expose grid and components: (weight, WaveFunction) pairs
 State = MixedState | WaveFunction
-
-
-def _as_mixed(state: State) -> MixedState:
-    return state if isinstance(state, MixedState) else MixedState.pure(state)
 
 
 def _normalized(amp: np.ndarray, dx: float) -> np.ndarray:
@@ -228,22 +230,20 @@ def _axis_state(grid: GridSpec, axis: str, amp: np.ndarray) -> WaveFunction:
 
 def position_distribution(state: State) -> GridMeasure:
     """Born position law on the grid points, renormalized."""
-    s = _as_mixed(state)
-    grid = s.grid
+    grid = state.grid
     acc = np.zeros(grid.n)
-    for w, wf in s.components:
+    for w, wf in state.components:
         acc += w * np.abs(wf.amplitudes) ** 2
     return _make(grid.points(), acc * grid.dx, normalize=True)
 
 
 def momentum_distribution(state: State, hbar: float = 1.0) -> GridMeasure:
     """Born momentum law on the centered momentum lattice, renormalized."""
-    s = _as_mixed(state)
-    grid = s.grid
+    grid = state.grid
     dp = grid.momentum_step(hbar)
     acc = np.zeros(grid.n)
     scale = grid.dx ** 2 / (2.0 * math.pi * hbar)
-    for w, wf in s.components:
+    for w, wf in state.components:
         psihat = np.fft.fftshift(np.fft.fft(wf.amplitudes))
         acc += w * scale * np.abs(psihat) ** 2
     return _make(grid.momentum_points(hbar), acc * dp, normalize=True)
@@ -290,11 +290,10 @@ def weyl_translate(state: State, point: PhasePoint, hbar: float = 1.0) -> MixedS
     Operator ordering: W(q, p) = exp(iqp/2hbar) exp(-iqP/hbar) exp(ipQ/hbar),
     which acts on amplitudes as psi(x) -> exp(-iqp/2hbar) e^{ipx/hbar} psi(x-q).
     """
-    s = _as_mixed(state)
-    s.grid.momentum_step(hbar)  # validates hbar
+    state.grid.momentum_step(hbar)  # validates hbar
     q, p = point.q, point.p
     out = []
-    for w, wf in s.components:
+    for w, wf in state.components:
         amp = _shift_amplitudes(wf, q, hbar) if q != 0.0 else wf.amplitudes
         xs = wf.xs()
         amp = amp * np.exp(1j * (p * xs - 0.5 * q * p) / hbar)
@@ -305,11 +304,10 @@ def weyl_translate(state: State, point: PhasePoint, hbar: float = 1.0) -> MixedS
 
 def parity(state: State) -> MixedState:
     """Reflect the state about x = 0; the grid must be symmetric about 0."""
-    s = _as_mixed(state)
-    if not s.grid.is_symmetric():
+    if not state.grid.is_symmetric():
         raise DomainError("parity requires a grid symmetric about 0")
     out = []
-    for w, wf in s.components:
+    for w, wf in state.components:
         # index map i -> (-i mod n); the leftmost cell is its own partner
         amp = np.roll(wf.amplitudes[::-1], 1)
         out.append((w, WaveFunction(wf.x0, wf.dx, amp)))
@@ -490,21 +488,21 @@ def ground_state(alpha: float, beta: float, grid: GridSpec, tol: float = 1e-6,
 # -- built-in ensembles -----------------------------------------------------------
 
 def test_ensemble(grid: GridSpec = DEFAULT_GRID, hbar: float = 1.0,
-                  seed: int = 0) -> list[MixedState]:
+                  seed: int = 0) -> list[State]:
     """Fixed, varied states around the grid midpoint for invariants and checks."""
     c = grid.around_midpoint("position", (0.0,))[0]
-    states: list[MixedState] = []
+    states: list[State] = []
     for sigma in (0.5, 1.0, 2.0):
-        states.append(MixedState.pure(make_gaussian(grid, c, 0.0, sigma, hbar)))
-    states.append(MixedState.pure(make_gaussian(grid, c + 1.5, -2.0, 0.8, hbar)))
+        states.append(make_gaussian(grid, c, 0.0, sigma, hbar))
+    states.append(make_gaussian(grid, c + 1.5, -2.0, 0.8, hbar))
     for width in (0.5, 2.0):
-        states.append(MixedState.pure(make_box(grid, c, width, 0.0, hbar)))
-    states.append(MixedState.pure(make_box(grid, c - 1.0, 1.0, 3.0, hbar)))
+        states.append(make_box(grid, c, width, 0.0, hbar))
+    states.append(make_box(grid, c - 1.0, 1.0, 3.0, hbar))
     for n in (1, 2, 3):
-        states.append(MixedState.pure(make_hermite(grid, n, hbar)))
+        states.append(make_hermite(grid, n, hbar))
     for k in range(3):
-        states.append(MixedState.pure(
-            make_random_localized(grid, Interval(c, 4.0), seed + 17 * k)))
+        states.append(
+            make_random_localized(grid, Interval(c, 4.0), seed + 17 * k))
     left = make_gaussian(grid, c - 2.0, 0.0, 0.7, hbar)
     right = make_gaussian(grid, c + 2.0, 0.0, 0.7, hbar)
     states.append(MixedState(((0.5, left), (0.5, right))))
@@ -512,7 +510,7 @@ def test_ensemble(grid: GridSpec = DEFAULT_GRID, hbar: float = 1.0,
 
 
 def random_ensemble(grid: GridSpec, n_states: int, seed: int,
-                    hbar: float = 1.0) -> list[MixedState]:
+                    hbar: float = 1.0) -> list[WaveFunction]:
     """Seeded random states drawn from all factory families.
 
     Parameter ranges keep every law resolved by the grid: the momentum lattice
@@ -522,28 +520,25 @@ def random_ensemble(grid: GridSpec, n_states: int, seed: int,
     rng = np.random.default_rng(seed)
     p_max = math.pi * hbar / grid.dx
     mid = grid.around_midpoint("position", (0.0,))[0]
-    states: list[MixedState] = []
+    states: list[WaveFunction] = []
     while len(states) < n_states:
         kind = rng.integers(0, 4)
         center = mid + float(rng.uniform(-0.1, 0.1) * grid.span / 4.0)
         if kind == 0:
             sigma = float(rng.uniform(0.3, 2.0))
             boost = float(rng.uniform(-0.1, 0.1) * p_max)
-            states.append(MixedState.pure(
-                make_gaussian(grid, center, boost, sigma, hbar)))
+            states.append(make_gaussian(grid, center, boost, sigma, hbar))
         elif kind == 1:
             width = float(rng.uniform(4.0 * grid.dx, 2.0))
             boost = float(rng.uniform(-0.05, 0.05) * p_max)
-            states.append(MixedState.pure(
-                make_box(grid, center, width, boost, hbar)))
+            states.append(make_box(grid, center, width, boost, hbar))
         elif kind == 2:
-            states.append(MixedState.pure(
-                make_hermite(grid, int(rng.integers(0, 6)), hbar)))
+            states.append(make_hermite(grid, int(rng.integers(0, 6)), hbar))
         else:
             width = float(rng.uniform(1.0, 6.0))
             sub_seed = int(rng.integers(0, 2 ** 31))
-            states.append(MixedState.pure(
-                make_random_localized(grid, Interval(center, width), sub_seed)))
+            states.append(
+                make_random_localized(grid, Interval(center, width), sub_seed))
     return states
 
 
@@ -582,7 +577,7 @@ _STATE_FAMILIES = {
 
 
 def state_from_spec(spec: dict, grid: GridSpec | None = None,
-                    hbar: float = 1.0) -> MixedState:
+                    hbar: float = 1.0) -> State:
     """Build a state from a JSON-friendly dict.
 
     Families: gaussian(center, momentum, sigma), box(center, width,
@@ -590,8 +585,8 @@ def state_from_spec(spec: dict, grid: GridSpec | None = None,
     file(path), mixture(components=[{weight, ...}, ...]).  Keys outside the
     chosen family are rejected.
     """
-    return _as_mixed(_read_spec(spec, "state", _STATE_FAMILIES, "family",
-                                DEFAULT_GRID if grid is None else grid, hbar))
+    return _read_spec(spec, "state", _STATE_FAMILIES, "family",
+                      DEFAULT_GRID if grid is None else grid, hbar)
 
 
 # -- file format -------------------------------------------------------------------

@@ -21,7 +21,8 @@ from quncert.bounds import (DEMO_GRID, K, K_tilde, VerificationReport,
                             verify_noise_ur, verify_overall_width_ur,
                             verify_preparation_ur)
 from quncert.exceptions import DomainError
-from quncert.measures import (gaussian_measure, overall_width, point_mass,
+from quncert.measures import (PiecewiseLinearMap, convolve, gaussian_measure,
+                              overall_width, point_mass, pushforward,
                               two_point)
 from quncert.metrics import resolution_width
 from quncert.observables import (CovariantMarginal, SharpPosition,
@@ -30,7 +31,8 @@ from quncert.observables import (CovariantMarginal, SharpPosition,
 from quncert.states import (DEFAULT_GRID, UR_ENSEMBLE_GRID, GridSpec,
                             MixedState, PhasePoint, _cell_state,
                             ground_state, make_box, make_gaussian,
-                            random_ensemble, weyl_translate)
+                            position_distribution, random_ensemble,
+                            weyl_translate)
 
 GRID = GridSpec.symmetric(16.0, 512)
 COV_GRID = GridSpec.symmetric(32.0, 2048)
@@ -482,3 +484,36 @@ def test_suite_relation_ids_in_order():
                 + ["covariant-distance-product"] * 2 + connection * 12)
     assert len(expected) == 68
     assert [r.relation for r in run_suite(0)] == expected
+
+
+@pytest.mark.parametrize("check", [
+    lambda s: verify_preparation_ur(s, 2.0, 2.0),
+    lambda s: verify_overall_width_ur(s, 0.1, 0.2),
+    lambda s: verify_covariant_error_ur(s, 0.05, 0.05),
+    lambda s: verify_covariant_resolution_ur(s, 0.05, 0.05),
+    lambda s: verify_metric_ur(s, 1.0, 1.0),
+    lambda s: verify_noise_ur(s),
+], ids=["preparation", "overall-width", "covariant-error",
+        "covariant-resolution", "metric", "noise"])
+def test_checks_agree_on_a_wavefunction_and_its_mixture_of_one(check):
+    wf = make_gaussian(COV_GRID, 0.0, 0.0, 0.8)
+    assert report_to_dict(check(wf)) == report_to_dict(check(MixedState.pure(wf)))
+
+
+def test_demo_windows_count_both_edge_atoms():
+    # the guess law has an atom about 1e-12 below each window edge, and a
+    # closed window counts both; the brute-force sum allows a 1e-9 slack,
+    # far below the atom spacing
+    profile = make_gaussian(DEMO_GRID, 0.0, 0.0, 1.0)
+    scaling = PiecewiseLinearMap([-1.0, 1.0], [-0.1, 0.1])
+    guess = convolve(pushforward(position_distribution(profile), scaling),
+                     gaussian_measure(0.0, 1.0))
+    trace = demonstrate_sharp_marginal_divergence()
+    rows = [(0.0, trace["unboosted"])] + [(float(row["boost"]), row["captured"])
+                                          for row in trace["sweep"]]
+    for center, captured in rows:
+        for w, mass in captured.items():
+            inside = np.abs(guess.atoms - center) <= 0.5 * float(w) + 1e-9
+            # abs: the cumulative-sum rounding of a window far in the tail
+            assert mass == pytest.approx(float(np.sum(guess.weights[inside])),
+                                         rel=1e-9, abs=1e-12)

@@ -412,3 +412,17 @@ def test_groundstate_rejects_flags_it_does_not_read(capsys, flag):
         main(["groundstate", "--alpha", "2", "--beta", "2", *flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,env", [(GRID_FLAG, None), ("--grid=x", None),
+                                      (None, "-16.0,0.0625,512")],
+                         ids=["flag", "malformed-flag", "env"])
+def test_suite_rejects_a_grid(capsys, monkeypatch, flag, env):
+    # the suite runs on its named grids; a given grid used to be ignored
+    if env is not None:
+        monkeypatch.setenv("QUNCERT_GRID", env)
+    code, out, err = _run(capsys, ["verify", "--suite", "all",
+                                   *([flag] if flag else [])])
+    assert code == 2
+    assert out == ""
+    assert "DomainError" in err and "grid" in err

@@ -470,3 +470,11 @@ def test_measures_beyond_the_float_range_are_domain_errors():
         gaussian_measure(0.0, 1e308)
     wide = gaussian_measure(0.0, 1.0, 11, half_width=1e200)
     assert wide.weights[5] == 1.0
+
+
+def test_pushforward_merges_atoms_a_table_rounds_together():
+    # both images round to 1e6 (its ulp is 1.16e-10)
+    f = PiecewiseLinearMap([0.0, 1.0], [1e6, 1e6 + 1.2e-10])
+    m = pushforward(two_point(0.2, 0.3), f)
+    assert m.atoms.tolist() == [1e6]
+    assert m.weights.tolist() == [1.0]

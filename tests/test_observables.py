@@ -340,3 +340,20 @@ def test_nonserializable_observable_rejected():
     obs = CovariantMarginal(_gauss(), "position")
     with pytest.raises(DomainError):
         observable_to_spec(obs)
+
+
+def test_wavefunction_and_its_mixture_of_one_agree():
+    tau_wf = make_gaussian(GRID, 0.0, 0.0, 1.0)
+    state_wf = make_gaussian(GRID, 1.5, -1.0, 0.8)
+    tau, state = MixedState.pure(tau_wf), MixedState.pure(state_wf)
+    for axis in ("position", "momentum"):
+        a = CovariantMarginal(tau_wf, axis).distribution(state_wf)
+        b = CovariantMarginal(tau, axis).distribution(state)
+        assert np.array_equal(a.atoms, b.atoms)
+        assert np.array_equal(a.weights, b.weights)
+    qs, ps = _husimi_lattice(GRID, q_half=8.0, p_half=8.0, q_stride=4)
+    a = joint_covariant_distribution(tau_wf, state_wf, qs, ps)
+    b = joint_covariant_distribution(tau, state, qs, ps)
+    assert np.array_equal(a.mass, b.mass)
+    assert (a.q_marginal_tv, a.p_marginal_tv) == (b.q_marginal_tv,
+                                                  b.p_marginal_tv)

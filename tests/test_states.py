@@ -404,3 +404,17 @@ def test_ground_state_step_budget_is_a_convergence_error():
         ground_state(4.0, 4.0, GridSpec.symmetric(12.0, 256), max_steps=10)
     with pytest.raises(ConvergenceError, match="at step 0$"):
         ground_state(1.0, 2.0, GridSpec.symmetric(12.0, 256), max_steps=-1)
+
+
+def test_wavefunction_is_a_mixture_of_one():
+    wf = make_gaussian(GRID, 0.5, 1.0, 0.8, 1.0)
+    assert wf.components == ((1.0, wf),)
+    pure = MixedState.pure(wf)
+    for law in (position_distribution, lambda s: momentum_distribution(s, 2.0)):
+        a, b = law(wf), law(pure)
+        assert np.array_equal(a.atoms, b.atoms)
+        assert np.array_equal(a.weights, b.weights)
+    for op in (lambda s: weyl_translate(s, PhasePoint(0.3, -0.7)), parity):
+        ((wa, a),), ((wb, b),) = op(wf).components, op(pure).components
+        assert wa == wb
+        assert np.array_equal(a.amplitudes, b.amplitudes)

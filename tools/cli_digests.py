@@ -1,0 +1,115 @@
+"""Fingerprint the CLI on a fixed set of runs.
+
+Each run starts `python -m quncert.cli` in a fresh process and prints one
+line: the sha256 of its stdout, stderr and exit code, then the run's label
+(its QUNCERT_* settings and argv).  Two checkouts behave the same on the set
+exactly when their outputs are equal, so a refactor is checked with
+
+    PYTHONPATH=src python3 tools/cli_digests.py > after.txt
+    PYTHONPATH=/path/to/other/checkout/src python3 tools/cli_digests.py > before.txt
+    diff before.txt after.txt
+
+The QUNCERT_* variables of the calling shell are cleared for every run.
+Two runs at a time; the whole set takes a few minutes on two cores.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+GRID = "--grid=-16,0.0625,512"
+POINT = {"family": "point", "at": 0.5}
+GAUSS = {"family": "gaussian", "mean": 0.0, "sigma": 1.0}
+SHARP_Q = {"kind": "sharp_position"}
+SMEARED_Q = {"kind": "smeared_position", "measure": POINT}
+
+OBSERVABLES = (
+    SHARP_Q,
+    {"kind": "sharp_momentum"},
+    SMEARED_Q,
+    {"kind": "smeared_position", "measure": GAUSS},
+    {"kind": "smeared_momentum", "measure": GAUSS},
+    {"kind": "covariant_marginal", "tau": {"family": "gaussian", "sigma": 1.0},
+     "axis": "position"},
+    {"kind": "covariant_marginal", "tau": {"family": "gaussian", "sigma": 1.0},
+     "axis": "momentum"},
+    {"kind": "trivial", "measure": POINT},
+    {"kind": "pushforward", "inner": SMEARED_Q, "map": {"kind": "identity"}},
+    {"kind": "pushforward", "inner": SHARP_Q,
+     "map": {"kind": "table", "xs": [0.0, 1.0], "ys": [1.0, -1.0]}},
+    {"kind": "pushforward", "inner": SHARP_Q,
+     "map": {"kind": "cos_shift", "amplitude": 0.25}},
+)
+FUNCTIONALS = ("distance", "error-bar", "bias-free", "bias", "resolution",
+               "noise")
+RELATIONS = ("preparation", "overall-width", "covariant-error",
+             "covariant-resolution", "metric", "noise", "connections")
+
+
+def runs() -> list[tuple[dict, list[str]]]:
+    """(QUNCERT_* settings, argv) of every run, in output order."""
+    out: list[tuple[dict, list[str]]] = []
+    for seed in ("0", "1"):
+        for fmt in ("json", "csv"):
+            out.append(({}, ["verify", "--suite", "all", "--seed", seed,
+                             "--format", fmt]))
+    out += [({}, ["verify", "--suite", "all", "--grid=-8,0.0625,256"]),
+            ({}, ["verify", "--suite", "all", "--grid=x"]),
+            ({"QUNCERT_GRID": "-8,0.0625,256"}, ["verify", "--suite", "all"])]
+    out += [({}, ["demo"]), ({}, ["demo", "--format", "csv"]),
+            ({}, ["groundstate", "--alpha", "2", "--beta", "2"])]
+    for relation in RELATIONS:
+        out.append(({}, ["verify", "--relation", relation]))
+        out.append(({}, ["verify", "--relation", relation, GRID]))
+    for obs in OBSERVABLES:
+        spec = json.dumps(obs, sort_keys=True)
+        for name in FUNCTIONALS:
+            out.append(({}, ["metric", name, "--observable", spec, GRID]))
+        out.append(({}, ["metric", "error-bar", "--observable", spec, GRID,
+                         "--delta", "0.5", "--format", "csv"]))
+    out += [
+        ({}, ["measure", json.dumps(GAUSS), "--alpha", "1", "--eps", "0.1"]),
+        ({}, ["measure", json.dumps({"family": "two_point", "x1": -1.0,
+                                     "x2": 2.0, "w1": 0.3}),
+              "--format", "csv"]),
+        ({}, ["wasserstein", json.dumps(GAUSS), json.dumps(POINT),
+              "--alpha", "2"]),
+        ({}, ["wasserstein", json.dumps(GAUSS), json.dumps(POINT),
+              "--alpha", "inf"]),
+        ({}, ["state", json.dumps({"family": "gaussian", "sigma": 0.5}),
+              "--hbar", "2"]),
+        ({}, ["state", json.dumps(
+            {"family": "mixture", "components": [
+                {"family": "box", "center": -2.0, "width": 1.0, "weight": 0.5},
+                {"family": "hermite", "n": 2, "weight": 0.5}]}),
+              GRID, "--format", "csv"]),
+    ]
+    return out
+
+
+def digest(env_vars: dict, argv: list[str]) -> str:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("QUNCERT_")}
+    env.update(env_vars)
+    proc = subprocess.run([sys.executable, "-m", "quncert.cli", *argv],
+                          capture_output=True, env=env, timeout=600)
+    h = hashlib.sha256()
+    for part in (proc.stdout, proc.stderr, str(proc.returncode).encode()):
+        h.update(len(part).to_bytes(8, "big") + part)
+    label = " ".join([*(f"{k}={v}" for k, v in env_vars.items()), *argv])
+    return f"{h.hexdigest()}  {label}"
+
+
+def main() -> int:
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        lines = list(pool.map(lambda run: digest(*run), runs()))
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
