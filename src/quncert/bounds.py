@@ -223,45 +223,38 @@ def verify_metric_ur(tau: State, alpha: float, beta: float,
     """
     if method not in ("closed_form", "estimator"):
         raise DomainError(f"unknown method {method!r}")
-    marg_q = CovariantMarginal(tau, "position")
-    marg_p = CovariantMarginal(tau, "momentum")
-    span_q, span_p = (tau.grid.n * tau.grid.lattice(axis, hbar)[1]
-                      for axis in ("position", "momentum"))
-    tiny_q = 1e-12 * span_q
-    tiny_p = 1e-12 * span_p
-    if method == "closed_form":
-        dq = delta_alpha_smeared_closed_form(marg_q.smearing(hbar), alpha)
-        dp = delta_alpha_smeared_closed_form(marg_p.smearing(hbar), beta)
-        inf_q = dq > _CUTOFF_FRACTION * span_q
-        inf_p = dp > _CUTOFF_FRACTION * span_p
+    lower = method == "estimator"
+    if lower and not ensemble:
+        raise DomainError("estimator method needs a probe ensemble")
+    if lower and any(s.grid != tau.grid for s in ensemble):
+        raise DomainError("the probe ensemble must lie on tau's grid")
+    dist, inf, span = [], [], []
+    for axis, order in (("position", alpha), ("momentum", beta)):
+        marg = CovariantMarginal(tau, axis)
+        span.append(tau.grid.n * tau.grid.lattice(axis, hbar)[1])
+        if lower:
+            est = observable_distance(marg, Sharp(axis), order, ensemble,
+                                      hbar, divergence_scan=divergence_scan)
+            dist.append(est.value)
+            inf.append(est.infinite_flag)
+        else:
+            dist.append(delta_alpha_smeared_closed_form(marg.smearing(hbar),
+                                                        order))
+            inf.append(dist[-1] > _CUTOFF_FRACTION * span[-1])
+    vanish = [d <= 1e-12 * w for d, w in zip(dist, span)]
+    for k in (0, 1):
         # A point-mass smearing forces its Fourier conjugate to fill the whole
         # band, yet the lattice caps the conjugate deviation at ~0.25*span,
         # under the spread threshold; certify that divergence structurally.
-        if dq <= tiny_q and dp > 0.1 * span_p:
-            inf_p = True
-        if dp <= tiny_p and dq > 0.1 * span_q:
-            inf_q = True
-        lower = False
-    else:
-        if not ensemble:
-            raise DomainError("estimator method needs a probe ensemble")
-        est_q = observable_distance(marg_q, Sharp("position"), alpha, ensemble,
-                                    hbar, w_cutoff=_CUTOFF_FRACTION * span_q,
-                                    divergence_scan=divergence_scan)
-        est_p = observable_distance(marg_p, Sharp("momentum"), beta, ensemble,
-                                    hbar, w_cutoff=_CUTOFF_FRACTION * span_p,
-                                    divergence_scan=divergence_scan)
-        dq, inf_q = est_q.value, est_q.infinite_flag
-        dp, inf_p = est_p.value, est_p.infinite_flag
-        lower = True
-    if (dq <= tiny_q and not inf_p) or (dp <= tiny_p and not inf_q):
+        if not lower and vanish[k] and dist[1 - k] > 0.1 * span[1 - k]:
+            inf[1 - k] = True
+    if any(vanish[k] and not inf[1 - k] for k in (0, 1)):
         raise DomainError(
             "a vanishing distance requires the conjugate distance to diverge")
-    lhs = math.inf if ((dq <= tiny_q and inf_p) or (dp <= tiny_p and inf_q)) \
-        else dq * dp
+    lhs = math.inf if any(vanish) else dist[0] * dist[1]
     rhs = c_alpha_beta(alpha, beta) * hbar
     inputs = {"alpha": alpha, "beta": beta, "hbar": hbar, "method": method,
-              "tau": _state_summary(tau), "factors": [dq, dp]}
+              "tau": _state_summary(tau), "factors": dist}
     return _make_report("covariant-distance-product", lhs, rhs, 1e-4 * rhs,
                         inputs, lhs_is_lower_bound=lower)
 

@@ -228,14 +228,14 @@ def _cmd_verify(args: argparse.Namespace):
         if relation == "preparation":
             return [bounds.verify_preparation_ur(s, args.alpha, args.beta, hbar)]
         return [bounds.verify_overall_width_ur(s, args.eps, args.eps2, hbar)]
-    grid = _resolve_grid(args, COVARIANT_GRID)
     if relation == "connections":
+        # the observable is built on the grid the probes use
+        grid = _resolve_grid(args, DEFAULT_GRID)
         instances = [observable_from_spec(_load_json_arg(args.observable),
                                           grid, hbar)] if args.observable else \
             bounds_default_connection_instances()
-        conn_grid = _resolve_grid(args, DEFAULT_GRID)
-        return bounds.verify_connections(instances, conn_grid, hbar=hbar,
-                                         seed=seed)
+        return bounds.verify_connections(instances, grid, hbar=hbar, seed=seed)
+    grid = _resolve_grid(args, COVARIANT_GRID)
     spec = _load_json_arg(args.tau) if args.tau else \
         {"family": "gaussian", "sigma": 1.0}
     tau = state_from_spec(spec, grid, hbar)

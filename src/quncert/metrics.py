@@ -9,6 +9,7 @@ certifies.  Closed forms are provided where the smearing structure gives one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import ClassVar, Iterable, Sequence
@@ -113,7 +114,9 @@ def _localized_probes(grid: GridSpec, center: float, cfg: ProbeConfig,
                       axis: str, hbar: float
                       ) -> tuple[float, list[tuple[str, WaveFunction]]]:
     """Probe family exactly localized, on the given axis, inside the window
-    of width cfg.delta around the snapped center.  Returns (center, probes)."""
+    of width cfg.delta around the snapped center.  Returns (center, probes):
+    the first cfg.probes_per_center of the flat probe, then rounds k = 0, 1,
+    ... of ramp k and random probe k, then a flat probe once neither is left."""
     points, step = grid.lattice(axis, hbar)
     idx, x = grid.snap(axis, center, hbar)
     mask = grid.window(axis, x, cfg.delta, hbar)
@@ -121,49 +124,35 @@ def _localized_probes(grid: GridSpec, center: float, cfg: ProbeConfig,
     count = window.size
     # an offset on the conjugate axis acts on the window as a phase ramp
     phase = 1j if axis == "position" else -1j
-    probes: list[tuple[str, WaveFunction]] = []
+    # ramps +-j pi hbar / delta, up to the conjugate Nyquist step
+    nyquist = math.pi * hbar / step * (1.0 + 1e-12)
+    steps = itertools.takewhile(
+        lambda r: r <= nyquist,
+        (j * math.pi * hbar / cfg.delta for j in itertools.count(1)))
+    ramps = (s for r in steps for s in (r, -r))
 
-    def window_state(values: np.ndarray) -> WaveFunction:
+    def sequence():
+        if "flat" in cfg.probe_kinds:
+            yield "flat", np.ones(count)
+        for k in itertools.count():
+            r = next(ramps, None) if "ramped" in cfg.probe_kinds else None
+            if r is not None:
+                yield f"ramp{r:+.6g}", np.exp(phase * r * window / hbar)
+            if "random" in cfg.probe_kinds:
+                # per-center offset: the lattice index of the center
+                rng = np.random.default_rng(cfg.seed + 104729 * k + idx)
+                vals = (rng.standard_normal(count)
+                        + 1j * rng.standard_normal(count))
+                yield f"random{k}", vals * np.hanning(count + 2)[1:-1]
+            elif r is None:
+                yield "flat", np.ones(count)
+                return
+
+    probes: list[tuple[str, WaveFunction]] = []
+    for label, values in itertools.islice(sequence(), cfg.probes_per_center):
         amp = np.zeros(grid.n, dtype=complex)
         amp[mask] = values
-        return _axis_state(grid, axis, amp)
-
-    def flat_probe(boost: float) -> WaveFunction:
-        if boost == 0.0:
-            return window_state(np.ones(count))
-        return window_state(np.exp(phase * boost * window / hbar))
-
-    def random_probe(seed: int) -> WaveFunction:
-        rng = np.random.default_rng(seed)
-        vals = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-        return window_state(vals * np.hanning(count + 2)[1:-1])
-
-    conj_nyquist = math.pi * hbar / step
-    if "flat" in cfg.probe_kinds:
-        probes.append(("flat", flat_probe(0.0)))
-    ramps: list[float] = []
-    k = 1
-    while len(ramps) < 2 * cfg.probes_per_center:
-        r = k * math.pi * hbar / cfg.delta
-        if r > conj_nyquist * (1.0 + 1e-12):
-            break
-        ramps.extend([r, -r])
-        k += 1
-    n_ramp = n_rand = 0
-    while len(probes) < cfg.probes_per_center:
-        before = len(probes)
-        if "ramped" in cfg.probe_kinds and n_ramp < len(ramps):
-            r = ramps[n_ramp]
-            n_ramp += 1
-            probes.append((f"ramp{r:+.6g}", flat_probe(r)))
-        if len(probes) < cfg.probes_per_center and "random" in cfg.probe_kinds:
-            # per-center offset: the lattice index of the center on this axis
-            seed = cfg.seed + 104729 * n_rand + idx
-            probes.append((f"random{n_rand}", random_probe(seed)))
-            n_rand += 1
-        if len(probes) == before:
-            probes.append(("flat", flat_probe(0.0)))
-            break
+        probes.append((label, _axis_state(grid, axis, amp)))
     return x, probes
 
 
@@ -334,21 +323,19 @@ def resolution_width(obs: Observable, eps: float, grid: GridSpec,
 
 def observable_distance(first: Observable, second: Observable, alpha: float,
                         ensemble: Sequence[State], hbar: float = 1.0,
-                        w_cutoff: float | None = None,
                         divergence_scan: bool = True) -> WidthEstimate:
     """Largest Wasserstein alpha-distance between the two output laws over
     the probe ensemble: a certified lower bound of the supremum over all
     states.  The divergence scan adds point-localized probes from the lattice
-    midpoint out toward its ends; crossing w_cutoff (by default 0.4 times the
-    span of the lattice of the second observable's axis) sets infinite_flag.
+    midpoint out toward its ends; crossing 0.4 times the span of the lattice
+    of the second observable's axis on the ensemble's grid sets
+    infinite_flag.
     """
     ensemble = list(ensemble)
     if not ensemble:
         raise DomainError("need at least one probe state")
     grid = ensemble[0].grid
-    if w_cutoff is None:
-        _, step = grid.lattice(second.axis, hbar)
-        w_cutoff = _CUTOFF_FRACTION * grid.n * step
+    _, step = grid.lattice(second.axis, hbar)
     probes = [(("ensemble", i), f"ensemble{i}", s)
               for i, s in enumerate(ensemble)]
     if divergence_scan:
@@ -361,7 +348,7 @@ def observable_distance(first: Observable, second: Observable, alpha: float,
                                            second.distribution(s, hbar),
                                            alpha)})
             for wit, label, s in probes)
-    return _worst(rows, "distance", True, w_cutoff)
+    return _worst(rows, "distance", True, _CUTOFF_FRACTION * grid.n * step)
 
 
 def delta_alpha_smeared_closed_form(mu: GridMeasure, alpha: float) -> float:

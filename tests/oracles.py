@@ -258,3 +258,61 @@ def hermite_reference(grid, n: int, hbar: float = 1.0) -> np.ndarray:
     amp = (np.polynomial.hermite.hermval(xi, coeffs)
            * np.exp(-0.5 * xi ** 2)).astype(complex)
     return amp / math.sqrt(float(np.sum(np.abs(amp) ** 2) * grid.dx))
+
+
+def localized_probes_reference(grid, center, cfg, axis, hbar):
+    """Probe family built by two counter-driven loops: the flat probe, then
+    alternating ramps (from a precomputed list up to the conjugate Nyquist
+    step) and random probes, and a flat probe once neither kind is left;
+    returns (snapped center, [(label, WaveFunction)])."""
+    from quncert.states import _axis_state
+
+    points, step = grid.lattice(axis, hbar)
+    idx, x = grid.snap(axis, center, hbar)
+    mask = grid.window(axis, x, cfg.delta, hbar)
+    window = points[mask]
+    count = window.size
+    phase = 1j if axis == "position" else -1j
+    probes = []
+
+    def window_state(values):
+        amp = np.zeros(grid.n, dtype=complex)
+        amp[mask] = values
+        return _axis_state(grid, axis, amp)
+
+    def flat_probe(boost):
+        if boost == 0.0:
+            return window_state(np.ones(count))
+        return window_state(np.exp(phase * boost * window / hbar))
+
+    def random_probe(seed):
+        rng = np.random.default_rng(seed)
+        vals = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        return window_state(vals * np.hanning(count + 2)[1:-1])
+
+    conj_nyquist = math.pi * hbar / step
+    if "flat" in cfg.probe_kinds:
+        probes.append(("flat", flat_probe(0.0)))
+    ramps = []
+    k = 1
+    while len(ramps) < 2 * cfg.probes_per_center:
+        r = k * math.pi * hbar / cfg.delta
+        if r > conj_nyquist * (1.0 + 1e-12):
+            break
+        ramps.extend([r, -r])
+        k += 1
+    n_ramp = n_rand = 0
+    while len(probes) < cfg.probes_per_center:
+        before = len(probes)
+        if "ramped" in cfg.probe_kinds and n_ramp < len(ramps):
+            r = ramps[n_ramp]
+            n_ramp += 1
+            probes.append((f"ramp{r:+.6g}", flat_probe(r)))
+        if len(probes) < cfg.probes_per_center and "random" in cfg.probe_kinds:
+            seed = cfg.seed + 104729 * n_rand + idx
+            probes.append((f"random{n_rand}", random_probe(seed)))
+            n_rand += 1
+        if len(probes) == before:
+            probes.append(("flat", flat_probe(0.0)))
+            break
+    return x, probes

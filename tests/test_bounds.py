@@ -517,3 +517,30 @@ def test_demo_windows_count_both_edge_atoms():
             # abs: the cumulative-sum rounding of a window far in the tail
             assert mass == pytest.approx(float(np.sum(guess.weights[inside])),
                                          rel=1e-9, abs=1e-12)
+
+
+def test_degenerate_momentum_smearing_flags_position_infinite():
+    # mirror of the position-cell case: the momentum margin is sharp and
+    # the position smearing fills the lattice, mean |q| = span / 4
+    cell = _cell_state(GRID, 0.0, "momentum")
+    r = verify_metric_ur(cell, 1.0, 1.0, method="closed_form")
+    assert r.inputs["factors"] == pytest.approx([8.0, 0.0], abs=1e-9)
+    assert r.inputs["factors"][1] == 0.0
+    assert math.isinf(r.lhs)
+    assert r.passed
+
+
+def test_momentum_identity_without_certified_divergence_rejected():
+    cell = _cell_state(GRID, 0.0, "momentum")
+    ensemble = [make_box(GRID, 0.0, 1.0)]
+    with pytest.raises(DomainError):
+        verify_metric_ur(cell, 1.0, 1.0, ensemble=ensemble,
+                         method="estimator")
+
+
+def test_estimator_rejects_an_ensemble_on_another_grid():
+    # the divergence cutoff comes from the ensemble's grid, so it must be tau's
+    ensemble = [_gauss(center=0.5), _gauss(center=0.5, grid=COV_GRID)]
+    with pytest.raises(DomainError, match="grid"):
+        verify_metric_ur(_gauss(sigma=1.0), 1.0, 1.0, ensemble=ensemble,
+                         method="estimator")

@@ -14,6 +14,8 @@ from quncert.cli import main
 from quncert.measures import (load_measure_csv, point_mass, save_measure_csv,
                               two_point)
 from quncert.transport import wasserstein
+from quncert.measures import overall_width
+from quncert.metrics import WidthEstimate
 
 GRID_FLAG = "--grid=-16.0,0.0625,512"
 
@@ -426,3 +428,23 @@ def test_suite_rejects_a_grid(capsys, monkeypatch, flag, env):
     assert code == 2
     assert out == ""
     assert "DomainError" in err and "grid" in err
+
+
+@pytest.mark.parametrize("axis", ["position", "momentum"])
+def test_connections_build_the_observable_on_the_probe_grid(capsys,
+                                                            monkeypatch,
+                                                            axis):
+    # with no --grid the probes run on DEFAULT_GRID, and so must the
+    # observable; the probe sweep is replaced by the overall width of the
+    # smearing so the check stays fast, and both it and the distance bound
+    # read the smearing built from the spec
+    monkeypatch.setattr(bounds, "gross_error_bar_width",
+                        lambda obs, target, cfg, grid, hbar: WidthEstimate(
+                            overall_width(obs.smearing(hbar), cfg.eps), True))
+    spec = json.dumps({"kind": "covariant_marginal", "axis": axis,
+                       "tau": {"family": "gaussian", "sigma": 1.0}})
+    argv = ["verify", "--relation", "connections", "--observable", spec]
+    default = _run(capsys, argv)
+    explicit = _run(capsys, argv + ["--grid=-16,0.015625,2048"])
+    assert default[0] == 0, default[2]
+    assert default == explicit

@@ -1,5 +1,6 @@
 """Error functionals: observable distance, error bars, resolution, noise."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,9 @@ from quncert.observables import (CovariantMarginal, PushforwardObservable,
 from quncert.observables import Sharp, Smeared, SmearedMomentum
 from quncert.states import GridSpec, MixedState, make_box, make_gaussian
 from quncert.states import test_ensemble as builtin_ensemble
+import oracles
+from quncert.exceptions import QuncertError
+from quncert.metrics import _PROBE_KINDS, _localized_probes
 
 GRID = GridSpec.symmetric(16.0, 512)
 DX = GRID.dx
@@ -457,3 +461,36 @@ def test_distance_tie_keeps_the_first_probe_and_traces_every_probe():
     scans = labels[len(ensemble):]
     assert len(scans) == 6 and all(p.startswith("scan@") for p in scans)
     assert all(row["distance"] == 0.5 for row in est.trace)
+
+
+def _probe_family(build, grid, center, cfg, axis, hbar):
+    try:
+        x, probes = build(grid, center, cfg, axis, hbar)
+    except QuncertError as exc:
+        return type(exc), str(exc)
+    return x, [(label, wf.x0, wf.dx, wf.amplitudes.tobytes())
+               for label, wf in probes]
+
+
+@pytest.mark.parametrize("grid", [GRID, GridSpec(-3.0, 0.0625, 256)],
+                         ids=["symmetric", "off-centre"])
+def test_probe_family_matches_counter_loop_oracle(grid):
+    # labels, amplitudes, snapped centres and raised errors all bit for bit;
+    # the edge centre leaves no room for the wide window
+    subsets = [c for r in (1, 2, 3)
+               for c in itertools.combinations(_PROBE_KINDS, r)]
+    raised = 0
+    for axis, hbar in (("position", 1.0), ("momentum", 1.0),
+                       ("momentum", 2.5)):
+        _, step = grid.lattice(axis, hbar)
+        centers = grid.around_midpoint(axis, (0.0, 0.3, 0.49), hbar)
+        for kinds, ppc, steps, center in itertools.product(
+                subsets, (3, 4, 9), (2.0, 4.0, 20.0), centers):
+            cfg = ProbeConfig((0.0,), steps * step, 0.1, 1.0, ppc, kinds,
+                              seed=5)
+            expected = _probe_family(oracles.localized_probes_reference,
+                                     grid, center, cfg, axis, hbar)
+            assert _probe_family(_localized_probes, grid, center, cfg, axis,
+                                 hbar) == expected
+            raised += isinstance(expected[0], type)
+    assert raised > 0

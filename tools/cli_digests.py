@@ -89,6 +89,17 @@ def runs() -> list[tuple[dict, list[str]]]:
                 {"family": "hermite", "n": 2, "weight": 0.5}]}),
               GRID, "--format", "csv"]),
     ]
+    # connection checks build the observable on the grid they probe
+    for obs in OBSERVABLES[5:7]:
+        spec = json.dumps(obs, sort_keys=True)
+        for grid in ([], ["--grid=-16,0.015625,2048"]):
+            out.append(({}, ["verify", "--relation", "connections",
+                             "--observable", spec, *grid]))
+    # the ramp cap of the probe family scales with hbar
+    spec = json.dumps(OBSERVABLES[4], sort_keys=True)
+    for name in ("error-bar", "bias-free"):
+        out.append(({}, ["metric", name, "--observable", spec, GRID,
+                         "--hbar", "2.5"]))
     return out
 
 
