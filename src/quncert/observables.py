@@ -7,6 +7,13 @@ law with a noise measure: either a fixed measure (`SmearedPosition`,
 (`CovariantMarginal`), the position/momentum margin of the
 translation-covariant observable generated by a normalized reference state.
 Pushforwards transform the value space.
+
+A covariant margin whose generator lives on the state's own grid is
+convolved on that grid's lattice of its axis (step dx, or dp = 2 pi hbar /
+span): both Born laws sit on it, so atom i of one and atom j of the other
+sum to atom i + j, and momentum widths come out as whole multiples of dp.
+Every other smearing (a fixed noise measure, or a generator on another
+grid) goes through `measures.convolve`, which bins pair sums.
 """
 
 from __future__ import annotations
@@ -102,6 +109,12 @@ class Smeared(Observable):
     covariant margin of tau is smeared by the Born law of the
     parity-reflected tau on the same axis, cached per hbar (the momentum law
     depends on it).
+
+    When tau shares the state's grid, the two laws share one lattice by
+    construction, so the convolution is a shift-add on it
+    (`_lattice_convolve`): no pair sum is binned, and on the momentum axis
+    no atom drifts off the multiples of dp.  A fixed noise measure or a
+    tau on another grid is convolved by `measures.convolve`.
     """
 
     def __init__(self, axis: str, noise: GridMeasure | State) -> None:
@@ -122,8 +135,36 @@ class Smeared(Observable):
         return self._cache[hbar]
 
     def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
-        return convolve(self.sharp().distribution(state, hbar),
-                        self.smearing(hbar))
+        law, smear = self.sharp().distribution(state, hbar), self.smearing(hbar)
+        if isinstance(self.noise, GridMeasure) or self.noise.grid != state.grid:
+            return convolve(law, smear)
+        _, step = state.grid.lattice(self.axis, hbar)
+        return _lattice_convolve(law, smear, step)
+
+
+def _lattice_convolve(a: GridMeasure, b: GridMeasure, step: float
+                      ) -> GridMeasure:
+    """Law of the sum of independent draws from a and b, two laws that each
+    hold every point of a lattice of the given step (atom k at atoms[0] +
+    k step): the sum of atoms i and j sits on atom i + j of the sum
+    lattice, so nothing is binned.
+
+    One slice-add per live atom of the sparser law (``a`` on a tie), over
+    the live span of the other, in ascending order as `convolve` adds its
+    rows; zero-weight ends are trimmed as `convolve` trims them.
+    """
+    live_a = np.nonzero(a.weights > 0.0)[0]
+    live_b = np.nonzero(b.weights > 0.0)[0]
+    if live_a.size > live_b.size:
+        a, b, live_a, live_b = b, a, live_b, live_a
+    lo, hi = int(live_b[0]), int(live_b[-1]) + 1
+    row = b.weights[lo:hi]
+    acc = np.zeros(len(a) + len(b) - 1)
+    for i in live_a:
+        acc[i + lo:i + hi] += a.weights[i] * row
+    nz = np.nonzero(acc > 0.0)[0]
+    k = np.arange(nz[0], nz[-1] + 1)
+    return GridMeasure(a.atoms[0] + b.atoms[0] + step * k, acc[k])
 
 
 def SmearedPosition(mu: GridMeasure) -> Smeared:
@@ -287,9 +328,8 @@ def joint_covariant_distribution(tau: State, state: State,
                 spectrum = np.fft.fftshift(np.fft.fft(overlap))
                 mass[iq] += w * scale * np.abs(spectrum[p_idx]) ** 2
 
-    mu_tau, nu_tau = covariant_marginals(tau, hbar)
-    ref_q = convolve(position_distribution(state), mu_tau)
-    ref_p = convolve(momentum_distribution(state, hbar), nu_tau)
+    ref_q = CovariantMarginal(tau, "position").distribution(state, hbar)
+    ref_p = CovariantMarginal(tau, "momentum").distribution(state, hbar)
     tv_q = _binned_tv(mass.sum(axis=1), q_values, dq_step, ref_q)
     tv_p = _binned_tv(mass.sum(axis=0), p_values, dp_step, ref_p)
     if max(tv_q, tv_p) > _JOINT_TV_TOL:

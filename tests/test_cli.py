@@ -448,3 +448,20 @@ def test_connections_build_the_observable_on_the_probe_grid(capsys,
     explicit = _run(capsys, argv + ["--grid=-16,0.015625,2048"])
     assert default[0] == 0, default[2]
     assert default == explicit
+
+
+def test_momentum_covariant_widths_are_lattice_multiples(capsys):
+    # the covariant margin lives on the momentum lattice of step dp, so
+    # every error-bar width is a whole number of steps; binning at the
+    # minimum atom spacing drifted by up to 2e-11 relative
+    spec = json.dumps({"kind": "covariant_marginal", "axis": "momentum",
+                       "tau": {"family": "gaussian", "sigma": 1.0}})
+    estimate = _run_json(capsys, ["metric", "error-bar", "--observable",
+                                  spec])["estimate"]
+    dp = 2.0 * math.pi / 32.0
+    widths = [row["width"] for row in estimate["trace"]] + [estimate["value"]]
+    assert len(widths) >= 2
+    for width in widths:
+        cells = width / dp
+        assert cells >= 1.0
+        assert abs(cells - round(cells)) <= 1e-12 * cells

@@ -5,16 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from quncert import observables
 from quncert.exceptions import AccuracyError, DomainError
-from quncert.measures import (GridMeasure, gaussian_measure, point_mass,
-                              std_deviation, translate, two_point)
+from quncert.measures import (GridMeasure, convolve, gaussian_measure,
+                              point_mass, std_deviation, translate, two_point)
 from quncert.observables import (CovariantMarginal, PushforwardObservable,
                                  SharpMomentum, SharpPosition, SmearedMomentum,
                                  SmearedPosition, TrivialObservable,
                                  covariant_marginals, joint_covariant_distribution,
                                  map_from_spec, moment_stats,
                                  observable_from_spec, observable_to_spec)
-from quncert.states import (DEFAULT_GRID, GridSpec, MixedState, PhasePoint,
+from quncert.states import (COVARIANT_GRID, DEFAULT_GRID, SOLVER_GRID,
+                            GridSpec, MixedState, PhasePoint,
                             make_box, make_gaussian, make_hermite,
                             position_distribution, weyl_translate)
 from quncert.states import test_ensemble as builtin_ensemble
@@ -357,3 +359,83 @@ def test_wavefunction_and_its_mixture_of_one_agree():
     assert np.array_equal(a.mass, b.mass)
     assert (a.q_marginal_tv, a.p_marginal_tv) == (b.q_marginal_tv,
                                                   b.p_marginal_tv)
+
+
+# -- covariant margins on the lattice ------------------------------------------
+
+def _lattice_case(grid, hbar, mixed):
+    tau = MixedState.pure(make_gaussian(grid, 0.3, -0.2, 1.1, hbar))
+    if not mixed:
+        return tau, MixedState.pure(make_gaussian(grid, -0.7, 0.4, 0.8, hbar))
+    return tau, MixedState(((0.3, make_gaussian(grid, 1.0, 0.5, 0.6, hbar)),
+                            (0.7, make_gaussian(grid, -1.5, -0.8, 1.4,
+                                                hbar))))
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixture"])
+@pytest.mark.parametrize("hbar", [1.0, 2.5])
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, COVARIANT_GRID, SOLVER_GRID],
+                         ids=["default", "covariant", "solver"])
+def test_covariant_margins_match_the_binning_convolution(grid, hbar, mixed):
+    tau, state = _lattice_case(grid, hbar, mixed)
+    # position: every pair sum lands on a bin of the scatter, bit for bit
+    obs = CovariantMarginal(tau, "position")
+    got = obs.distribution(state, hbar)
+    want = convolve(obs.sharp().distribution(state, hbar), obs.smearing(hbar))
+    assert np.array_equal(got.atoms, want.atoms)
+    assert np.array_equal(got.weights, want.weights)
+
+    # momentum: an independent dense convolution of the two weight vectors
+    obs = CovariantMarginal(tau, "momentum")
+    got = obs.distribution(state, hbar)
+    sharp, smear = obs.sharp().distribution(state, hbar), obs.smearing(hbar)
+    dp = grid.momentum_step(hbar)
+    lo = sharp.atoms[0] + smear.atoms[0]
+    idx = np.rint((got.atoms - lo) / dp).astype(int)
+    assert np.array_equal(idx, np.arange(idx[0], idx[-1] + 1))
+    assert np.max(np.abs(got.atoms - (lo + dp * idx))) <= 1e-12 * grid.span
+    dense = np.convolve(sharp.weights, smear.weights)
+    top = float(got.weights.max())
+    assert np.max(np.abs(dense[idx] - got.weights)) <= 1e-14 * top
+    assert not np.any(np.delete(dense, idx))
+    # ... and the scatter, whose bins at the minimum spacing drift off dp
+    scatter = convolve(sharp, smear)
+    s_idx = np.rint((scatter.atoms - lo) / dp).astype(int)
+    shared = np.isin(s_idx, idx)
+    assert np.all(np.isin(idx, s_idx))
+    assert np.max(np.abs(scatter.weights[shared] - got.weights)) <= 1e-10 * top
+    # its spill beyond the lattice law's ends is one more such difference
+    extra = s_idx[~shared]
+    assert np.all((extra < idx[0]) | (extra > idx[-1]))
+    assert scatter.weights[~shared].sum() <= 1e-10 * top
+
+
+def test_other_grid_and_fixed_noise_go_through_convolve(monkeypatch):
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return convolve(a, b)
+
+    monkeypatch.setattr(observables, "convolve", spy)
+    state = _gauss(center=0.5, sigma=0.8)
+    # a generator on another grid: its smearing is not on the state's lattice
+    for axis in ("position", "momentum"):
+        obs = CovariantMarginal(_gauss(sigma=1.2, grid=SOLVER_GRID), axis)
+        got = obs.distribution(state)
+        want = convolve(obs.sharp().distribution(state), obs.smearing())
+        assert np.array_equal(got.atoms, want.atoms)
+        assert np.array_equal(got.weights, want.weights)
+    assert len(calls) == 2
+    # a fixed noise measure, even one on the lattice
+    for obs in (SmearedPosition(two_point(-1.0, 3.0)),
+                SmearedMomentum(gaussian_measure(0.0, 0.5))):
+        got = obs.distribution(state)
+        a, b = calls[-1]
+        assert b is obs.noise
+        want = convolve(a, b)
+        assert np.array_equal(got.weights, want.weights)
+    assert len(calls) == 4
+    # a generator on the state's grid takes the lattice path
+    CovariantMarginal(_gauss(), "momentum").distribution(state)
+    assert len(calls) == 4

@@ -100,6 +100,13 @@ def runs() -> list[tuple[dict, list[str]]]:
     for name in ("error-bar", "bias-free"):
         out.append(({}, ["metric", name, "--observable", spec, GRID,
                          "--hbar", "2.5"]))
+    # covariant margins sit on the lattice of their axis; its momentum step
+    # depends on hbar
+    for obs in OBSERVABLES[5:7]:
+        spec = json.dumps(obs, sort_keys=True)
+        for grid in ([], [GRID]):
+            out.append(({}, ["metric", "error-bar", "--observable", spec,
+                             *grid, "--hbar", "2.5"]))
     return out
 
 
