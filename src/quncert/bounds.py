@@ -23,8 +23,8 @@ from .measures import (GridMeasure, Interval, PiecewiseLinearMap,
                        alpha_deviation, convolve, gaussian_measure,
                        overall_width, point_mass, pushforward, two_point,
                        uniform_measure)
-from .metrics import (_CUTOFF_FRACTION, default_probe_config,
-                      delta_alpha_smeared_closed_form, gross_error_bar_width,
+from .metrics import (default_probe_config, delta_alpha_smeared_closed_form,
+                      divergence_cutoff, gross_error_bar_width,
                       observable_distance)
 from .observables import (CovariantMarginal, Observable, Sharp, Smeared,
                           SmearedPosition, covariant_marginals)
@@ -240,7 +240,7 @@ def verify_metric_ur(tau: State, alpha: float, beta: float,
         else:
             dist.append(delta_alpha_smeared_closed_form(marg.smearing(hbar),
                                                         order))
-            inf.append(dist[-1] > _CUTOFF_FRACTION * span[-1])
+            inf.append(dist[-1] > divergence_cutoff(tau.grid, axis, hbar))
     vanish = [d <= 1e-12 * w for d, w in zip(dist, span)]
     for k in (0, 1):
         # A point-mass smearing forces its Fourier conjugate to fill the whole

@@ -25,18 +25,24 @@ from .transport import wasserstein
 _PROBE_KINDS = ("flat", "ramped", "random")
 
 # placements as fractions of the lattice span from the lattice midpoint:
-# default probe centers, resolution-width centers and divergence-scan probes;
-# a width beyond the cutoff fraction of the lattice span diverges
+# default probe centers, resolution-width centers and divergence-scan probes
 _PROBE_FRACTIONS = (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)
 _RESOLUTION_FRACTIONS = (-0.3, -0.15, 0.0, 0.15, 0.3)
 _SCAN_FRACTIONS = (0.25, -0.25, 0.35, -0.35, 0.45, -0.45)
-_CUTOFF_FRACTION = 0.4
+
+
+def divergence_cutoff(grid: GridSpec, axis: str, hbar: float = 1.0) -> float:
+    """Width or distance on the axis beyond which an estimate reads as
+    divergent: 0.4 times the span of the axis lattice."""
+    return 0.4 * grid.n * grid.lattice(axis, hbar)[1]
 
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Probe sweep parameters: window centers, localization width delta,
-    confidence level eps, and the divergence threshold w_cutoff."""
+    """Probe sweep parameters: window centers, localization width delta
+    and confidence level eps.  w_cutoff is kept for callers that pass it;
+    nothing reads or validates it, since every sweep takes its divergence
+    threshold from :func:`divergence_cutoff` of the target axis."""
 
     x_samples: tuple[float, ...]
     delta: float
@@ -57,8 +63,6 @@ class ProbeConfig:
             raise DomainError("delta must be positive")
         if not 0.0 < self.eps < 1.0:
             raise DomainError("eps must lie in (0, 1)")
-        if not (self.w_cutoff > 0.0 and math.isfinite(self.w_cutoff)):
-            raise DomainError("w_cutoff must be positive")
         if self.probes_per_center < 3:
             raise DomainError("need at least three probes per center")
         kinds = tuple(self.probe_kinds)
@@ -77,7 +81,7 @@ def default_probe_config(grid: GridSpec, eps: float, axis: str = "position",
         x_samples=tuple(grid.around_midpoint(axis, _PROBE_FRACTIONS, hbar)),
         delta=4.0 * step if delta is None else delta,
         eps=eps,
-        w_cutoff=_CUTOFF_FRACTION * grid.n * step,
+        w_cutoff=divergence_cutoff(grid, axis, hbar),
         seed=seed)
 
 
@@ -205,7 +209,7 @@ def _probe_sweep(approx: Observable, target: Observable, cfg: ProbeConfig,
                      else overall_width(law, cfg.eps))
                 yield (x, label), {"center": x, "probe": label, "width": w}
 
-    return _worst(rows(), "width", True, cfg.w_cutoff)
+    return _worst(rows(), "width", True, divergence_cutoff(grid, axis, hbar))
 
 
 def error_bar_width(approx: Observable, target: Observable, cfg: ProbeConfig,
@@ -335,7 +339,6 @@ def observable_distance(first: Observable, second: Observable, alpha: float,
     if not ensemble:
         raise DomainError("need at least one probe state")
     grid = ensemble[0].grid
-    _, step = grid.lattice(second.axis, hbar)
     probes = [(("ensemble", i), f"ensemble{i}", s)
               for i, s in enumerate(ensemble)]
     if divergence_scan:
@@ -348,7 +351,8 @@ def observable_distance(first: Observable, second: Observable, alpha: float,
                                            second.distribution(s, hbar),
                                            alpha)})
             for wit, label, s in probes)
-    return _worst(rows, "distance", True, _CUTOFF_FRACTION * grid.n * step)
+    return _worst(rows, "distance", True,
+                  divergence_cutoff(grid, second.axis, hbar))
 
 
 def delta_alpha_smeared_closed_form(mu: GridMeasure, alpha: float) -> float:

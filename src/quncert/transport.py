@@ -1,10 +1,11 @@
 """Wasserstein distances, exact monotone couplings, and Kantorovich duality.
 
-The production distance path uses the monotone (quantile) coupling, which is
-optimal on the line for every order alpha >= 1 and for the sup-displacement
-distance.  The same monotone plan, built cell by cell on the atom lattice,
-gives the exact coupling; its dual prices, certified optimal by their reduced
-costs, give an optimal Kantorovich dual pair after one c-transform round.
+The monotone (quantile) coupling is optimal on the line for every order
+alpha >= 1 and for the sup-displacement distance.  One staircase, a merge of
+the two cumulative sums, gives its cells: the distances read them, and the
+exact plan fills them; its dual prices, walked along the staircase and
+certified optimal by their reduced costs, give an optimal Kantorovich dual
+pair after one c-transform round.
 """
 
 from __future__ import annotations
@@ -32,20 +33,31 @@ def _check_displacements(m1: GridMeasure, m2: GridMeasure) -> None:
         raise DomainError("transport displacements must be finite floats")
 
 
-def _quantile_cells(m1: GridMeasure, m2: GridMeasure):
-    """Common refinement of both quantile partitions of (0, 1].
+def _staircase(ca: np.ndarray, cb: np.ndarray):
+    """The n + m - 1 cells of the comonotone path between cumulative sums.
 
-    Returns (masses, q1, q2): cell masses and the constant quantile values of
-    each measure on each cell.
+    Merges the interior breakpoints of both partitions; a row break steps
+    down, a column break steps right, and a tie steps down first.  A zero
+    weight or a tie gives a zero-mass cell, so the path still visits every
+    row and column.  The last cell closes at the larger total, so no mass is
+    negative.  Returns (masses, rows, cols).
     """
+    breaks = np.concatenate((ca[:-1], cb[:-1]))
+    order = np.argsort(breaks, kind="stable")
+    down = order < ca.size - 1
+    rows = np.concatenate(([0], np.cumsum(down)))
+    cols = np.concatenate(([0], np.cumsum(~down)))
+    ends = np.concatenate(([0.0], breaks[order], [max(ca[-1], cb[-1])]))
+    return np.diff(ends), rows, cols
+
+
+def _quantile_cells(m1: GridMeasure, m2: GridMeasure):
+    """Cells of the monotone coupling that carry mass: (masses, q1, q2), the
+    cell masses and the atoms of each measure that every cell pairs."""
     _check_displacements(m1, m2)
-    c1 = np.asarray(m1._cum) / float(m1._cum[-1])
-    c2 = np.asarray(m2._cum) / float(m2._cum[-1])
-    ts = np.union1d(c1, c2)
-    masses = np.diff(np.concatenate(([0.0], ts)))
-    idx1 = np.minimum(np.searchsorted(c1, ts - 1e-15, side="left"), len(m1) - 1)
-    idx2 = np.minimum(np.searchsorted(c2, ts - 1e-15, side="left"), len(m2) - 1)
-    return masses, m1.atoms[idx1], m2.atoms[idx2]
+    masses, rows, cols = _staircase(m1._cum / m1._cum[-1], m2._cum / m2._cum[-1])
+    live = masses > 0.0
+    return masses[live], m1.atoms[rows[live]], m2.atoms[cols[live]]
 
 
 def wasserstein(m1: GridMeasure, m2: GridMeasure, alpha: float) -> float:
@@ -118,59 +130,33 @@ class Coupling:
                                                       self.col_atoms, alpha)))
 
 
-def _northwest_corner(a: np.ndarray, b: np.ndarray):
-    """North-west-corner plan; returns (plan, staircase path of basic cells)."""
-    n, m = a.size, b.size
-    plan = np.zeros((n, m))
-    basis: list[tuple[int, int]] = []
-    ra = a.copy()
-    rb = b.copy()
-    i = j = 0
-    while True:
-        t = min(ra[i], rb[j])
-        plan[i, j] = t
-        basis.append((i, j))
-        ra[i] -= t
-        rb[j] -= t
-        if i == n - 1 and j == m - 1:
-            break
-        # advance along the exhausted line; ties prefer the row so the path
-        # stays a spanning tree with exactly n + m - 1 basic cells
-        if ra[i] <= rb[j] and i < n - 1:
-            i += 1
-        elif j < m - 1:
-            j += 1
-        else:
-            i += 1
-    return plan, basis
-
-
 def _monotone_plan(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
-    """Optimal plan for a Monge cost: the north-west-corner staircase.
+    """Optimal plan for a Monge cost: the comonotone staircase.
 
     Atoms are strictly increasing and |x - y|^alpha (alpha >= 1) is Monge, so
-    the north-west-corner plan is optimal (Hoffman 1963).  Its basis is a path
-    from cell (0, 0), so each dual price follows from its path predecessor;
-    the reduced costs then certify optimality.  Returns (plan, u, v, total).
+    the comonotone plan is optimal (Hoffman 1963).  Its cells come from one
+    merge of the cumulative sums, ties stepping down first; they form a path
+    from cell (0, 0), so each dual price follows from its path predecessor,
+    and the reduced costs then certify optimality.  Returns (plan, u, v, total).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     b = b * (a.sum() / b.sum())  # rebalance rounding drift; both sum to ~1
-    plan, path = _northwest_corner(a, b)
+    masses, rows, cols = _staircase(np.cumsum(a), np.cumsum(b))
+    plan = np.zeros(cost.shape)
+    plan[rows, cols] = masses
     u = np.zeros(cost.shape[0])
     v = np.zeros(cost.shape[1])
     v[0] = cost[0, 0]
-    for (i0, _), (i, j) in zip(path, path[1:]):
-        if i > i0:
+    for i, j, down in zip(rows[1:], cols[1:], np.diff(rows) > 0):
+        if down:
             u[i] = cost[i, j] - v[j]
         else:
             v[j] = cost[i, j] - u[i]
     reduced = cost - u[:, None] - v[None, :]
-    rows, cols = zip(*path)
     reduced[rows, cols] = 0.0
     if np.any(reduced < -1e-12 * (1.0 + float(np.max(cost)))):
-        raise InternalError("north-west-corner plan is not optimal; "
-                            "cost is not Monge")
+        raise InternalError("comonotone plan is not optimal; cost is not Monge")
     return plan, u, v, float(np.sum(plan * cost))
 
 

@@ -228,6 +228,35 @@ def tv_distance(m1, m2) -> float:
     return 0.5 * float(np.sum(np.abs(on(m1) - on(m2))))
 
 
+def northwest_corner_reference(a, b):
+    """North-west-corner plan by a remainder loop: take the smaller remainder
+    of row i and column j, then advance along the exhausted line, the row on
+    a tie.  Returns (plan, path of the n + m - 1 basic cells)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n, m = a.size, b.size
+    plan = np.zeros((n, m))
+    path = []
+    ra = a.copy()
+    rb = b.copy()
+    i = j = 0
+    while True:
+        t = min(ra[i], rb[j])
+        plan[i, j] = t
+        path.append((i, j))
+        ra[i] -= t
+        rb[j] -= t
+        if i == n - 1 and j == m - 1:
+            break
+        if ra[i] <= rb[j] and i < n - 1:
+            i += 1
+        elif j < m - 1:
+            j += 1
+        else:
+            i += 1
+    return plan, path
+
+
 def dual_ascent_reference(m1, m2, alpha: float):
     """Alternating c-transforms from the LP dual prices until a round gains
     less than 1e-10 (at most 1000 rounds); returns (psi, phi, rounds)."""

@@ -446,6 +446,20 @@ def test_momentum_distance_cutoff_follows_the_momentum_band():
     assert far.infinite_flag
 
 
+def test_sweep_cutoff_comes_from_the_target_axis_not_the_config():
+    # w_cutoff stays constructible but unread: a tiny one flags nothing
+    obs = SmearedPosition(two_point(-0.5, 0.5))
+    derived = _cfg(eps=0.1)
+    tiny = ProbeConfig(x_samples=derived.x_samples, delta=derived.delta,
+                       eps=derived.eps, w_cutoff=1e-3)
+    for fn in (error_bar_width, gross_error_bar_width):
+        want = fn(obs, SharpPosition(), derived, GRID)
+        got = fn(obs, SharpPosition(), tiny, GRID)
+        assert want.value > tiny.w_cutoff and not want.infinite_flag
+        assert (got.value, got.infinite_flag) == (want.value,
+                                                  want.infinite_flag)
+
+
 def test_distance_tie_keeps_the_first_probe_and_traces_every_probe():
     # a shift by 0.5 moves every law by exactly 0.5, so all probes tie
     ensemble = builtin_ensemble(GRID)

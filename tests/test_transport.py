@@ -12,8 +12,8 @@ from quncert import (DomainError, DualPair, GridMeasure, InternalError,
                      point_mass, save_coupling_csv, sorted_measure,
                      tent_function, uniform_measure, wasserstein,
                      wasserstein_inf)
-from quncert.transport import (Coupling, _monotone_plan, c_transform_upper,
-                               feasibility_violation)
+from quncert.transport import (Coupling, _lp, _monotone_plan, _staircase,
+                               c_transform_upper, feasibility_violation)
 
 HALF_HALF = sorted_measure([0.0, 1.0], [0.5, 0.5])
 
@@ -164,6 +164,36 @@ def test_lp_coupling_is_monotone_quantile_plan(rng):
             np.testing.assert_allclose(coupling.joint, want, rtol=0.0,
                                        atol=1e-12)
             assert cost == pytest.approx(coupling.cost(alpha), abs=1e-12)
+
+
+def _staircase_instances():
+    """Ragged draws (zero weights, tied cumulative sums), then Dirichlet
+    draws with 1-39 atoms per side."""
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        yield _ragged_measure(rng), _ragged_measure(rng)
+    for _ in range(150):
+        pair = []
+        for _ in range(2):
+            atoms = np.unique(rng.normal(0.0, 3.0, int(rng.integers(1, 40))))
+            pair.append(sorted_measure(atoms,
+                                       rng.dirichlet(np.ones(atoms.size))))
+        yield tuple(pair)
+
+
+def test_staircase_path_shape_and_northwest_corner_plan():
+    for m1, m2 in _staircase_instances():
+        n, m = len(m1), len(m2)
+        _, rows, cols = _staircase(np.cumsum(m1.weights),
+                                   np.cumsum(m2.weights))
+        assert rows.size == n + m - 1
+        assert (rows[0], cols[0], rows[-1], cols[-1]) == (0, 0, n - 1, m - 1)
+        assert np.all(np.diff(rows) + np.diff(cols) == 1)
+        assert set(rows) == set(range(n)) and set(cols) == set(range(m))
+        want, _ = oracles.northwest_corner_reference(m1.weights, m2.weights)
+        for alpha in (1.0, 2.0, 3.0):
+            plan, _, _, _ = _lp(m1, m2, alpha)
+            assert np.max(np.abs(plan - want)) <= 1e-15
 
 
 def test_monotone_plan_rejects_non_monge_cost():

@@ -89,6 +89,14 @@ def runs() -> list[tuple[dict, list[str]]]:
                 {"family": "hermite", "n": 2, "weight": 0.5}]}),
               GRID, "--format", "csv"]),
     ]
+    # tied cumulative sums and a zero-weight atom on the transport staircase
+    halves = {"family": "two_point", "x1": -1.0, "x2": 1.0, "w1": 0.5}
+    for other in ({"family": "uniform", "lo": -1.0, "hi": 1.0, "n_atoms": 3},
+                  {"family": "uniform", "lo": -1.0, "hi": 1.0, "n_atoms": 4},
+                  {"atoms": [-1.0, 0.0, 2.0], "weights": [0.5, 0.0, 0.5]}):
+        for alpha in ("1", "2", "inf"):
+            out.append(({}, ["wasserstein", json.dumps(halves),
+                             json.dumps(other), "--alpha", alpha]))
     # connection checks build the observable on the grid they probe
     for obs in OBSERVABLES[5:7]:
         spec = json.dumps(obs, sort_keys=True)
