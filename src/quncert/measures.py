@@ -564,7 +564,7 @@ def _write_csv(path: str, header: Sequence[str], *columns: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([v.item() for v in row] for row in zip(*columns))
+        writer.writerows(zip(*(c.tolist() for c in columns)))
 
 
 def _read_csv(path: str, header: Sequence[str], what: str) -> np.ndarray:

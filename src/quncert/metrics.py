@@ -30,6 +30,11 @@ _PROBE_FRACTIONS = (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)
 _RESOLUTION_FRACTIONS = (-0.3, -0.15, 0.0, 0.15, 0.3)
 _SCAN_FRACTIONS = (0.25, -0.25, 0.35, -0.35, 0.45, -0.45)
 
+# relative gap within which a probe ties the worst case: probes that tie in
+# exact arithmetic (mirror scans, translated probes) differ by rounding only,
+# so the witness is the first of them rather than the one rounding favours
+_WITNESS_RTOL = 1e-12
+
 
 def divergence_cutoff(grid: GridSpec, axis: str, hbar: float = 1.0) -> float:
     """Width or distance on the axis beyond which an estimate reads as
@@ -98,18 +103,15 @@ class WidthEstimate:
 
 def _worst(rows: Iterable[tuple[tuple, dict]], key: str,
            is_lower_bound: bool, cutoff: float = math.inf) -> WidthEstimate:
-    """Largest entry[key] over (witness, trace entry) rows, the first row
-    winning ties; every entry goes to the trace, and a value beyond cutoff
-    sets infinite_flag."""
-    best = -1.0
-    witness: tuple | None = None
-    trace: list[dict] = []
-    for wit, entry in rows:
-        trace.append(entry)
-        if entry[key] > best:
-            best, witness = entry[key], wit
+    """Largest entry[key] over (witness, trace entry) rows; the witness is
+    the first row within _WITNESS_RTOL of it.  Every entry goes to the
+    trace, and a value beyond cutoff sets infinite_flag."""
+    rows = list(rows)
+    best = max([-1.0, *(entry[key] for _, entry in rows)])
+    tie = best - _WITNESS_RTOL * abs(best) if math.isfinite(best) else best
+    witness = next((wit for wit, entry in rows if entry[key] >= tie), None)
     return WidthEstimate(best, is_lower_bound, best > cutoff, witness,
-                         tuple(trace))
+                         tuple(entry for _, entry in rows))
 
 
 # -- probe families -----------------------------------------------------------

@@ -92,15 +92,6 @@ class PushforwardObservable(Observable):
         return pushforward(self.inner.distribution(state, hbar), self.map)
 
 
-def covariant_marginals(tau: State, hbar: float = 1.0
-                        ) -> tuple[GridMeasure, GridMeasure]:
-    """Smearing measures (position, momentum) of the covariant observable
-    generated by tau: the Born laws of the parity-reflected generator."""
-    reflected = parity(tau)
-    return (position_distribution(reflected),
-            momentum_distribution(reflected, hbar))
-
-
 class Smeared(Observable):
     """Sharp position or momentum measurement offset by independent noise.
 
@@ -182,6 +173,14 @@ def CovariantMarginal(tau: State, axis: str) -> Smeared:
     return Smeared(axis, tau)
 
 
+def covariant_marginals(tau: State, hbar: float = 1.0
+                        ) -> tuple[GridMeasure, GridMeasure]:
+    """Smearing measures (position, momentum) of the covariant observable
+    generated by tau: the Born laws of the parity-reflected generator."""
+    return (CovariantMarginal(tau, "position").smearing(hbar),
+            CovariantMarginal(tau, "momentum").smearing(hbar))
+
+
 # -- outcome moments ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -199,22 +198,16 @@ class MomentStats:
     second_moment_mean: float
 
 
-def _base_and_smearing(obs: Observable, state: State, hbar: float
-                       ) -> tuple[GridMeasure, GridMeasure | None]:
-    if isinstance(obs, Smeared):
-        return obs.sharp().distribution(state, hbar), obs.smearing(hbar)
-    if isinstance(obs, Sharp):
-        return obs.distribution(state, hbar), None
-    raise DomainError("moment statistics need a sharp or smeared observable")
-
-
 def moment_stats(obs: Observable, state: State, hbar: float = 1.0) -> MomentStats:
     """Outcome-moment statistics for sharp and smeared observables."""
-    base, mu = _base_and_smearing(obs, state, hbar)
+    if not isinstance(obs, (Sharp, Smeared)):
+        raise DomainError("moment statistics need a sharp or smeared observable")
+    base = Sharp(obs.axis).distribution(state, hbar)
     a1 = base.mean()
     a2 = base.moment(2)
-    if mu is None:
+    if isinstance(obs, Sharp):
         return MomentStats(a1, a2, a2)
+    mu = obs.smearing(hbar)
     m1 = mu.mean()
     m2 = mu.moment(2)
     sq = a2 + 2.0 * m1 * a1
@@ -243,30 +236,6 @@ def _lattice_indices(values: np.ndarray, step: float, offset: float,
     return idx.astype(int)
 
 
-def _smoothed_cdf(ref: GridMeasure):
-    """CDF of ref with each atom spread over a mini-cell of the minimum
-    spacing.  Atoms of a discretized density routinely land exactly on
-    window edges; a jump CDF then assigns them wholly to one side, biasing
-    every window the same way, while the spread splits them in proportion."""
-    atoms = ref.atoms
-    weights = ref.weights
-    if atoms.size < 2:
-        return ref.cdf
-    h = ref.min_spacing()
-    cum = np.concatenate([[0.0], np.cumsum(weights)])
-
-    def cdf(e: float) -> float:
-        j = int(np.searchsorted(atoms, e - 0.5 * h, side="right"))
-        val = cum[j]
-        if j < atoms.size:
-            lo = atoms[j] - 0.5 * h
-            if e > lo:  # at most one straddler: cells are disjoint
-                val += weights[j] * min(1.0, (e - lo) / h)
-        return float(val)
-
-    return cdf
-
-
 # total-variation gap allowed between the joint margins and the smeared laws
 _JOINT_TV_TOL = 1e-2
 
@@ -276,8 +245,12 @@ def _binned_tv(masses: np.ndarray, centers: np.ndarray, step: float,
     # compare window-binned reference masses against the lattice masses;
     # reference mass outside the window counts as disagreement
     edges = np.concatenate([centers - 0.5 * step, [centers[-1] + 0.5 * step]])
-    cdf = _smoothed_cdf(ref)
-    cdf_vals = np.array([cdf(e) for e in edges])
+    # spread each atom over a cell of the minimum spacing, so an atom on a
+    # window edge splits in proportion; a single atom keeps its jump
+    half = 0.5 * ref.min_spacing() if len(ref) > 1 else 0.0
+    knots = np.stack([ref.atoms - half, ref.atoms + half], axis=1).ravel()
+    cum = np.repeat(np.concatenate([[0.0], np.cumsum(ref.weights)]), 2)[1:-1]
+    cdf_vals = np.interp(edges, knots, cum)
     ref_bins = np.diff(cdf_vals)
     leftover = 1.0 - float(cdf_vals[-1] - cdf_vals[0])
     missing = max(0.0, 1.0 - float(np.sum(masses)))

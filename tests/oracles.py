@@ -257,6 +257,43 @@ def northwest_corner_reference(a, b):
     return plan, path
 
 
+def smoothed_cdf_reference(ref):
+    """CDF of ref with each atom spread over a mini-cell of the minimum
+    spacing, evaluated one point per call: the cells fully left of e, plus
+    the part of the one cell that straddles e.  A single atom keeps the
+    right-continuous jump of ``ref.cdf``."""
+    atoms = ref.atoms
+    weights = ref.weights
+    if atoms.size < 2:
+        return ref.cdf
+    h = ref.min_spacing()
+    cum = np.concatenate([[0.0], np.cumsum(weights)])
+
+    def cdf(e: float) -> float:
+        j = int(np.searchsorted(atoms, e - 0.5 * h, side="right"))
+        val = cum[j]
+        if j < atoms.size:
+            lo = atoms[j] - 0.5 * h
+            if e > lo:  # at most one straddler: cells are disjoint
+                val += weights[j] * min(1.0, (e - lo) / h)
+        return float(val)
+
+    return cdf
+
+
+def binned_tv_reference(masses, centers, step, ref) -> float:
+    """Total variation between lattice masses and ref binned into windows
+    of the given step around the centers, through `smoothed_cdf_reference`;
+    ref mass outside the windows and lattice mass short of 1 both count."""
+    edges = np.concatenate([centers - 0.5 * step, [centers[-1] + 0.5 * step]])
+    cdf = smoothed_cdf_reference(ref)
+    cdf_vals = np.array([cdf(e) for e in edges])
+    leftover = 1.0 - float(cdf_vals[-1] - cdf_vals[0])
+    missing = max(0.0, 1.0 - float(np.sum(masses)))
+    return 0.5 * (float(np.abs(np.diff(cdf_vals) - masses).sum())
+                  + leftover + missing)
+
+
 def dual_ascent_reference(m1, m2, alpha: float):
     """Alternating c-transforms from the LP dual prices until a round gains
     less than 1e-10 (at most 1000 rounds); returns (psi, phi, rounds)."""

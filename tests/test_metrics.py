@@ -24,7 +24,7 @@ from quncert.states import GridSpec, MixedState, make_box, make_gaussian
 from quncert.states import test_ensemble as builtin_ensemble
 import oracles
 from quncert.exceptions import QuncertError
-from quncert.metrics import _PROBE_KINDS, _localized_probes
+from quncert.metrics import _PROBE_KINDS, _localized_probes, _worst
 
 GRID = GridSpec.symmetric(16.0, 512)
 DX = GRID.dx
@@ -508,3 +508,18 @@ def test_probe_family_matches_counter_loop_oracle(grid):
                                  hbar) == expected
             raised += isinstance(expected[0], type)
     assert raised > 0
+
+
+def test_worst_near_tie_keeps_the_first_row_and_the_largest_value():
+    # rows that tie in exact arithmetic differ by rounding: the witness is
+    # the first of them, the value the largest entry, bit for bit
+    top = 1.0 + 4e-16
+    rows = [(("a",), {"w": 1.0}), (("b",), {"w": top}), (("c",), {"w": 0.5})]
+    est = _worst(iter(rows), "w", True, cutoff=1.0)
+    assert est.value == top and est.witness == ("a",)
+    assert est.infinite_flag
+    assert est.trace == tuple(entry for _, entry in rows)
+    # a gap beyond rounding still picks the larger row
+    est = _worst(iter([(("a",), {"w": 1.0}), (("b",), {"w": 1.0 + 1e-9})]),
+                 "w", False)
+    assert est.witness == ("b",) and est.value == 1.0 + 1e-9

@@ -18,10 +18,11 @@ from quncert.observables import (CovariantMarginal, PushforwardObservable,
 from quncert.states import (COVARIANT_GRID, DEFAULT_GRID, SOLVER_GRID,
                             GridSpec, MixedState, PhasePoint,
                             make_box, make_gaussian, make_hermite,
-                            position_distribution, weyl_translate)
+                            position_distribution, state_from_spec,
+                            weyl_translate)
 from quncert.states import test_ensemble as builtin_ensemble
 
-from oracles import tv_distance
+from oracles import binned_tv_reference, tv_distance
 
 GRID = DEFAULT_GRID
 
@@ -439,3 +440,69 @@ def test_other_grid_and_fixed_noise_go_through_convolve(monkeypatch):
     # a generator on the state's grid takes the lattice path
     CovariantMarginal(_gauss(), "momentum").distribution(state)
     assert len(calls) == 4
+
+
+# -- joint margin check: the mini-cell CDF -----------------------------------------
+
+def _binned_tvs(masses, centers, step, ref):
+    return (observables._binned_tv(masses, centers, step, ref),
+            binned_tv_reference(masses, centers, step, ref))
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("axis", ["position", "momentum"])
+def test_binned_tv_matches_the_per_edge_cdf_on_lattice_laws(axis, stride):
+    # a convolved margin on the lattice of its axis, from the sum of two
+    # Born-law lattices, with zero weights inside its support
+    step = GRID.dx if axis == "position" else GRID.momentum_step(1.0)
+    lo = 2.0 * (GRID.x0 if axis == "position" else -step * (GRID.n // 2))
+    k0 = int(round(-lo / step))
+    rng = np.random.default_rng(stride)
+    weights = rng.random(81)
+    weights[[3, 20, 21, 57]] = 0.0
+    ref = GridMeasure(lo + step * np.arange(k0 - 40, k0 + 41),
+                      weights / weights.sum())
+    # window edges on atoms and on half-cells: by the parity of the stride
+    # times the offset of the centers
+    for offset in (0.0, 0.5):
+        centers = step * (offset + stride * np.arange(-6, 7))
+        masses = 0.97 * rng.dirichlet(np.ones(centers.size))
+        got, want = _binned_tvs(masses, centers, stride * step, ref)
+        assert abs(got - want) <= 1e-15
+
+
+def test_binned_tv_matches_the_per_edge_cdf_on_irregular_atoms():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        gaps = rng.uniform(0.05, 0.3, 60)
+        gaps[rng.choice(60, 4, replace=False)] *= 25.0
+        weights = rng.random(61)
+        weights[rng.random(61) < 0.1] = 0.0
+        weights[0] = 1.0
+        ref = GridMeasure(-5.0 + np.concatenate([[0.0], np.cumsum(gaps)]),
+                          weights / weights.sum())
+        step = rng.uniform(0.05, 1.5)
+        centers = ref.atoms[0] + step * np.arange(int(rng.integers(2, 80)))
+        masses = rng.dirichlet(np.ones(centers.size))
+        got, want = _binned_tvs(masses, centers, step, ref)
+        assert abs(got - want) <= 1e-12
+
+
+def test_binned_tv_keeps_the_jump_of_a_one_atom_law():
+    # the atom sits on the edge between the first two windows; the
+    # right-continuous cdf puts it wholly in the first
+    ref = point_mass(0.5)
+    centers = np.array([0.0, 1.0, 2.0])
+    for masses, tv in (([1.0, 0.0, 0.0], 0.0), ([0.5, 0.5, 0.0], 0.5),
+                       ([0.0, 0.0, 1.0], 1.0)):
+        assert _binned_tvs(np.array(masses), centers, 1.0, ref) == (tv, tv)
+    assert _binned_tvs(np.zeros(3), centers + 5.0, 1.0, ref) == (1.0, 1.0)
+
+
+def test_joint_of_two_cells_checks_a_one_atom_position_margin():
+    tau = state_from_spec({"family": "cell", "center": 0.0}, GRID)
+    state = state_from_spec({"family": "cell", "center": 0.5}, GRID)
+    assert len(CovariantMarginal(tau, "position").distribution(state)) == 1
+    qs, ps = _husimi_lattice(GRID)
+    with pytest.raises(AccuracyError, match=r"by TV 9\.704e-01 > 1\.0e-02"):
+        joint_covariant_distribution(tau, state, qs, ps)

@@ -1,9 +1,13 @@
 """Fingerprint the CLI on a fixed set of runs.
 
 Each run starts `python -m quncert.cli` in a fresh process and prints one
-line: the sha256 of its stdout, stderr and exit code, then the run's label
-(its QUNCERT_* settings and argv).  Two checkouts behave the same on the set
-exactly when their outputs are equal, so a refactor is checked with
+line: the sha256 of its stdout, stderr, exit code and the files it wrote,
+then the run's label (its QUNCERT_* settings and argv).  A run names the
+files it writes under the placeholder directory $OUT, which stands for a
+fresh temporary directory per run; its path reads as $OUT again in the
+hashed output and the label, so two checkouts diff cleanly.  Two checkouts
+behave the same on the set exactly when their outputs are equal, so a
+refactor is checked with
 
     PYTHONPATH=src python3 tools/cli_digests.py > after.txt
     PYTHONPATH=/path/to/other/checkout/src python3 tools/cli_digests.py > before.txt
@@ -20,9 +24,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 GRID = "--grid=-16,0.0625,512"
+OUT = "$OUT"
 POINT = {"family": "point", "at": 0.5}
 GAUSS = {"family": "gaussian", "mean": 0.0, "sigma": 1.0}
 SHARP_Q = {"kind": "sharp_position"}
@@ -115,16 +121,36 @@ def runs() -> list[tuple[dict, list[str]]]:
         for grid in ([], [GRID]):
             out.append(({}, ["metric", "error-bar", "--observable", spec,
                              *grid, "--hbar", "2.5"]))
+    # written files: Born laws, amplitudes and reports
+    saves = [f"--save-{name}={OUT}/{name}.csv"
+             for name in ("position", "momentum", "wavefunction")]
+    out += [({}, ["state", json.dumps({"family": "gaussian", "sigma": 0.5}),
+                  "--hbar", "2", *saves]),
+            ({}, ["state", json.dumps({"family": "box", "center": -2.0,
+                                       "width": 1.0}), GRID, *saves]),
+            ({}, ["state", json.dumps({"family": "gaussian", "sigma": 1.0}),
+                  "--grid=-16,0.0078125,4096", *saves]),
+            ({}, ["verify", "--relation", "preparation",
+                  f"--out={OUT}/report.json"]),
+            ({}, ["verify", "--suite", "all", "--format", "csv",
+                  f"--out={OUT}/suite.csv"])]
     return out
 
 
 def digest(env_vars: dict, argv: list[str]) -> str:
     env = {k: v for k, v in os.environ.items() if not k.startswith("QUNCERT_")}
     env.update(env_vars)
-    proc = subprocess.run([sys.executable, "-m", "quncert.cli", *argv],
-                          capture_output=True, env=env, timeout=600)
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run([sys.executable, "-m", "quncert.cli",
+                               *(a.replace(OUT, tmp) for a in argv)],
+                              capture_output=True, env=env, timeout=600)
+        parts = [proc.stdout, proc.stderr, str(proc.returncode).encode()]
+        parts = [p.replace(tmp.encode(), OUT.encode()) for p in parts]
+        for name in sorted(os.listdir(tmp)):
+            with open(os.path.join(tmp, name), "rb") as fh:
+                parts += [name.encode(), fh.read()]
     h = hashlib.sha256()
-    for part in (proc.stdout, proc.stderr, str(proc.returncode).encode()):
+    for part in parts:
         h.update(len(part).to_bytes(8, "big") + part)
     label = " ".join([*(f"{k}={v}" for k, v in env_vars.items()), *argv])
     return f"{h.hexdigest()}  {label}"
