@@ -24,7 +24,7 @@ from .measures import (GridMeasure, Interval, PiecewiseLinearMap,
                        overall_width, point_mass, pushforward, two_point,
                        uniform_measure)
 from .metrics import (default_probe_config, delta_alpha_smeared_closed_form,
-                      divergence_cutoff, gross_error_bar_width,
+                      divergence_cutoff, error_bar_width,
                       observable_distance)
 from .observables import (CovariantMarginal, Observable, Sharp, Smeared,
                           SmearedPosition, covariant_marginals)
@@ -278,11 +278,10 @@ def verify_connections(instances: Sequence[Observable], grid: GridSpec,
                        hbar: float = 1.0,
                        seed: int = 0) -> list[VerificationReport]:
     """Gross error bars of smeared instances against the two finiteness
-    bounds: one from the observable distance, one from the noise error.
-
-    Reports carry the bound as lhs and the error-bar estimate as rhs, so the
-    usual pass direction (lhs >= rhs - tolerance) reads "the bar respects
-    the bound"."""
+    bounds, from the observable distance and from the noise error.  The
+    bar is the error-bar width at delta = 2 lattice steps, the limit that
+    gross_error_bar_width reports.  Reports take the bound as lhs and the
+    bar as rhs, so a pass reads "the bar respects the bound"."""
     reports: list[VerificationReport] = []
     for idx, obs in enumerate(instances):
         if not isinstance(obs, Smeared):
@@ -291,8 +290,9 @@ def verify_connections(instances: Sequence[Observable], grid: GridSpec,
         _, step = grid.lattice(axis, hbar)
         noise = math.sqrt(mu.moment(2))
         for eps in eps_values:
-            cfg = default_probe_config(grid, eps, axis, hbar, seed=seed)
-            gross = gross_error_bar_width(obs, obs.sharp(), cfg, grid, hbar)
+            cfg = default_probe_config(grid, eps, axis, hbar,
+                                       delta=2.0 * step, seed=seed)
+            gross = error_bar_width(obs, obs.sharp(), cfg, grid, hbar)
             if gross.infinite_flag:
                 raise DomainError("connection checks need finite error bars")
             base_inputs = {"instance": idx, "axis": axis, "eps": eps,

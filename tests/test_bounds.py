@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
+from quncert import bounds, observables
 from quncert.bounds import (DEMO_GRID, K, K_tilde, VerificationReport,
                             c_alpha_beta, c_from_ground_energy,
                             demonstrate_sharp_marginal_divergence,
@@ -24,7 +25,8 @@ from quncert.exceptions import DomainError
 from quncert.measures import (PiecewiseLinearMap, convolve, gaussian_measure,
                               overall_width, point_mass, pushforward,
                               two_point)
-from quncert.metrics import resolution_width
+from quncert.metrics import (default_probe_config, gross_error_bar_width,
+                             resolution_width)
 from quncert.observables import (CovariantMarginal, SharpPosition,
                                  SmearedMomentum, SmearedPosition,
                                  moment_stats)
@@ -307,7 +309,56 @@ class TestMetricRelation:
 
 # -- finiteness connections ------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def suite_connections():
+    """(instances, grid, reports) of the connection checks in run_suite(0)."""
+    calls = []
+
+    def recording(instances, grid, **kwargs):
+        reports = verify_connections(instances, grid, **kwargs)
+        calls.append((instances, grid, reports))
+        return reports
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "verify_connections", recording)
+        run_suite(0)
+    (call,) = calls
+    return call
+
+
 class TestConnections:
+    def test_suite_bars_are_the_gross_limit(self, suite_connections):
+        # the checks sweep only delta = 2 steps, the last sweep of
+        # gross_error_bar_width, so their bar is its value bit for bit
+        instances, grid, reports = suite_connections
+        assert grid == DEFAULT_GRID and len(instances) == 4
+        gross = {}
+        for r in reports:
+            key = (r.inputs["instance"], r.inputs["eps"])
+            if key not in gross:
+                obs = instances[key[0]]
+                cfg = default_probe_config(grid, key[1], obs.axis, seed=0)
+                gross[key] = gross_error_bar_width(obs, obs.sharp(), cfg, grid)
+            # a report exists only for a finite bar
+            assert not gross[key].infinite_flag
+            assert r.inputs["gross_width"] == gross[key].value
+        assert sorted(gross) == [(i, eps) for i in range(4)
+                                 for eps in (0.05, 0.1, 0.25)]
+
+    def test_suite_checks_convolve_each_probe_once(self, monkeypatch,
+                                                   suite_connections):
+        # 4 instances x 3 eps x 7 centers x 4 probes: one delta per eps
+        instances, grid, _ = suite_connections
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return convolve(*args, **kwargs)
+
+        monkeypatch.setattr(observables, "convolve", counting)
+        verify_connections(instances, grid)
+        assert len(calls) == 4 * 3 * 7 * 4
+
     def test_report_batch_structure_and_values(self):
         instances = [
             SmearedPosition(gaussian_measure(0.0, 1.0)),

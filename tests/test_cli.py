@@ -438,14 +438,22 @@ def test_connections_build_the_observable_on_the_probe_grid(capsys,
     # observable; the probe sweep is replaced by the overall width of the
     # smearing so the check stays fast, and both it and the distance bound
     # read the smearing built from the spec
-    monkeypatch.setattr(bounds, "gross_error_bar_width",
-                        lambda obs, target, cfg, grid, hbar: WidthEstimate(
-                            overall_width(obs.smearing(hbar), cfg.eps), True))
+    calls = []
+
+    def sweep(obs, target, cfg, grid, hbar):
+        calls.append(cfg.eps)
+        return WidthEstimate(overall_width(obs.smearing(hbar), cfg.eps), True)
+
+    monkeypatch.setattr(bounds, "error_bar_width", sweep)
     spec = json.dumps({"kind": "covariant_marginal", "axis": axis,
                        "tau": {"family": "gaussian", "sigma": 1.0}})
     argv = ["verify", "--relation", "connections", "--observable", spec]
     default = _run(capsys, argv)
+    # one stubbed sweep per eps: a stub on a name that bounds no longer
+    # calls would leave the real sweep running unnoticed
+    assert calls == [0.05, 0.1, 0.25]
     explicit = _run(capsys, argv + ["--grid=-16,0.015625,2048"])
+    assert calls == [0.05, 0.1, 0.25] * 2
     assert default[0] == 0, default[2]
     assert default == explicit
 

@@ -31,6 +31,7 @@ GRID = "--grid=-16,0.0625,512"
 OUT = "$OUT"
 POINT = {"family": "point", "at": 0.5}
 GAUSS = {"family": "gaussian", "mean": 0.0, "sigma": 1.0}
+TWO_POINT = {"family": "two_point", "x1": -1.0, "x2": 2.0, "w1": 0.3}
 SHARP_Q = {"kind": "sharp_position"}
 SMEARED_Q = {"kind": "smeared_position", "measure": POINT}
 
@@ -80,9 +81,7 @@ def runs() -> list[tuple[dict, list[str]]]:
                          "--delta", "0.5", "--format", "csv"]))
     out += [
         ({}, ["measure", json.dumps(GAUSS), "--alpha", "1", "--eps", "0.1"]),
-        ({}, ["measure", json.dumps({"family": "two_point", "x1": -1.0,
-                                     "x2": 2.0, "w1": 0.3}),
-              "--format", "csv"]),
+        ({}, ["measure", json.dumps(TWO_POINT), "--format", "csv"]),
         ({}, ["wasserstein", json.dumps(GAUSS), json.dumps(POINT),
               "--alpha", "2"]),
         ({}, ["wasserstein", json.dumps(GAUSS), json.dumps(POINT),
@@ -109,6 +108,13 @@ def runs() -> list[tuple[dict, list[str]]]:
         for grid in ([], ["--grid=-16,0.015625,2048"]):
             out.append(({}, ["verify", "--relation", "connections",
                              "--observable", spec, *grid]))
+    # connection checks probe at two steps of the axis lattice, and the
+    # momentum step depends on hbar and on the grid
+    spec = json.dumps({"kind": "smeared_momentum", "measure": TWO_POINT},
+                      sort_keys=True)
+    for flags in (["--hbar", "2.5", "--seed", "3"], [GRID, "--seed", "1"]):
+        out.append(({}, ["verify", "--relation", "connections",
+                         "--observable", spec, *flags]))
     # the ramp cap of the probe family scales with hbar
     spec = json.dumps(OBSERVABLES[4], sort_keys=True)
     for name in ("error-bar", "bias-free"):
