@@ -280,8 +280,10 @@ def verify_connections(instances: Sequence[Observable], grid: GridSpec,
     """Gross error bars of smeared instances against the two finiteness
     bounds, from the observable distance and from the noise error.  The
     bar is the error-bar width at delta = 2 lattice steps, the limit that
-    gross_error_bar_width reports.  Reports take the bound as lhs and the
-    bar as rhs, so a pass reads "the bar respects the bound"."""
+    gross_error_bar_width reports.  Its probe laws do not depend on eps, so
+    each instance computes them once and every eps reads its width from
+    them.  Reports take the bound as lhs and the bar as rhs, so a pass
+    reads "the bar respects the bound"."""
     reports: list[VerificationReport] = []
     for idx, obs in enumerate(instances):
         if not isinstance(obs, Smeared):

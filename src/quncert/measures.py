@@ -73,16 +73,16 @@ class GridMeasure:
         weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if atoms.size == 0 or atoms.size != weights.size:
             raise DomainError("atoms and weights must be nonempty and equal length")
-        if not np.all(np.isfinite(atoms)) or not np.all(np.isfinite(weights)):
+        if not (np.isfinite(atoms).all() and np.isfinite(weights).all()):
             raise DomainError("atoms and weights must be finite")
         if not math.isfinite(float(atoms.max()) - float(atoms.min())):
             raise DomainError("atom span must be a finite float")
-        if atoms.size > 1 and not np.all(np.diff(atoms) > 0.0):
+        if not (atoms[1:] > atoms[:-1]).all():
             raise DomainError("atoms must be strictly increasing")
-        if np.any(weights < 0.0):
+        if weights.min() < 0.0:
             raise DomainError("weights must be nonnegative")
         with np.errstate(over="ignore"):  # an infinite total fails below
-            cum = np.cumsum(weights)
+            cum = weights.cumsum()
         total = float(cum[-1])
         if abs(total - 1.0) > MASS_TOL:
             raise DomainError(f"weights must sum to 1 within {MASS_TOL}, got {total!r}")

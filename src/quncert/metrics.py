@@ -196,22 +196,47 @@ def _sharp_axis(target: Observable) -> str:
     return target.axis
 
 
+# (key, laws) of the last probe sweep; see _probe_laws
+_last_sweep: tuple | None = None
+
+
+def _probe_laws(approx: Observable, target: Observable, cfg: ProbeConfig,
+                grid: GridSpec, hbar: float
+                ) -> list[tuple[float, str, GridMeasure]]:
+    """(center, label, law of approx) for each probe of one sweep, every
+    probe checked to be localized on the target axis.
+
+    The laws depend on every field of cfg but eps and w_cutoff, so the last
+    sweep is kept and read again at the next eps.  Its key holds the
+    observables themselves, which compare by identity (`Sharp` by value),
+    so no id is reused while the sweep is kept; the old sweep is dropped
+    before a new one is computed."""
+    global _last_sweep
+    key = (approx, target, grid, hbar, cfg.x_samples, cfg.delta,
+           cfg.probes_per_center, cfg.probe_kinds, cfg.seed)
+    if _last_sweep is not None and _last_sweep[0] == key:
+        return _last_sweep[1]
+    _last_sweep = None
+    laws = []
+    for raw_center in cfg.x_samples:
+        x, probes = _localized_probes(grid, raw_center, cfg, target.axis, hbar)
+        for label, probe in probes:
+            _assert_localized(target.distribution(probe, hbar), x, cfg.delta)
+            laws.append((x, label, approx.distribution(probe, hbar)))
+    _last_sweep = (key, laws)
+    return laws
+
+
 def _probe_sweep(approx: Observable, target: Observable, cfg: ProbeConfig,
                  grid: GridSpec, hbar: float, centered: bool) -> WidthEstimate:
     axis = _sharp_axis(target)
-
-    def rows():
-        for raw_center in cfg.x_samples:
-            x, probes = _localized_probes(grid, raw_center, cfg, axis, hbar)
-            for label, probe in probes:
-                _assert_localized(target.distribution(probe, hbar), x,
-                                  cfg.delta)
-                law = approx.distribution(probe, hbar)
-                w = (min_centered_window(law, x, cfg.eps) if centered
-                     else overall_width(law, cfg.eps))
-                yield (x, label), {"center": x, "probe": label, "width": w}
-
-    return _worst(rows(), "width", True, divergence_cutoff(grid, axis, hbar))
+    laws = _probe_laws(approx, target, cfg, grid, hbar)
+    rows = (((x, label),
+             {"center": x, "probe": label,
+              "width": (min_centered_window(law, x, cfg.eps) if centered
+                        else overall_width(law, cfg.eps))})
+            for x, label, law in laws)
+    return _worst(rows, "width", True, divergence_cutoff(grid, axis, hbar))
 
 
 def error_bar_width(approx: Observable, target: Observable, cfg: ProbeConfig,

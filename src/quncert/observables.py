@@ -19,7 +19,7 @@ grid) goes through `measures.convolve`, which bins pair sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -109,10 +109,15 @@ class Smeared(Observable):
     """
 
     def __init__(self, axis: str, noise: GridMeasure | State) -> None:
-        self._sharp = Sharp(axis)
-        self.axis = axis
-        self.noise = noise
-        self._cache: dict[float, GridMeasure] = {}
+        object.__setattr__(self, "_sharp", Sharp(axis))
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "noise", noise)
+        object.__setattr__(self, "_cache", {})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        # frozen like the other observables: the smearing cache, and the
+        # probe laws that `metrics` keeps per observable, outlive a call
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def sharp(self) -> Sharp:
         return self._sharp

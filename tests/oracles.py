@@ -382,3 +382,26 @@ def localized_probes_reference(grid, center, cfg, axis, hbar):
             probes.append(("flat", flat_probe(0.0)))
             break
     return x, probes
+
+
+def probe_sweep_reference(approx, target, cfg, grid, hbar, centered):
+    """Error-bar sweep with no memo: every call builds each probe, checks
+    its localization, computes the device law and reads its width at
+    cfg.eps, so no law is shared between calls."""
+    from quncert.measures import overall_width
+    from quncert.metrics import (_assert_localized, _localized_probes,
+                                 _worst, divergence_cutoff,
+                                 min_centered_window)
+
+    axis = target.axis
+    rows = []
+    for raw_center in cfg.x_samples:
+        x, probes = _localized_probes(grid, raw_center, cfg, axis, hbar)
+        for label, probe in probes:
+            _assert_localized(target.distribution(probe, hbar), x, cfg.delta)
+            law = approx.distribution(probe, hbar)
+            w = (min_centered_window(law, x, cfg.eps) if centered
+                 else overall_width(law, cfg.eps))
+            rows.append(((x, label), {"center": x, "probe": label,
+                                      "width": w}))
+    return _worst(rows, "width", True, divergence_cutoff(grid, axis, hbar))

@@ -347,7 +347,8 @@ class TestConnections:
 
     def test_suite_checks_convolve_each_probe_once(self, monkeypatch,
                                                    suite_connections):
-        # 4 instances x 3 eps x 7 centers x 4 probes: one delta per eps
+        # 4 instances x 7 centers x 4 probes: one sweep of probe laws per
+        # instance, read at every eps
         instances, grid, _ = suite_connections
         calls = []
 
@@ -357,7 +358,7 @@ class TestConnections:
 
         monkeypatch.setattr(observables, "convolve", counting)
         verify_connections(instances, grid)
-        assert len(calls) == 4 * 3 * 7 * 4
+        assert len(calls) == 4 * 7 * 4
 
     def test_report_batch_structure_and_values(self):
         instances = [

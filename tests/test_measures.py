@@ -30,6 +30,35 @@ def test_atoms_must_increase():
         GridMeasure(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("atoms, weights, message", [
+    ([], [], "atoms and weights must be nonempty and equal length"),
+    ([0.0, 1.0], [1.0], "atoms and weights must be nonempty and equal length"),
+    ([0.0, math.nan], [0.5, 0.5], "atoms and weights must be finite"),
+    ([0.0, 1.0], [math.inf, 0.5], "atoms and weights must be finite"),
+    ([-1e308, 1e308], [0.5, 0.5], "atom span must be a finite float"),
+    ([0.0, 0.0], [0.5, 0.5], "atoms must be strictly increasing"),
+    ([0.0, 2.0, 1.0], [0.2, 0.3, 0.5], "atoms must be strictly increasing"),
+    ([0.0, 1.0], [1.5, -0.5], "weights must be nonnegative"),
+    ([0.0, 1.0], [0.5, 0.4],
+     "weights must sum to 1 within 1e-12, got 0.9"),
+    # a law that breaks several invariants reports the first in this order
+    ([1.0, 0.0], [math.nan, 1.0], "atoms and weights must be finite"),
+    ([-1e308, 1e308, 0.0], [0.5, 0.5, 0.0],
+     "atom span must be a finite float"),
+    ([1.0, 0.0], [-0.5, 0.4], "atoms must be strictly increasing"),
+    ([0.0, 1.0], [-0.5, 0.4], "weights must be nonnegative"),
+], ids=["empty", "length-mismatch", "nan-atom", "infinite-weight",
+        "infinite-span", "tied-atoms", "unsorted-atoms", "negative-weight",
+        "mass-off-one", "finite-before-order", "span-before-order",
+        "order-before-sign", "sign-before-mass"])
+def test_each_invalid_law_names_its_first_broken_invariant(atoms, weights,
+                                                           message):
+    with pytest.raises(DomainError) as exc:
+        GridMeasure(np.array(atoms, dtype=float),
+                    np.array(weights, dtype=float))
+    assert str(exc.value) == message
+
+
 def test_no_negative_weight():
     with pytest.raises(DomainError):
         GridMeasure(np.array([0.0, 1.0]), np.array([1.5, -0.5]))

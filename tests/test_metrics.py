@@ -2,13 +2,16 @@
 
 import itertools
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
+from quncert import observables
 from quncert.exceptions import DomainError
-from quncert.measures import (gaussian_measure, overall_width, point_mass,
-                              translate, two_point, uniform_measure)
+from quncert.measures import (convolve, gaussian_measure, overall_width,
+                              point_mass, translate, two_point,
+                              uniform_measure)
 from quncert.metrics import (ProbeConfig, WidthEstimate, bias, bias_free_error,
                              default_probe_config, delta1_smeared_closed_form,
                              delta_alpha_smeared_closed_form, error_bar_width,
@@ -523,3 +526,119 @@ def test_worst_near_tie_keeps_the_first_row_and_the_largest_value():
     est = _worst(iter([(("a",), {"w": 1.0}), (("b",), {"w": 1.0 + 1e-9})]),
                  "w", False)
     assert est.witness == ("b",) and est.value == 1.0 + 1e-9
+
+
+# -- one sweep of probe laws, read at every eps --------------------------------
+
+SWEEP_EPS = (0.05, 0.1, 0.25, 0.5)
+
+
+def _sweep_observables():
+    tau = make_gaussian(GRID, 0.0, 0.0, 1.0)
+    cos_shift = map_from_spec({"kind": "cos_shift", "amplitude": 0.25})
+    out = []
+    for axis in ("position", "momentum"):
+        out += [(f"sharp-{axis}", Sharp(axis)),
+                (f"gaussian-{axis}",
+                 Smeared(axis, gaussian_measure(0.2, 0.5, n_atoms=65))),
+                (f"two-point-{axis}", Smeared(axis, two_point(-0.5, 1.0, 0.3))),
+                (f"covariant-{axis}", CovariantMarginal(tau, axis)),
+                (f"pushforward-{axis}",
+                 PushforwardObservable(Smeared(axis, point_mass(0.25)),
+                                       cos_shift))]
+    return out
+
+
+def _same(est, ref):
+    # bit for bit: repr tells -0.0 from 0.0 and prints floats exactly
+    return est == ref and repr(est) == repr(ref)
+
+
+@pytest.mark.parametrize("name, obs", _sweep_observables(),
+                         ids=[n for n, _ in _sweep_observables()])
+def test_sweeps_at_every_eps_match_the_memo_free_loop(name, obs):
+    target = Sharp(obs.axis)
+    for eps in SWEEP_EPS:
+        cfg = default_probe_config(GRID, eps, obs.axis)
+        for fn, centered in ((error_bar_width, True),
+                             (bias_free_error, False)):
+            ref = oracles.probe_sweep_reference(obs, target, cfg, GRID, 1.0,
+                                                centered)
+            assert _same(fn(obs, target, cfg, GRID), ref), (fn.__name__, eps)
+
+
+def _key_variants():
+    """A momentum sweep and, per component of the probe-law key, a sweep
+    that differs from it in that component only."""
+    base = dict(approx=SmearedMomentum(two_point(-0.3, 0.5, 0.3)),
+                target=SharpMomentum(), grid=GRID, hbar=1.0,
+                cfg=ProbeConfig((-1.0, 0.0, 1.3), 0.6, 0.1, 0.0))
+    cfg = base["cfg"]
+    changes = {
+        "approx": {"approx": SmearedMomentum(two_point(-0.3, 0.6, 0.3))},
+        "target axis": {"target": SharpPosition()},
+        "grid": {"grid": GridSpec.symmetric(12.0, 512)},
+        "hbar": {"hbar": 1.5},
+        "delta": {"cfg": ProbeConfig(cfg.x_samples, 1.0, 0.1, 0.0)},
+        "seed": {"cfg": ProbeConfig(cfg.x_samples, 0.6, 0.1, 0.0, seed=1)},
+        "probes_per_center": {"cfg": ProbeConfig(cfg.x_samples, 0.6, 0.1,
+                                                 0.0, 5)},
+        "probe_kinds": {"cfg": ProbeConfig(cfg.x_samples, 0.6, 0.1, 0.0,
+                                           probe_kinds=("flat", "random"))},
+        "x_samples": {"cfg": ProbeConfig((-1.0, 0.0, 1.5), 0.6, 0.1, 0.0)},
+    }
+    return base, [(name, {**base, **change})
+                  for name, change in changes.items()]
+
+
+def _sweep(call, fn=error_bar_width):
+    return fn(call["approx"], call["target"], call["cfg"], call["grid"],
+              call["hbar"])
+
+
+def _sweep_reference(call, centered=True):
+    return oracles.probe_sweep_reference(call["approx"], call["target"],
+                                         call["cfg"], call["grid"],
+                                         call["hbar"], centered)
+
+
+def test_sweeps_that_differ_in_one_key_component_never_share_laws():
+    # each variant alternates with the base sweep, so a memo that ignored
+    # the component would serve one of them the other's laws
+    base, variants = _key_variants()
+    base_ref = (_sweep_reference(base), _sweep_reference(base, False))
+    for name, call in variants:
+        ref = (_sweep_reference(call), _sweep_reference(call, False))
+        assert ref != base_ref, name
+        for fn, want, base_want in ((error_bar_width, ref[0], base_ref[0]),
+                                    (bias_free_error, ref[1], base_ref[1])):
+            assert _same(_sweep(base, fn), base_want), name
+            assert _same(_sweep(call, fn), want), name
+            assert _same(_sweep(base, fn), base_want), name
+
+
+@pytest.mark.parametrize("obs, field", [
+    (Sharp("position"), "axis"),
+    (Smeared("position", point_mass(0.0)), "noise"),
+    (TrivialObservable(point_mass(0.0)), "law"),
+    (PushforwardObservable(SharpPosition(), map_from_spec({"kind": "identity"})),
+     "map"),
+], ids=["sharp", "smeared", "trivial", "pushforward"])
+def test_observables_are_frozen_so_kept_laws_cannot_go_stale(obs, field):
+    # a kept sweep is keyed by the observable itself
+    with pytest.raises(FrozenInstanceError):
+        setattr(obs, field, getattr(obs, field))
+
+
+def test_bias_sweeps_each_probe_law_once(monkeypatch):
+    # 7 centers x 4 probes: the centered and floating sweeps share one cfg
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return convolve(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "convolve", counting)
+    obs = SmearedPosition(gaussian_measure(0.3, 0.5))
+    bias(obs, SharpPosition(), _cfg(eps=0.1), GRID)
+    assert len(calls) == 7 * 4

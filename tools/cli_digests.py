@@ -127,6 +127,12 @@ def runs() -> list[tuple[dict, list[str]]]:
         for grid in ([], [GRID]):
             out.append(({}, ["metric", "error-bar", "--observable", spec,
                              *grid, "--hbar", "2.5"]))
+    # the centered and floating sweeps of bias read one set of probe laws;
+    # at hbar 2.5 two momentum steps of the default grid exceed 0.5
+    for obs, flags in ((OBSERVABLES[4], ["--delta", "1.0", "--hbar", "2.5"]),
+                       (OBSERVABLES[6], ["--delta", "0.5", GRID])):
+        out.append(({}, ["metric", "bias", "--observable",
+                         json.dumps(obs, sort_keys=True), *flags]))
     # written files: Born laws, amplitudes and reports
     saves = [f"--save-{name}={OUT}/{name}.csv"
              for name in ("position", "momentum", "wavefunction")]
