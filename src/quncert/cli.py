@@ -298,18 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("measure", help="CSV path or JSON spec")
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--eps", type=float, default=0.05)
-    # measure and wasserstein accept --grid and --hbar but read neither flag,
-    # so neither reads the environment
-    _add_common(p, "grid", "hbar")
-    p.set_defaults(handler=_cmd_measure, grid=None, hbar=None)
+    _add_common(p)
+    p.set_defaults(handler=_cmd_measure)
 
     p = sub.add_parser("wasserstein", help="transport distance of two measures")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--alpha", default="1",
                    help="order >= 1, or 'inf'")
-    _add_common(p, "grid", "hbar")
-    p.set_defaults(handler=_cmd_wasserstein, grid=None, hbar=None)
+    _add_common(p)
+    p.set_defaults(handler=_cmd_wasserstein)
 
     p = sub.add_parser("state", help="build a state and summarize its laws")
     p.add_argument("state", help="CSV path or JSON spec")

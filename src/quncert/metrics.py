@@ -221,8 +221,11 @@ def _probe_laws(approx: Observable, target: Observable, cfg: ProbeConfig,
     for raw_center in cfg.x_samples:
         x, probes = _localized_probes(grid, raw_center, cfg, target.axis, hbar)
         for label, probe in probes:
-            _assert_localized(target.distribution(probe, hbar), x, cfg.delta)
-            laws.append((x, label, approx.distribution(probe, hbar)))
+            law = target.distribution(probe, hbar)
+            _assert_localized(law, x, cfg.delta)
+            laws.append((x, label, approx.from_law(law, grid, hbar)
+                         if approx.axis == target.axis
+                         else approx.distribution(probe, hbar)))
     _last_sweep = (key, laws)
     return laws
 

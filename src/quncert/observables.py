@@ -1,12 +1,13 @@
 """Observables: maps from states to outcome laws on the real line.
 
-One `Sharp` type returns the Born law of position or momentum
-(`SharpPosition`, `SharpMomentum`).  One `Smeared` type convolves a sharp
-law with a noise measure: either a fixed measure (`SmearedPosition`,
-`SmearedMomentum`) or the smearing measure of a covariant phase-space margin
-(`CovariantMarginal`), the position/momentum margin of the
-translation-covariant observable generated by a normalized reference state.
-Pushforwards transform the value space.
+Each observable is a kernel on the Born law of its axis: `from_law` maps
+that law to the outcome law, and `Observable.distribution` applies it to a
+state's Born law.  `Sharp` keeps the law (`SharpPosition`,
+`SharpMomentum`).  `Smeared` convolves it with a noise measure: a fixed one
+(`SmearedPosition`, `SmearedMomentum`) or the smearing measure of the
+margin (`CovariantMarginal`) of the translation-covariant phase-space
+observable generated by a normalized reference state.  Pushforwards
+transform the value space.
 
 A covariant margin whose generator lives on the state's own grid is
 convolved on that grid's lattice of its axis (step dx, or dp = 2 pi hbar /
@@ -19,7 +20,7 @@ grid) goes through `measures.convolve`, which bins pair sums.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,12 +28,12 @@ from .exceptions import AccuracyError, DomainError
 from .measures import (BoundedRangeMap, BoundedShiftMap, GridMeasure,
                        MeasurableMap, PiecewiseLinearMap, _read_spec,
                        convolve, identity_map, measure_from_spec, pushforward)
-from .states import (State, _shift_cells, momentum_distribution, parity,
-                     position_distribution, state_from_spec)
+from .states import (GridSpec, State, _shift_cells, momentum_distribution,
+                     parity, position_distribution, state_from_spec)
 
 
 class Observable:
-    """Base type for distribution(state, hbar); checks dataclass subclasses' axis."""
+    """Base type: `from_law` maps the Born law on `axis` to the outcome law."""
 
     axis: str = "none"
 
@@ -40,8 +41,13 @@ class Observable:
         if self.axis not in ("position", "momentum"):
             raise DomainError("axis must be 'position' or 'momentum'")
 
-    def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
+    def from_law(self, law: GridMeasure, grid: GridSpec, hbar: float) -> GridMeasure:
         raise NotImplementedError
+
+    def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
+        law = (position_distribution(state) if self.axis == "position"
+               else momentum_distribution(state, hbar))
+        return self.from_law(law, state.grid, hbar)
 
 
 @dataclass(frozen=True)
@@ -50,10 +56,8 @@ class Sharp(Observable):
 
     axis: str
 
-    def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
-        if self.axis == "position":
-            return position_distribution(state)
-        return momentum_distribution(state, hbar)
+    def from_law(self, law: GridMeasure, grid: GridSpec, hbar: float) -> GridMeasure:
+        return law
 
 
 def SharpPosition() -> Sharp:
@@ -73,7 +77,7 @@ class TrivialObservable(Observable):
     law: GridMeasure
     axis: str = "position"
 
-    def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
+    def from_law(self, law: GridMeasure, grid: GridSpec, hbar: float) -> GridMeasure:
         return self.law
 
 
@@ -88,39 +92,34 @@ class PushforwardObservable(Observable):
     def axis(self) -> str:  # type: ignore[override]
         return self.inner.axis
 
-    def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
-        return pushforward(self.inner.distribution(state, hbar), self.map)
+    def from_law(self, law: GridMeasure, grid: GridSpec, hbar: float) -> GridMeasure:
+        return pushforward(self.inner.from_law(law, grid, hbar), self.map)
 
 
+@dataclass(frozen=True, eq=False)
 class Smeared(Observable):
     """Sharp position or momentum measurement offset by independent noise.
 
-    The outcome law is the sharp law on `axis` convolved with the smearing
+    The outcome law is the Born law on `axis` convolved with the smearing
     measure.  `noise` is either that measure or a generator state tau; the
     covariant margin of tau is smeared by the Born law of the
     parity-reflected tau on the same axis, cached per hbar (the momentum law
     depends on it).
 
-    When tau shares the state's grid, the two laws share one lattice by
+    When tau shares the law's grid, the two laws share one lattice by
     construction, so the convolution is a shift-add on it
     (`_lattice_convolve`): no pair sum is binned, and on the momentum axis
     no atom drifts off the multiples of dp.  A fixed noise measure or a
     tau on another grid is convolved by `measures.convolve`.
     """
 
-    def __init__(self, axis: str, noise: GridMeasure | State) -> None:
-        object.__setattr__(self, "_sharp", Sharp(axis))
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "noise", noise)
-        object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, name: str, value: object) -> None:
-        # frozen like the other observables: the smearing cache, and the
-        # probe laws that `metrics` keeps per observable, outlive a call
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    # no default: the inherited class attribute would otherwise be read as one
+    axis: str = field()
+    noise: GridMeasure | State
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def sharp(self) -> Sharp:
-        return self._sharp
+        return Sharp(self.axis)
 
     def smearing(self, hbar: float = 1.0) -> GridMeasure:
         if isinstance(self.noise, GridMeasure):
@@ -130,11 +129,11 @@ class Smeared(Observable):
                                                           hbar)
         return self._cache[hbar]
 
-    def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
-        law, smear = self.sharp().distribution(state, hbar), self.smearing(hbar)
-        if isinstance(self.noise, GridMeasure) or self.noise.grid != state.grid:
+    def from_law(self, law: GridMeasure, grid: GridSpec, hbar: float) -> GridMeasure:
+        smear = self.smearing(hbar)
+        if isinstance(self.noise, GridMeasure) or self.noise.grid != grid:
             return convolve(law, smear)
-        _, step = state.grid.lattice(self.axis, hbar)
+        _, step = grid.lattice(self.axis, hbar)
         return _lattice_convolve(law, smear, step)
 
 

@@ -416,6 +416,20 @@ def test_groundstate_rejects_flags_it_does_not_read(capsys, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [GRID_FLAG, "--hbar=2"])
+@pytest.mark.parametrize("argv", [
+    ["measure", '{"family": "point", "at": 0.5}'],
+    ["wasserstein", '{"family": "point", "at": 0.5}',
+     '{"family": "point", "at": 1.0}']], ids=["measure", "wasserstein"])
+def test_measure_and_wasserstein_reject_flags_they_do_not_read(capsys, argv,
+                                                               flag):
+    # neither reads a grid or an action scale; both used to accept them
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,env", [(GRID_FLAG, None), ("--grid=x", None),
                                       (None, "-16.0,0.0625,512")],
                          ids=["flag", "malformed-flag", "env"])

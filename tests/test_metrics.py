@@ -642,3 +642,51 @@ def test_bias_sweeps_each_probe_law_once(monkeypatch):
     obs = SmearedPosition(gaussian_measure(0.3, 0.5))
     bias(obs, SharpPosition(), _cfg(eps=0.1), GRID)
     assert len(calls) == 7 * 4
+
+
+# -- one Born law per probe ------------------------------------------------------
+
+def _count_born_laws(monkeypatch):
+    calls = {"position": 0, "momentum": 0}
+
+    def counting(axis, born):
+        def wrapped(*args, **kwargs):
+            calls[axis] += 1
+            return born(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(observables, "position_distribution",
+                        counting("position", observables.position_distribution))
+    monkeypatch.setattr(observables, "momentum_distribution",
+                        counting("momentum", observables.momentum_distribution))
+    return calls
+
+
+@pytest.mark.parametrize("axis", ["position", "momentum"])
+def test_a_same_axis_device_maps_the_born_law_its_probe_was_checked_by(
+        monkeypatch, axis):
+    # 7 centers x 4 probes; a fresh device, so no kept sweep serves it
+    calls = _count_born_laws(monkeypatch)
+    obs = Smeared(axis, gaussian_measure(0.3, 0.5))
+    error_bar_width(obs, Sharp(axis), _cfg(axis=axis), GRID)
+    assert calls == {"position": 0, "momentum": 0, axis: 7 * 4}
+
+
+def test_a_cross_axis_device_takes_one_born_law_per_axis_per_probe(
+        monkeypatch):
+    calls = _count_born_laws(monkeypatch)
+    obs = SmearedMomentum(gaussian_measure(0.3, 0.5))
+    error_bar_width(obs, SharpPosition(), _cfg(), GRID)
+    assert calls == {"position": 7 * 4, "momentum": 7 * 4}
+
+
+def test_a_cross_axis_covariant_margin_matches_the_memo_free_loop():
+    # the momentum margin has no kernel on the position law of its probes,
+    # so the sweep builds its law from the probe state
+    obs = CovariantMarginal(make_gaussian(GRID, 0.0, 0.0, 1.0), "momentum")
+    target = SharpPosition()
+    cfg = _cfg(eps=0.1)
+    for fn, centered in ((error_bar_width, True), (bias_free_error, False)):
+        ref = oracles.probe_sweep_reference(obs, target, cfg, GRID, 1.0,
+                                            centered)
+        assert _same(fn(obs, target, cfg, GRID), ref), fn.__name__

@@ -133,6 +133,21 @@ def runs() -> list[tuple[dict, list[str]]]:
                        (OBSERVABLES[6], ["--delta", "0.5", GRID])):
         out.append(({}, ["metric", "bias", "--observable",
                          json.dumps(obs, sort_keys=True), *flags]))
+    # devices on the other axis than their target are swept through their
+    # own distribution; their bars come out infinite
+    for obs, target in ((OBSERVABLES[4], SHARP_Q), (OBSERVABLES[6], SHARP_Q),
+                        ({"kind": "trivial", "measure": POINT,
+                          "axis": "momentum"}, SHARP_Q),
+                        (SMEARED_Q, OBSERVABLES[1])):
+        for name in ("error-bar", "bias-free"):
+            out.append(({}, ["metric", name,
+                             "--observable", json.dumps(obs, sort_keys=True),
+                             "--target", json.dumps(target, sort_keys=True),
+                             "--delta", "0.5", GRID]))
+    # measure and wasserstein reject --grid and --hbar, which they never read
+    out += [({}, ["measure", json.dumps(GAUSS), GRID]),
+            ({}, ["wasserstein", json.dumps(GAUSS), json.dumps(POINT),
+                  "--hbar", "2"])]
     # written files: Born laws, amplitudes and reports
     saves = [f"--save-{name}={OUT}/{name}.csv"
              for name in ("position", "momentum", "wavefunction")]
