@@ -317,21 +317,21 @@ def verify_connections(instances: Sequence[Observable], grid: GridSpec,
 
 DEMO_GRID = COVARIANT_GRID
 # momentum boosts of the profile, guess windows around each boost, the
-# guess kernel's standard deviation and the profile's position std
+# guess kernel's slope and standard deviation, and the profile's position std
 _DEMO_BOOSTS = (4, 8, 16)
 _DEMO_WINDOWS = (2.0, 4.0, 6.0)
+_DEMO_KERNEL_SLOPE = 0.1
 _DEMO_KERNEL_SD = 1.0
 _DEMO_PROBE_SIGMA = 1.0
 
 
 def demonstrate_sharp_marginal_divergence(grid: GridSpec | None = None,
                                           hbar: float = 1.0,
-                                          eps2: float = 0.1,
-                                          kernel_slope: float = 0.1) -> dict:
+                                          eps2: float = 0.1) -> dict:
     """Why a device with a sharp position margin cannot approximate momentum.
 
     The demonstration device measures position exactly, then guesses the
-    momentum by drawing from a unit Gaussian centered at kernel_slope times
+    momentum by drawing from a unit Gaussian centered at 0.1 times
     the position outcome.  Its guess law depends on the state only through
     the position law, so boosting a fixed profile (a unit Gaussian) by 4, 8
     and 16 leaves the guess unchanged while the true momentum runs away: the
@@ -343,12 +343,10 @@ def demonstrate_sharp_marginal_divergence(grid: GridSpec | None = None,
         grid = DEMO_GRID
     if not 0.0 < eps2 < 1.0:
         raise DomainError("eps2 must lie in (0, 1)")
-    if kernel_slope <= 0.0:
-        raise DomainError("kernel_slope must be positive")
     profile = make_gaussian(grid, 0.0, 0.0, _DEMO_PROBE_SIGMA, hbar)
     # the guess law is shared by every boost of the profile
     scaling = PiecewiseLinearMap(np.array([-1.0, 1.0]),
-                                 np.array([-kernel_slope, kernel_slope]))
+                                 _DEMO_KERNEL_SLOPE * np.array([-1.0, 1.0]))
     guess_law = convolve(pushforward(position_distribution(profile), scaling),
                          gaussian_measure(0.0, _DEMO_KERNEL_SD))
 
@@ -368,7 +366,7 @@ def demonstrate_sharp_marginal_divergence(grid: GridSpec | None = None,
                       "captured": captured(float(n)),
                       "d1_lower_bound": witness_gap})
     return {
-        "kernel": {"slope": kernel_slope, "sd": _DEMO_KERNEL_SD,
+        "kernel": {"slope": _DEMO_KERNEL_SLOPE, "sd": _DEMO_KERNEL_SD,
                    "probe_sigma": _DEMO_PROBE_SIGMA},
         "hbar": hbar,
         "grid": _grid_summary(grid),

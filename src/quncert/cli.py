@@ -22,8 +22,7 @@ from .exceptions import (AccuracyError, ConvergenceError, DomainError,
 from .measures import (GridMeasure, alpha_deviation, gaussian_measure,
                        measure_from_spec, overall_width, point_mass,
                        save_measure_csv, std_deviation)
-from .observables import (Observable, Sharp, SmearedPosition,
-                          observable_from_spec)
+from .observables import Sharp, SmearedPosition, observable_from_spec
 from .states import (COVARIANT_GRID, DEFAULT_GRID, UR_ENSEMBLE_GRID, GridSpec,
                      momentum_distribution, position_distribution,
                      save_wavefunction_csv, solver_grid, state_from_spec,
@@ -168,28 +167,28 @@ def _cmd_groundstate(args: argparse.Namespace) -> dict:
 
 
 def _cmd_metric(args: argparse.Namespace) -> dict:
-    grid, hbar, seed = _resolve_grid(args, DEFAULT_GRID), args.hbar, args.seed
+    grid, hbar = _resolve_grid(args, DEFAULT_GRID), args.hbar
     obs = observable_from_spec(_load_json_arg(args.observable), grid, hbar)
-    target = (Sharp(obs.axis) if args.target is None
-              else observable_from_spec(_load_json_arg(args.target), grid, hbar))
-    name = args.functional
-    if name == "distance":
-        ensemble = test_ensemble(grid, hbar, seed)
-        est = metrics.observable_distance(obs, target, args.alpha, ensemble,
-                                          hbar)
-        return {"functional": name, "alpha": args.alpha,
-                "estimate": est}
+    name = args.mode
     if name == "resolution":
         est = metrics.resolution_width(obs, args.eps, grid, hbar=hbar)
         return {"functional": name, "eps": args.eps,
                 "estimate": est}
+    target = (Sharp(obs.axis) if args.target is None
+              else observable_from_spec(_load_json_arg(args.target), grid, hbar))
+    if name == "distance":
+        ensemble = test_ensemble(grid, hbar, args.seed)
+        est = metrics.observable_distance(obs, target, args.alpha, ensemble,
+                                          hbar)
+        return {"functional": name, "alpha": args.alpha,
+                "estimate": est}
     if name == "noise":
-        ensemble = test_ensemble(grid, hbar, seed)
+        ensemble = test_ensemble(grid, hbar, args.seed)
         est = metrics.global_noise_error(target, obs, ensemble, hbar)
         return {"functional": name, "estimate": est}
     axis = target.axis
     cfg = metrics.default_probe_config(grid, args.eps, axis, hbar,
-                                       delta=args.delta, seed=seed)
+                                       delta=args.delta, seed=args.seed)
     if name == "error-bar":
         est = (metrics.error_bar_width(obs, target, cfg, grid, hbar)
                if args.delta is not None else
@@ -198,62 +197,34 @@ def _cmd_metric(args: argparse.Namespace) -> dict:
         est = (metrics.bias_free_error(obs, target, cfg, grid, hbar)
                if args.delta is not None else
                metrics.gross_bias_free_error(obs, target, cfg, grid, hbar))
-    elif name == "bias":
+    else:
         return {"functional": name, "eps": args.eps, "delta": cfg.delta,
                 "bias": metrics.bias(obs, target, cfg, grid, hbar)}
-    else:
-        raise DomainError(f"unknown functional {name!r}")
     return {"functional": name, "eps": args.eps, "delta": args.delta,
             "estimate": est}
 
 
+def _state(spec, grid: GridSpec, hbar: float):
+    """The state of a JSON spec; none given is the unit Gaussian."""
+    return state_from_spec(_load_json_arg(spec) if spec else
+                           {"family": "gaussian", "sigma": 1.0}, grid, hbar)
+
+
+def _connection_instances(spec, grid: GridSpec, hbar: float) -> list:
+    # the observable is built on the grid the probes use
+    return ([observable_from_spec(_load_json_arg(spec), grid, hbar)]
+            if spec else [SmearedPosition(gaussian_measure(0.0, 1.0)),
+                          SmearedPosition(point_mass(2.0))])
+
+
 def _cmd_verify(args: argparse.Namespace):
-    hbar, seed = args.hbar, args.seed
-    if args.suite:
-        if args.suite != "all":
-            raise DomainError("the only suite is 'all'")
-        if args.grid is not None:
-            raise DomainError("the suite runs on its own named grids; "
-                              "it takes no --grid or QUNCERT_GRID")
-        return bounds.run_suite(seed=seed, hbar=hbar)
-    relation = args.relation
-    if relation is None:
+    if args.mode is None:
         raise DomainError("pass --suite all or --relation NAME")
-    if relation in ("preparation", "overall-width"):
-        grid = _resolve_grid(args, UR_ENSEMBLE_GRID if relation == "preparation"
-                             else DEFAULT_GRID)
-        spec = _load_json_arg(args.state) if args.state else \
-            {"family": "gaussian", "sigma": 1.0}
-        s = state_from_spec(spec, grid, hbar)
-        if relation == "preparation":
-            return [bounds.verify_preparation_ur(s, args.alpha, args.beta, hbar)]
-        return [bounds.verify_overall_width_ur(s, args.eps, args.eps2, hbar)]
-    if relation == "connections":
-        # the observable is built on the grid the probes use
-        grid = _resolve_grid(args, DEFAULT_GRID)
-        instances = [observable_from_spec(_load_json_arg(args.observable),
-                                          grid, hbar)] if args.observable else \
-            bounds_default_connection_instances()
-        return bounds.verify_connections(instances, grid, hbar=hbar, seed=seed)
-    grid = _resolve_grid(args, COVARIANT_GRID)
-    spec = _load_json_arg(args.tau) if args.tau else \
-        {"family": "gaussian", "sigma": 1.0}
-    tau = state_from_spec(spec, grid, hbar)
-    if relation == "covariant-error":
-        return [bounds.verify_covariant_error_ur(tau, args.eps, args.eps2, hbar)]
-    if relation == "covariant-resolution":
-        return [bounds.verify_covariant_resolution_ur(tau, args.eps,
-                                                      args.eps2, hbar)]
-    if relation == "metric":
-        return [bounds.verify_metric_ur(tau, args.alpha, args.beta, hbar=hbar)]
-    if relation == "noise":
-        return [bounds.verify_noise_ur(tau, hbar)]
-    raise DomainError(f"unknown relation {relation!r}")
-
-
-def bounds_default_connection_instances() -> list[Observable]:
-    return [SmearedPosition(gaussian_measure(0.0, 1.0)),
-            SmearedPosition(point_mass(2.0))]
+    _, fallback, check = _VERIFY_MODES[args.mode]
+    if fallback is None and args.grid is not None:  # the suite
+        raise DomainError("the suite runs on its own named grids; "
+                          "it takes no --grid or QUNCERT_GRID")
+    return check(args, _resolve_grid(args, fallback))
 
 
 def _cmd_demo(args: argparse.Namespace) -> dict:
@@ -264,27 +235,123 @@ def _cmd_demo(args: argparse.Namespace) -> dict:
 
 # -- parser ---------------------------------------------------------------------------
 
-# input flags: (type, default, help); each also reads QUNCERT_<NAME>, and an
-# empty variable counts as unset.  argparse applies the type to a string
-# default, so a malformed variable is rejected like a malformed flag.
-_INPUT_FLAGS = {
-    "grid": (None, None, "grid as x0,dx,N (env QUNCERT_GRID)"),
-    "hbar": (float, 1.0, "action scale (env QUNCERT_HBAR, default 1)"),
-    "seed": (int, 0, "rng seed (env QUNCERT_SEED, default 0)"),
+# every flag of `metric` and `verify`, with the input flags of the others,
+# as add_argument keywords; `metric` overrides two.  An input flag also reads
+# QUNCERT_<NAME>, and an empty variable counts as unset; argparse applies
+# the type to a string default, so a malformed variable is rejected like a
+# malformed flag.
+_INPUTS = ("grid", "hbar", "seed")
+_FLAGS = {
+    "state": {"help": "JSON state spec"},
+    "tau": {"help": "JSON generator-state spec"},
+    "observable": {"help": "JSON observable spec"},
+    "target": {"help": "JSON spec; default: sharp observable of the same axis"},
+    "alpha": {"type": float, "default": 2.0},
+    "beta": {"type": float, "default": 2.0},
+    "eps": {"type": float, "default": 0.05},
+    "eps2": {"type": float, "default": 0.05},
+    "delta": {"type": float,
+              "help": "fixed localization width; omit for the shrinking sweep"},
+    "grid": {"help": "grid as x0,dx,N (env QUNCERT_GRID)"},
+    "hbar": {"type": float, "default": 1.0,
+             "help": "action scale (env QUNCERT_HBAR, default 1)"},
+    "seed": {"type": int, "default": 0,
+             "help": "rng seed (env QUNCERT_SEED, default 0)"},
 }
+_METRIC_FLAGS = {**_FLAGS, "alpha": {"type": float, "default": 1.0},
+                 "observable": {"required": True, "help": "JSON spec or @file"}}
+
+
+def _default(name: str, spec: dict):
+    return (os.environ.get(f"QUNCERT_{name.upper()}") if name in _INPUTS
+            else None) or spec.get("default")
 
 
 def _add_common(p: argparse.ArgumentParser, *inputs: str) -> None:
     """The output flags and key,value CSV, plus the input flags the
     subcommand reads."""
     for name in inputs:
-        kind, default, text = _INPUT_FLAGS[name]
-        p.add_argument(f"--{name}", type=kind, help=text,
-                       default=os.environ.get(f"QUNCERT_{name.upper()}")
-                       or default)
+        spec = _FLAGS[name]
+        p.add_argument(f"--{name}", **{**spec, "default": _default(name, spec)})
     p.add_argument("--out", help="write output to this path (atomic)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(to_csv=_key_value_csv)
+
+
+# the flags each mode reads besides --out and --format; any other flag of
+# its subcommand exits 2 (see _read_row)
+_PROBED = ("observable", "target", "eps", "delta", "grid", "hbar", "seed")
+_METRIC_MODES = {
+    "distance": ("observable", "target", "alpha", "grid", "hbar", "seed"),
+    "error-bar": _PROBED,
+    "bias-free": _PROBED,
+    "bias": _PROBED,
+    "resolution": ("observable", "eps", "grid", "hbar"),
+    "noise": ("observable", "target", "grid", "hbar", "seed"),
+}
+# verify modes: (flags, grid without --grid, check of the arguments on that
+# grid); the suite has no such grid, and rejects --grid and QUNCERT_GRID
+_VERIFY_MODES = {
+    "all": (("grid", "hbar", "seed"), None,
+            lambda a, g: bounds.run_suite(seed=a.seed, hbar=a.hbar)),
+    "preparation": (
+        ("state", "alpha", "beta", "grid", "hbar"), UR_ENSEMBLE_GRID,
+        lambda a, g: [bounds.verify_preparation_ur(
+            _state(a.state, g, a.hbar), a.alpha, a.beta, a.hbar)]),
+    "overall-width": (("state", "eps", "eps2", "grid", "hbar"), DEFAULT_GRID,
+                      lambda a, g: [bounds.verify_overall_width_ur(
+                          _state(a.state, g, a.hbar), a.eps, a.eps2, a.hbar)]),
+    "covariant-error": (
+        ("tau", "eps", "eps2", "grid", "hbar"), COVARIANT_GRID,
+        lambda a, g: [bounds.verify_covariant_error_ur(
+            _state(a.tau, g, a.hbar), a.eps, a.eps2, a.hbar)]),
+    "covariant-resolution": (
+        ("tau", "eps", "eps2", "grid", "hbar"), COVARIANT_GRID,
+        lambda a, g: [bounds.verify_covariant_resolution_ur(
+            _state(a.tau, g, a.hbar), a.eps, a.eps2, a.hbar)]),
+    "metric": (("tau", "alpha", "beta", "grid", "hbar"), COVARIANT_GRID,
+               lambda a, g: [bounds.verify_metric_ur(
+                   _state(a.tau, g, a.hbar), a.alpha, a.beta, hbar=a.hbar)]),
+    "noise": (("tau", "grid", "hbar"), COVARIANT_GRID, lambda a, g: [
+        bounds.verify_noise_ur(_state(a.tau, g, a.hbar), a.hbar)]),
+    "connections": (("observable", "grid", "hbar", "seed"), DEFAULT_GRID,
+                    lambda a, g: bounds.verify_connections(
+                        _connection_instances(a.observable, g, a.hbar), g,
+                        hbar=a.hbar, seed=a.seed)),
+}
+
+
+def _add_modes(p: argparse.ArgumentParser, rows: dict, specs: dict) -> None:
+    """The flags some mode reads, without defaults so that _read_row sees
+    which were given, the output flags, and each row as the epilog."""
+    for name, spec in specs.items():
+        if any(name in row for row in rows.values()):
+            p.add_argument(f"--{name}",
+                           **{**spec, "default": argparse.SUPPRESS})
+    _add_common(p)
+    p.set_defaults(rows=rows, specs=specs)
+    p.epilog = "flags each mode reads; any other exits 2:" + "".join(
+        f"\n  {mode}: --{' --'.join(row)}" for mode, row in rows.items())
+
+
+def _read_row(parser: argparse.ArgumentParser,
+              args: argparse.Namespace) -> None:
+    """Rejects each given flag the mode does not read, then sets each flag
+    it reads but was not given to its default."""
+    row = args.rows[args.mode]
+    unread = [f"--{name}" for name in args.specs
+              if hasattr(args, name) and name not in row]
+    if unread:
+        parser.error(f"unrecognized arguments: {' '.join(unread)}")
+    for name in [name for name in row if not hasattr(args, name)]:
+        spec = args.specs[name]
+        value, kind = _default(name, spec), spec.get("type", str)
+        try:
+            setattr(args, name,
+                    kind(value) if isinstance(value, str) else value)
+        except ValueError:
+            parser.error(f"argument --{name}: invalid {kind.__name__} value: "
+                         f"{value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,33 +394,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "grid")
     p.set_defaults(handler=_cmd_groundstate)
 
-    p = sub.add_parser("metric", help="one error functional of an observable")
-    p.add_argument("functional", choices=("distance", "error-bar", "bias-free",
-                                          "bias", "resolution", "noise"))
-    p.add_argument("--observable", required=True, help="JSON spec or @file")
-    p.add_argument("--target", default=None,
-                   help="JSON spec; default: sharp observable of the same axis")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--delta", type=float, default=None,
-                   help="fixed localization width; omit for the shrinking sweep")
-    _add_common(p, "grid", "hbar", "seed")
+    p = sub.add_parser("metric", help="one error functional of an observable",
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("mode", metavar="functional", choices=_METRIC_MODES,
+                   help="%(choices)s")
+    _add_modes(p, _METRIC_MODES, _METRIC_FLAGS)
     p.set_defaults(handler=_cmd_metric)
 
-    p = sub.add_parser("verify", help="check one relation or the whole battery")
-    p.add_argument("--suite", default=None, help="'all' runs every relation")
-    p.add_argument("--relation", default=None,
-                   choices=("preparation", "overall-width", "covariant-error",
-                            "covariant-resolution", "metric", "noise",
-                            "connections"))
-    p.add_argument("--state", default=None, help="JSON state spec")
-    p.add_argument("--tau", default=None, help="JSON generator-state spec")
-    p.add_argument("--observable", default=None, help="JSON observable spec")
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--eps2", type=float, default=0.05)
-    _add_common(p, "grid", "hbar", "seed")
+    p = sub.add_parser("verify", help="check one relation or the whole battery",
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--suite", dest="mode", choices=("all",),
+                       help="'all' runs every relation")
+    group.add_argument("--relation", dest="mode",
+                       choices=[mode for mode in _VERIFY_MODES if mode != "all"])
+    _add_modes(p, {mode: entry[0] for mode, entry in _VERIFY_MODES.items()},
+               _FLAGS)
     p.set_defaults(handler=_cmd_verify, to_csv=bounds.reports_to_csv)
 
     p = sub.add_parser("demo", help="sharp-marginal divergence demonstration")
@@ -365,7 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "mode", None) is not None:
+        _read_row(parser, args)
     try:
         payload = args.handler(args)
         text = (args.to_csv(payload) if args.format == "csv"

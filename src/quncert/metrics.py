@@ -45,14 +45,11 @@ def divergence_cutoff(grid: GridSpec, axis: str, hbar: float = 1.0) -> float:
 @dataclass(frozen=True)
 class ProbeConfig:
     """Probe sweep parameters: window centers, localization width delta
-    and confidence level eps.  w_cutoff is kept for callers that pass it;
-    nothing reads or validates it, since every sweep takes its divergence
-    threshold from :func:`divergence_cutoff` of the target axis."""
+    and confidence level eps."""
 
     x_samples: tuple[float, ...]
     delta: float
     eps: float
-    w_cutoff: float
     probes_per_center: int = 4
     probe_kinds: tuple[str, ...] = _PROBE_KINDS
     seed: int = 0
@@ -86,7 +83,6 @@ def default_probe_config(grid: GridSpec, eps: float, axis: str = "position",
         x_samples=tuple(grid.around_midpoint(axis, _PROBE_FRACTIONS, hbar)),
         delta=4.0 * step if delta is None else delta,
         eps=eps,
-        w_cutoff=divergence_cutoff(grid, axis, hbar),
         seed=seed)
 
 
@@ -206,7 +202,7 @@ def _probe_laws(approx: Observable, target: Observable, cfg: ProbeConfig,
     """(center, label, law of approx) for each probe of one sweep, every
     probe checked to be localized on the target axis.
 
-    The laws depend on every field of cfg but eps and w_cutoff, so the last
+    The laws depend on every field of cfg but eps, so the last
     sweep is kept and read again at the next eps.  Its key holds the
     observables themselves, which compare by identity (`Sharp` by value),
     so no id is reused while the sweep is kept; the old sweep is dropped

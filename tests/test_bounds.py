@@ -448,8 +448,6 @@ class TestDivergenceDemo:
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
             demonstrate_sharp_marginal_divergence(eps2=1.0)
-        with pytest.raises(DomainError):
-            demonstrate_sharp_marginal_divergence(kernel_slope=0.0)
 
 
 # -- suite and sinks ------------------------------------------------------------

@@ -4,12 +4,14 @@ import glob
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from quncert import bounds
+from quncert import cli
 from quncert.cli import main
 from quncert.measures import (load_measure_csv, point_mass, save_measure_csv,
                               two_point)
@@ -487,3 +489,122 @@ def test_momentum_covariant_widths_are_lattice_multiples(capsys):
         cells = width / dp
         assert cells >= 1.0
         assert abs(cells - round(cells)) <= 1e-12 * cells
+
+
+# -- the flags each mode of `metric` and `verify` reads -----------------------
+
+SPEC = '{"kind": "sharp_position"}'
+# a well-formed value for every flag of `metric` and `verify`
+FLAG_VALUES = {"observable": SPEC, "target": SPEC,
+               "state": '{"family": "gaussian", "sigma": 1.0}',
+               "tau": '{"family": "gaussian", "sigma": 1.0}',
+               "alpha": "2", "beta": "2", "eps": "0.1", "eps2": "0.1",
+               "delta": "0.5", "grid": "-16,0.0625,512", "hbar": "1",
+               "seed": "3"}
+MODES = {**{("metric", mode): ["metric", mode, f"--observable={SPEC}"]
+            for mode in cli._METRIC_MODES},
+         **{("verify", mode): ["verify", "--suite", "all"] if mode == "all"
+            else ["verify", "--relation", mode] for mode in cli._VERIFY_MODES}}
+
+
+def _reads(command, mode):
+    return set(cli._METRIC_MODES[mode] if command == "metric"
+               else cli._VERIFY_MODES[mode][0])
+
+
+def _unread():
+    """(command, mode, flag) for every flag of the subcommand that the
+    mode's row omits."""
+    flags = {command: set().union(*(_reads(c, m) for c, m in MODES
+                                     if c == command))
+             for command in ("metric", "verify")}
+    return [(command, mode, flag) for command, mode in MODES
+            for flag in sorted(flags[command] - _reads(command, mode))]
+
+
+@pytest.mark.parametrize("command,mode,flag", _unread())
+def test_a_flag_the_mode_does_not_read_is_rejected(capsys, monkeypatch,
+                                                   command, mode, flag):
+    # rejected while parsing: the handler, which computes, never runs
+    def never(args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(cli, f"_cmd_{command}", never)
+    with pytest.raises(SystemExit) as exc:
+        main([*MODES[command, mode], f"--{flag}={FLAG_VALUES[flag]}"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"unrecognized arguments: --{flag}\n")
+
+
+def test_every_unread_pair_is_covered():
+    # 12 pairs of metric and 45 of verify; the suite reads --grid to reject it
+    pairs = _unread()
+    assert sum(c == "metric" for c, _, _ in pairs) == 12
+    assert sum(c == "verify" for c, _, _ in pairs) == 45
+
+
+@pytest.mark.parametrize("command,mode", list(MODES))
+def test_mode_help_lists_the_flags_it_reads(capsys, command, mode):
+    with pytest.raises(SystemExit) as exc:
+        main([*MODES[command, mode][:3], "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    listed = set(re.findall(r"^  --([a-z0-9-]+)", out, re.MULTILINE))
+    row = re.search(rf"^  {mode}: (.*)$", out, re.MULTILINE).group(1)
+    assert set(re.findall(r"--([a-z0-9-]+)", row)) == _reads(command, mode)
+    assert _reads(command, mode) <= listed
+
+
+@pytest.mark.parametrize("command", ["metric", "verify"])
+def test_help_without_a_mode_lists_every_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"^  --([a-z0-9-]+)", capsys.readouterr().out,
+                            re.MULTILINE))
+    assert set().union(*(_reads(c, m) for c, m in MODES if c == command)) \
+        <= listed
+
+
+@pytest.mark.parametrize("first,second", [
+    (["metric", "--observable", SPEC, "resolution", "--grid=-8,0.0625,256"],
+     ["metric", "resolution", "--observable", SPEC, "--grid=-8,0.0625,256"]),
+    (["verify", "--tau", FLAG_VALUES["tau"], "--grid=-8,0.0625,256",
+      "--relation", "noise"],
+     ["verify", "--relation", "noise", "--tau", FLAG_VALUES["tau"],
+      "--grid=-8,0.0625,256"]),
+], ids=["metric", "verify"])
+def test_flags_may_come_before_the_mode(capsys, first, second):
+    # a flag's value given as its own argument is never taken for the mode
+    plain = _run(capsys, second)
+    assert plain[0] == 0
+    assert _run(capsys, first) == plain
+
+
+def test_suite_and_relation_exclude_each_other(capsys):
+    # both used to be accepted, and the suite ran with --relation ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "all", "--relation", "noise"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_a_mode_without_seed_ignores_the_seed_variable(capsys, monkeypatch):
+    argv = ["verify", "--relation", "noise"]
+    plain = _run(capsys, argv)
+    monkeypatch.setenv("QUNCERT_SEED", "3")
+    assert _run(capsys, argv) == plain
+    assert plain[0] == 0
+
+
+def test_readme_table_matches_the_modes():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        rows = re.findall(r"^\| `(metric|verify) ([^`]+)` \| (.*) \|$",
+                          fh.read(), re.MULTILINE)
+    documented = {(command, label): set(re.findall(r"`--([a-z0-9-]+)`", flags))
+                  for command, label, flags in rows}
+    code = {(command, " ".join(argv[1:3]) if command == "verify" else mode):
+            _reads(command, mode) for (command, mode), argv in MODES.items()}
+    assert documented == code

@@ -28,6 +28,7 @@ from quncert.states import test_ensemble as builtin_ensemble
 import oracles
 from quncert.exceptions import QuncertError
 from quncert.metrics import _PROBE_KINDS, _localized_probes, _worst
+from quncert.metrics import divergence_cutoff
 
 GRID = GridSpec.symmetric(16.0, 512)
 DX = GRID.dx
@@ -46,16 +47,16 @@ def _localized_ensemble():
 
 def test_probe_config_validation():
     with pytest.raises(DomainError):
-        ProbeConfig(x_samples=(0.0,), delta=1.0, eps=0.0, w_cutoff=10.0)
+        ProbeConfig(x_samples=(0.0,), delta=1.0, eps=0.0)
     with pytest.raises(DomainError):
-        ProbeConfig(x_samples=(0.0,), delta=1.0, eps=1.0, w_cutoff=10.0)
+        ProbeConfig(x_samples=(0.0,), delta=1.0, eps=1.0)
     with pytest.raises(DomainError):
-        ProbeConfig(x_samples=(0.0,), delta=-1.0, eps=0.1, w_cutoff=10.0)
+        ProbeConfig(x_samples=(0.0,), delta=-1.0, eps=0.1)
     with pytest.raises(DomainError):
-        ProbeConfig(x_samples=(0.0,), delta=1.0, eps=0.1, w_cutoff=10.0,
+        ProbeConfig(x_samples=(0.0,), delta=1.0, eps=0.1,
                     probes_per_center=2)
     with pytest.raises(DomainError):
-        ProbeConfig(x_samples=(), delta=1.0, eps=0.1, w_cutoff=10.0)
+        ProbeConfig(x_samples=(), delta=1.0, eps=0.1)
 
 
 def test_delta_below_two_cells_rejected():
@@ -162,8 +163,7 @@ def test_sharp_approximating_itself_stays_within_delta():
 
 def test_sharp_momentum_error_bar_within_delta():
     dp = GRID.momentum_step(1.0)
-    cfg = ProbeConfig(x_samples=(0.0, 3.0 * dp), delta=4.0 * dp, eps=0.1,
-                      w_cutoff=0.4 * GRID.n * dp)
+    cfg = ProbeConfig(x_samples=(0.0, 3.0 * dp), delta=4.0 * dp, eps=0.1)
     est = error_bar_width(SharpMomentum(), SharpMomentum(), cfg, GRID)
     assert est.value <= cfg.delta + 1e-12
 
@@ -334,11 +334,9 @@ def test_widths_invariant_under_probe_center_shift():
     obs = SmearedPosition(gaussian_measure(0.0, 0.5, n_atoms=201,
                                            half_width=6.0))
     base = ProbeConfig(x_samples=(-3.0, 0.0, 2.0), delta=4.0 * DX, eps=0.1,
-                       w_cutoff=0.4 * GRID.span,
                        probe_kinds=("flat", "ramped"), probes_per_center=5)
     shifted = ProbeConfig(x_samples=tuple(x + 1.3 for x in base.x_samples),
                           delta=base.delta, eps=base.eps,
-                          w_cutoff=base.w_cutoff,
                           probe_kinds=("flat", "ramped"), probes_per_center=5)
     for fn in (error_bar_width, bias_free_error):
         a = fn(obs, SharpPosition(), base, GRID).value
@@ -450,17 +448,16 @@ def test_momentum_distance_cutoff_follows_the_momentum_band():
 
 
 def test_sweep_cutoff_comes_from_the_target_axis_not_the_config():
-    # w_cutoff stays constructible but unread: a tiny one flags nothing
+    # the config holds no cutoff; the sweep reads it from the target axis
     obs = SmearedPosition(two_point(-0.5, 0.5))
     derived = _cfg(eps=0.1)
-    tiny = ProbeConfig(x_samples=derived.x_samples, delta=derived.delta,
-                       eps=derived.eps, w_cutoff=1e-3)
+    with pytest.raises(TypeError):
+        ProbeConfig(x_samples=derived.x_samples, delta=derived.delta,
+                    eps=derived.eps, w_cutoff=1e-3)
     for fn in (error_bar_width, gross_error_bar_width):
-        want = fn(obs, SharpPosition(), derived, GRID)
-        got = fn(obs, SharpPosition(), tiny, GRID)
-        assert want.value > tiny.w_cutoff and not want.infinite_flag
-        assert (got.value, got.infinite_flag) == (want.value,
-                                                  want.infinite_flag)
+        est = fn(obs, SharpPosition(), derived, GRID)
+        assert est.value < divergence_cutoff(GRID, "position")
+        assert not est.infinite_flag
 
 
 def test_distance_tie_keeps_the_first_probe_and_traces_every_probe():
@@ -503,8 +500,7 @@ def test_probe_family_matches_counter_loop_oracle(grid):
         centers = grid.around_midpoint(axis, (0.0, 0.3, 0.49), hbar)
         for kinds, ppc, steps, center in itertools.product(
                 subsets, (3, 4, 9), (2.0, 4.0, 20.0), centers):
-            cfg = ProbeConfig((0.0,), steps * step, 0.1, 1.0, ppc, kinds,
-                              seed=5)
+            cfg = ProbeConfig((0.0,), steps * step, 0.1, ppc, kinds, seed=5)
             expected = _probe_family(oracles.localized_probes_reference,
                                      grid, center, cfg, axis, hbar)
             assert _probe_family(_localized_probes, grid, center, cfg, axis,
@@ -572,20 +568,19 @@ def _key_variants():
     that differs from it in that component only."""
     base = dict(approx=SmearedMomentum(two_point(-0.3, 0.5, 0.3)),
                 target=SharpMomentum(), grid=GRID, hbar=1.0,
-                cfg=ProbeConfig((-1.0, 0.0, 1.3), 0.6, 0.1, 0.0))
+                cfg=ProbeConfig((-1.0, 0.0, 1.3), 0.6, 0.1))
     cfg = base["cfg"]
     changes = {
         "approx": {"approx": SmearedMomentum(two_point(-0.3, 0.6, 0.3))},
         "target axis": {"target": SharpPosition()},
         "grid": {"grid": GridSpec.symmetric(12.0, 512)},
         "hbar": {"hbar": 1.5},
-        "delta": {"cfg": ProbeConfig(cfg.x_samples, 1.0, 0.1, 0.0)},
-        "seed": {"cfg": ProbeConfig(cfg.x_samples, 0.6, 0.1, 0.0, seed=1)},
-        "probes_per_center": {"cfg": ProbeConfig(cfg.x_samples, 0.6, 0.1,
-                                                 0.0, 5)},
-        "probe_kinds": {"cfg": ProbeConfig(cfg.x_samples, 0.6, 0.1, 0.0,
+        "delta": {"cfg": ProbeConfig(cfg.x_samples, 1.0, 0.1)},
+        "seed": {"cfg": ProbeConfig(cfg.x_samples, 0.6, 0.1, seed=1)},
+        "probes_per_center": {"cfg": ProbeConfig(cfg.x_samples, 0.6, 0.1, 5)},
+        "probe_kinds": {"cfg": ProbeConfig(cfg.x_samples, 0.6, 0.1,
                                            probe_kinds=("flat", "random"))},
-        "x_samples": {"cfg": ProbeConfig((-1.0, 0.0, 1.5), 0.6, 0.1, 0.0)},
+        "x_samples": {"cfg": ProbeConfig((-1.0, 0.0, 1.5), 0.6, 0.1)},
     }
     return base, [(name, {**base, **change})
                   for name, change in changes.items()]

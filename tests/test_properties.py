@@ -20,6 +20,7 @@ import warnings
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from quncert import cli
 from quncert.cli import main
 from quncert.measures import DEFAULT_CONVOLVE_CAP
 
@@ -220,4 +221,143 @@ def test_cli_input_boundary(argv):
     assert code in EXIT_CODES, (argv, code, err)
     assert "Traceback" not in err
     assert (code == 0) == (err == ""), (argv, err)
+    assert _run(argv) == (code, out, err)
+
+
+# -- the flags each mode of `metric` and `verify --relation` reads ------------
+
+SMALL_MEASURES = [{"family": "point", "at": 0.5},
+                  {"family": "two_point", "x1": -0.5, "x2": 1.0, "w1": 0.3},
+                  {"family": "uniform", "lo": -0.5, "hi": 0.5, "n_atoms": 5},
+                  {"family": "gaussian", "sigma": 0.5, "n_atoms": 41}]
+MAPS = [{"kind": "identity"}, {"kind": "table", "xs": [0.0, 1.0],
+                               "ys": [1.0, -1.0]},
+        {"kind": "cos_shift", "amplitude": 0.25},
+        {"kind": "bounded_range", "half_range": 2.0}]
+SMALL_STATES = [{"family": "gaussian", "sigma": 1.0},
+                {"family": "gaussian", "center": 0.5, "sigma": 0.7},
+                {"family": "box", "center": 0.0, "width": 2.0},
+                {"family": "hermite", "n": 1}, {"family": "cell"}]
+ODD_SPECS = ["{}", "x", "[]", '{"kind": "nope"}', '{"family": "nope"}']
+
+
+@st.composite
+def observable_specs(draw):
+    """Every observable kind, with small measures, maps and generators."""
+    kind = draw(st.sampled_from(["sharp_position", "sharp_momentum",
+                                 "smeared_position", "smeared_momentum",
+                                 "trivial", "pushforward",
+                                 "covariant_marginal"]))
+    spec = {"kind": kind}
+    if kind in ("smeared_position", "smeared_momentum", "trivial"):
+        spec["measure"] = draw(st.sampled_from(SMALL_MEASURES))
+    if kind == "pushforward":
+        spec["inner"] = draw(st.sampled_from(
+            [{"kind": "sharp_position"},
+             {"kind": "smeared_position", "measure": SMALL_MEASURES[0]}]))
+        spec["map"] = draw(st.sampled_from(MAPS))
+    if kind == "covariant_marginal":
+        spec["tau"] = draw(st.sampled_from(SMALL_STATES[:2]))
+    if kind in ("trivial", "covariant_marginal"):
+        spec["axis"] = draw(st.sampled_from(["position", "momentum"]))
+    return json.dumps(spec)
+
+
+def _flag_values(draw, name):
+    """A usual value of the flag in about three draws of four, else an odd
+    one."""
+    if name in ("observable", "target"):
+        return draw(mostly(observable_specs(), st.sampled_from(ODD_SPECS)))
+    if name in ("state", "tau"):
+        return draw(mostly(st.sampled_from(SMALL_STATES).map(json.dumps),
+                           st.sampled_from(ODD_SPECS)))
+    if name in ("alpha", "beta"):
+        # the constants c(alpha, beta) of these pairs are solved once
+        return draw(mostly(st.sampled_from(["1", "2"]),
+                           st.sampled_from(["nan", "inf", "0.5", "x", "-1"])))
+    if name in ("eps", "eps2"):
+        return draw(mostly(st.floats(0.01, 0.5), flags))
+    if name == "delta":
+        return draw(mostly(st.floats(0.05, 4.0), flags))
+    if name == "hbar":
+        return draw(mostly(st.floats(0.25, 4.0), flags))
+    if name == "seed":
+        return draw(mostly(st.integers(0, 1000),
+                           st.sampled_from(["-1", "x", "1.5", "1e3"])))
+    # a grid: odd in one draw of eight, else at most 256 points, mostly
+    # centred on 0
+    if draw(st.integers(0, 7)) == 0:
+        return (f"{draw(flags)},{draw(mostly(st.floats(0.01, 1.0), flags))},"
+                f"{draw(st.sampled_from([0, 3, 4, 100, 256]))}")
+    n = draw(st.sampled_from([64, 128, 256]))
+    dx = draw(st.sampled_from([0.0625, 0.125, 0.25]))
+    return f"{-0.5 * n * dx + draw(st.sampled_from([0.0, 0.0, 3.0]))},{dx},{n}"
+
+
+MODE_FLAGS = {"metric": ("observable", "target", "alpha", "eps", "delta",
+                         "grid", "hbar", "seed"),
+              "verify": ("state", "tau", "observable", "alpha", "beta", "eps",
+                         "eps2", "grid", "hbar", "seed")}
+
+
+@st.composite
+def mode_argvs(draw):
+    """`metric FUNCTIONAL` or `verify --relation NAME` with any subset of
+    the subcommand's flags, read or not, in any order and with the mode
+    anywhere among them; --grid (at most 256 points) always, so no run falls
+    back to a large default grid."""
+    command = draw(st.sampled_from(["metric", "verify"]))
+    if command == "metric":
+        mode = draw(st.sampled_from(list(cli._METRIC_MODES)))
+        head, reads = [mode], cli._METRIC_MODES[mode]
+    else:
+        mode = draw(st.sampled_from([m for m in cli._VERIFY_MODES
+                                     if m != "all"]))
+        head, reads = ["--relation", mode], cli._VERIFY_MODES[mode][0]
+    # a flag the mode reads in one draw of two, another in one of eight;
+    # the required --observable of metric is mostly given
+    names = ["grid"] + [
+        name for name in MODE_FLAGS[command] if name != "grid"
+        and draw(st.integers(0, 7)) < (4 if name in reads else 1)]
+    if command == "metric" and draw(st.integers(0, 7)):
+        names.append("observable")
+    names = draw(st.permutations(sorted(set(names))))
+    values = [str(_flag_values(draw, name)) for name in names]
+    # a value as its own argument, unless argparse would read it as a flag
+    tokens = [[f"--{name}", value] if draw(st.booleans())
+              and not value.startswith("-") else [f"--{name}={value}"]
+              for name, value in zip(names, values)]
+    tokens.insert(draw(st.integers(0, len(tokens))), head)
+    # argparse reports a malformed number, or a missing required flag,
+    # before any unread flag
+    parsed = all(_parses(name, value) for name, value in zip(names, values))
+    unread = [name for name in names if name not in reads and parsed
+              and (command == "verify" or "observable" in names)]
+    return [command, *(token for group in tokens for token in group)], unread
+
+
+def _parses(name, value) -> bool:
+    kind = {"seed": int, "hbar": float, "alpha": float, "beta": float,
+            "eps": float, "eps2": float, "delta": float}.get(name, str)
+    try:
+        kind(value)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(mode_argvs())
+def test_cli_mode_flags(case):
+    """The properties of test_cli_input_boundary hold for every mode and
+    flag, and a flag the mode does not read exits 2 as unrecognized."""
+    argv, unread = case
+    code, out, err = _run(argv)
+    assert code in EXIT_CODES, (argv, code, err)
+    assert "Traceback" not in err
+    assert (code == 0) == (err == ""), (argv, err)
+    if unread:
+        assert code == 2 and "unrecognized arguments" in err, (argv, err)
     assert _run(argv) == (code, out, err)

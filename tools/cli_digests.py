@@ -161,6 +161,28 @@ def runs() -> list[tuple[dict, list[str]]]:
                   f"--out={OUT}/report.json"]),
             ({}, ["verify", "--suite", "all", "--format", "csv",
                   f"--out={OUT}/suite.csv"])]
+    # each mode of metric and verify rejects a flag it does not read, and
+    # the suite and a relation exclude each other
+    spec = json.dumps(SMEARED_Q, sort_keys=True)
+    state = json.dumps({"family": "gaussian", "sigma": 1.0})
+    for name, flag in (("distance", "--eps=0.1"), ("error-bar", "--alpha=2"),
+                       ("bias-free", "--alpha=2"), ("bias", "--alpha=2"),
+                       ("resolution", f"--target={json.dumps(SHARP_Q)}"),
+                       ("noise", "--eps=0.1")):
+        out.append(({}, ["metric", name, "--observable", spec, GRID, flag]))
+    for mode, flag in ((["--suite", "all"], "--eps=0.1"),
+                       (["--relation", "preparation"], f"--tau={state}"),
+                       (["--relation", "overall-width"], "--seed=1"),
+                       (["--relation", "covariant-error"], "--alpha=1"),
+                       (["--relation", "covariant-resolution"],
+                        f"--state={state}"),
+                       (["--relation", "metric"], "--eps=0.1"),
+                       (["--relation", "noise"], "--seed=3"),
+                       (["--relation", "connections"], "--eps=0.1")):
+        out.append(({}, ["verify", *mode, flag]))
+    out.append(({}, ["verify", "--suite", "all", "--relation", "noise"]))
+    # a flag's value given as its own argument before the mode
+    out.append(({}, ["metric", "--observable", spec, "resolution", GRID]))
     return out
 
 
