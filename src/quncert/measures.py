@@ -559,12 +559,20 @@ def measure_from_spec(spec: dict) -> GridMeasure:
     return _read_spec(spec, "measure", _MEASURE_FAMILIES, "family")
 
 
+# rows formatted per write: bounds the strings held at once
+_CSV_BLOCK = 512
+
+
 def _write_csv(path: str, header: Sequence[str], *columns: np.ndarray) -> None:
-    """Write equal-length columns as CSV rows under header; floats as repr."""
+    """Write equal-length columns as CSV rows under header; numbers as repr.
+
+    No cell needs quoting, so the bytes are those of `csv.writer`'s excel
+    dialect: cells joined by commas, each row ending in CRLF."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*(c.tolist() for c in columns)))
+        fh.write(",".join(header) + "\r\n")
+        for k in range(0, len(columns[0]), _CSV_BLOCK):
+            cells = [map(repr, c[k:k + _CSV_BLOCK].tolist()) for c in columns]
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
 
 
 def _read_csv(path: str, header: Sequence[str], what: str) -> np.ndarray:

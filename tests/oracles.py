@@ -8,6 +8,7 @@ other way around.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -292,6 +293,39 @@ def binned_tv_reference(masses, centers, step, ref) -> float:
     missing = max(0.0, 1.0 - float(np.sum(masses)))
     return 0.5 * (float(np.abs(np.diff(cdf_vals) - masses).sum())
                   + leftover + missing)
+
+
+def joint_margin_tv_reference(tau, state, joint, hbar: float = 1.0):
+    """(q, p) margin TVs of a joint covariant law through the full smeared
+    laws: each margin's Born law and smearing convolved densely on their
+    lattice by `np.convolve`, zero ends trimmed, then binned per edge by
+    `binned_tv_reference`."""
+    from quncert.observables import CovariantMarginal
+    tvs = []
+    for axis, masses, centers in (
+            ("position", joint.mass.sum(axis=1), joint.q_values),
+            ("momentum", joint.mass.sum(axis=0), joint.p_values)):
+        obs = CovariantMarginal(tau, axis)
+        law = obs.sharp().distribution(state, hbar)
+        smear = obs.smearing(hbar)
+        _, step = state.grid.lattice(axis, hbar)
+        weights = np.convolve(law.weights, smear.weights)
+        nz = np.nonzero(weights > 0.0)[0]
+        k = np.arange(nz[0], nz[-1] + 1)
+        ref = GridMeasure(law.atoms[0] + smear.atoms[0] + step * k,
+                          weights[k])
+        tvs.append(binned_tv_reference(masses, centers,
+                                       float(centers[1] - centers[0]), ref))
+    return tuple(tvs)
+
+
+def csv_writer_reference(path, header, *columns) -> None:
+    """Equal-length columns written by `csv.writer` (excel dialect), one
+    row per index, each cell the Python number `tolist` gives."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*(c.tolist() for c in columns)))
 
 
 def dual_ascent_reference(m1, m2, alpha: float):

@@ -13,7 +13,9 @@ from quncert import (BoundedRangeMap, BoundedShiftMap, DomainError,
                      save_measure_csv, sorted_measure, std_deviation,
                      translate, two_point, uniform_measure)
 from quncert import ResourceError
-from quncert.measures import DEFAULT_CONVOLVE_CAP
+from quncert.measures import DEFAULT_CONVOLVE_CAP, _write_csv
+from quncert.states import GridSpec, make_gaussian, save_wavefunction_csv
+from quncert.transport import optimal_coupling_lp, save_coupling_csv
 
 HALF_HALF = sorted_measure([0.0, 1.0], [0.5, 0.5])
 
@@ -443,6 +445,58 @@ def test_csv_header_enforced(tmp_path):
     path.write_text("a,b\n0.0,1.0\n")
     with pytest.raises(DomainError):
         load_measure_csv(str(path))
+
+
+# -- CSV bytes: the csv.writer excel dialect -----------------------------------
+
+_CSV_SPECIALS = np.array([-0.0, 5e-324, 1e308, 0.1 + 0.2, -1e308, 0.0])
+
+
+def _csv_floats(rng, rows):
+    col = rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
+    idx = rng.choice(rows, min(rows, _CSV_SPECIALS.size), replace=False)
+    col[idx] = _CSV_SPECIALS[:idx.size]
+    return col
+
+
+@pytest.mark.parametrize("rows", [1, 511, 512, 513, 4099])
+def test_csv_bytes_match_the_csv_writer(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    amplitudes = _csv_floats(rng, rows) + 1j * _csv_floats(rng, rows)
+    tables = {
+        "measure": (("x", "w"), _csv_floats(rng, rows), _csv_floats(rng, rows)),
+        # strided views, as a wavefunction's real and imaginary parts
+        "wavefunction": (("x", "re", "im"), _csv_floats(rng, rows),
+                         amplitudes.real, amplitudes.imag),
+        "coupling": (("i", "j", "xi", "yj", "w"),
+                     np.nonzero(np.ones(rows))[0],
+                     rng.integers(0, 2 ** 40, rows), _csv_floats(rng, rows),
+                     _csv_floats(rng, rows), _csv_floats(rng, rows)),
+    }
+    for name, (header, *columns) in tables.items():
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}-ref.csv"
+        _write_csv(str(got), header, *columns)
+        oracles.csv_writer_reference(str(want), header, *columns)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_csv_savers_write_the_csv_writer_bytes(tmp_path, rng):
+    m = random_measure(rng, min_atoms=600, max_atoms=700)
+    wf = make_gaussian(GridSpec.symmetric(8.0, 1024), 0.5, -1.0, 0.7)
+    coupling, _ = optimal_coupling_lp(random_measure(rng, max_atoms=90),
+                                      random_measure(rng, max_atoms=90), 2.0)
+    rows, cols = np.nonzero(coupling.joint > 0.0)
+    for save, obj, header, columns in (
+            (save_measure_csv, m, ("x", "w"), (m.atoms, m.weights)),
+            (save_wavefunction_csv, wf, ("x", "re", "im"),
+             (wf.xs(), wf.amplitudes.real, wf.amplitudes.imag)),
+            (save_coupling_csv, coupling, ("i", "j", "xi", "yj", "w"),
+             (rows, cols, coupling.row_atoms[rows],
+              coupling.col_atoms[cols], coupling.joint[rows, cols]))):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save(obj, str(got))
+        oracles.csv_writer_reference(str(want), header, *columns)
+        assert got.read_bytes() == want.read_bytes()
 
 
 # -- spreads far from the origin and at extreme magnitudes --------------------

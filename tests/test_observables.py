@@ -9,6 +9,7 @@ from quncert import observables
 from quncert.exceptions import AccuracyError, DomainError
 from quncert.measures import (GridMeasure, convolve, gaussian_measure,
                               point_mass, std_deviation, translate, two_point)
+from quncert.metrics import default_probe_config, error_bar_width
 from quncert.observables import (CovariantMarginal, PushforwardObservable,
                                  SharpMomentum, SharpPosition, SmearedMomentum,
                                  SmearedPosition, TrivialObservable,
@@ -18,11 +19,12 @@ from quncert.observables import (CovariantMarginal, PushforwardObservable,
 from quncert.states import (COVARIANT_GRID, DEFAULT_GRID, SOLVER_GRID,
                             GridSpec, MixedState, PhasePoint,
                             make_box, make_gaussian, make_hermite,
-                            position_distribution, state_from_spec,
-                            weyl_translate)
+                            momentum_distribution, position_distribution,
+                            state_from_spec, weyl_translate)
 from quncert.states import test_ensemble as builtin_ensemble
 
-from oracles import binned_tv_reference, tv_distance
+from oracles import (binned_tv_reference, joint_margin_tv_reference,
+                     tv_distance)
 
 GRID = DEFAULT_GRID
 
@@ -506,3 +508,111 @@ def test_joint_of_two_cells_checks_a_one_atom_position_margin():
     qs, ps = _husimi_lattice(GRID)
     with pytest.raises(AccuracyError, match=r"by TV 9\.704e-01 > 1\.0e-02"):
         joint_covariant_distribution(tau, state, qs, ps)
+
+
+# -- joint margin check: the smeared law's cdf at the window edges -------------
+
+def _lattice_law(rng, grid, axis, live):
+    # a law on every point of the axis lattice, positive on `live` random
+    # points only (so interior zeros unless live is the whole lattice)
+    points, _ = grid.lattice(axis)
+    weights = np.zeros(points.size)
+    weights[rng.choice(points.size, live, replace=False)] = rng.random(live)
+    return GridMeasure(points, weights / weights.sum())
+
+
+def _full_law_tv(masses, centers, window, law, smear, step):
+    return observables._binned_tv(masses, centers, window,
+                                  observables._lattice_convolve(law, smear,
+                                                                step))
+
+
+@pytest.mark.parametrize("axis", ["position", "momentum"])
+def test_edge_cdf_tv_matches_the_full_smeared_law(axis):
+    grid = GridSpec.symmetric(4.0, 64)
+    _, step = grid.lattice(axis)
+    rng = np.random.default_rng(7)
+    for live_law, live_smear in ((64, 64), (40, 9), (1, 30), (17, 1), (1, 1)):
+        law = _lattice_law(rng, grid, axis, live_law)
+        smear = _lattice_law(rng, grid, axis, live_smear)
+        for stride in (1, 2, 3, 4, 7):
+            # edges on atoms or on half-cells, by the parity of the stride
+            # and the offset; windows inside, straddling and past the
+            # support of the sum (which spans twice the lattice)
+            for offset in (0.0, 0.5):
+                for start in (-40, -3 * stride - 5, 20, 90, -200):
+                    k = np.arange(start, start + 9)
+                    centers = step * (offset + stride * k)
+                    masses = 0.9 * rng.dirichlet(np.ones(centers.size))
+                    got = observables._margin_tv(masses, centers,
+                                                 stride * step, law, smear,
+                                                 step)
+                    want = _full_law_tv(masses, centers, stride * step, law,
+                                        smear, step)
+                    assert abs(got - want) <= 1e-13
+
+
+def test_edge_cdf_tv_keeps_the_jump_of_two_one_atom_laws():
+    grid = GridSpec.symmetric(4.0, 64)
+    points, step = grid.lattice("position")
+    law = GridMeasure(points, np.eye(points.size)[40])
+    smear = GridMeasure(points, np.eye(points.size)[30])
+    # the one atom of the sum sits on the edge between the first two windows
+    at = points[40] + points[30]
+    centers = at + step * np.array([-0.5, 0.5, 1.5])
+    for masses, tv in (([1.0, 0.0, 0.0], 0.0), ([0.5, 0.5, 0.0], 0.5),
+                       ([0.0, 1.0, 0.0], 1.0)):
+        got = observables._margin_tv(np.array(masses), centers, step, law,
+                                     smear, step)
+        assert got == tv == _full_law_tv(np.array(masses), centers, step,
+                                         law, smear, step)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixture"])
+@pytest.mark.parametrize("hbar", [1.0, 2.5])
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, COVARIANT_GRID, SOLVER_GRID],
+                         ids=["default", "covariant", "solver"])
+def test_joint_margin_tvs_match_the_full_law_reference(grid, hbar, mixed):
+    tau, state = _lattice_case(grid, hbar, mixed)
+    for q_stride in range(1, 9):
+        qs, ps = _husimi_lattice(grid, hbar, q_half=6.0, p_half=5.0 * hbar,
+                                 q_stride=q_stride)
+        joint = joint_covariant_distribution(tau, state, qs, ps, hbar)
+        want = joint_margin_tv_reference(tau, state, joint, hbar)
+        assert abs(joint.q_marginal_tv - want[0]) <= 1e-13
+        assert abs(joint.p_marginal_tv - want[1]) <= 1e-13
+
+
+def test_joint_check_builds_no_smeared_margin(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the joint check convolved a margin")
+
+    monkeypatch.setattr(observables, "_lattice_convolve", fail)
+    monkeypatch.setattr(observables, "convolve", fail)
+    qs, ps = _husimi_lattice(GRID, q_half=8.0, p_half=8.0, q_stride=4)
+    joint = joint_covariant_distribution(_gauss(), _gauss(center=1.5), qs, ps)
+    assert max(joint.q_marginal_tv, joint.p_marginal_tv) < 1e-3
+
+
+# -- trivial devices ignore the state -------------------------------------------
+
+def test_trivial_device_computes_no_born_law(monkeypatch):
+    grid = GridSpec(-16.0, 0.0625, 512)
+    cfg = default_probe_config(grid, 0.1)
+    # a position-axis device shares the probe's position law (from_law);
+    # a momentum-axis one is asked for its law of the probe state
+    want = error_bar_width(TrivialObservable(point_mass(0.5), "position"),
+                           SharpPosition(), cfg, grid)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return momentum_distribution(*args)
+
+    monkeypatch.setattr(observables, "momentum_distribution", spy)
+    got = error_bar_width(TrivialObservable(point_mass(0.5), "momentum"),
+                          SharpPosition(), cfg, grid)
+    assert calls == []
+    assert (got.value, got.witness, got.trace) == (want.value, want.witness,
+                                                   want.trace)
+
