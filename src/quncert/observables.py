@@ -35,8 +35,9 @@ from .states import (GridSpec, State, _shift_cells, momentum_distribution,
 class Observable:
     """Base type: `from_law` maps the Born law on `axis` to the outcome law.
 
-    A state-independent device (`TrivialObservable`) overrides
-    `distribution`, so no Born law is computed only to be dropped."""
+    A state-independent device (`TrivialObservable`) and a pushforward,
+    which maps its inner device's `distribution`, override `distribution`,
+    so no Born law is computed only to be dropped."""
 
     axis: str = "none"
 
@@ -102,6 +103,11 @@ class PushforwardObservable(Observable):
     def from_law(self, law: GridMeasure, grid: GridSpec, hbar: float) -> GridMeasure:
         return pushforward(self.inner.from_law(law, grid, hbar), self.map)
 
+    def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
+        """The inner outcome law mapped: a trivial inner device computes
+        no Born law."""
+        return pushforward(self.inner.distribution(state, hbar), self.map)
+
 
 @dataclass(frozen=True, eq=False)
 class Smeared(Observable):
@@ -153,7 +159,10 @@ def _lattice_convolve(a: GridMeasure, b: GridMeasure, step: float
 
     One slice-add per live atom of the sparser law (``a`` on a tie), over
     the live span of the other, in ascending order as `convolve` adds its
-    rows; zero-weight ends are trimmed as `convolve` trims them.
+    rows; zero-weight ends are trimmed as `convolve` trims them.  A Born
+    law's zeros are its weights below the round-off floor
+    (`states.position_distribution`, `states.momentum_distribution`), so
+    a state localized on the axis pays only for its live atoms.
     """
     live_a = np.nonzero(a.weights > 0.0)[0]
     live_b = np.nonzero(b.weights > 0.0)[0]
@@ -345,6 +354,8 @@ def joint_covariant_distribution(tau: State, state: State,
     p_idx = _lattice_indices(p_values, dp, -dp * (n // 2), "p")
     if p_idx[0] < 0 or p_idx[-1] >= n:
         raise DomainError("p values fall outside the momentum band")
+    # centered lattice index k reads the unshifted spectrum at k - n/2 mod n
+    fft_idx = (p_idx - n // 2) % n
     dq_step = float(q_values[1] - q_values[0])
     dp_step = float(p_values[1] - p_values[0])
     if (np.max(np.abs(np.diff(q_values) - dq_step)) > 1e-9
@@ -359,8 +370,8 @@ def joint_covariant_distribution(tau: State, state: State,
             for iq, cells in enumerate(q_cells):
                 overlap = np.conj(_shift_cells(phi.amplitudes, int(cells))) \
                     * psi.amplitudes
-                spectrum = np.fft.fftshift(np.fft.fft(overlap))
-                mass[iq] += w * scale * np.abs(spectrum[p_idx]) ** 2
+                spectrum = np.fft.fft(overlap)
+                mass[iq] += w * scale * np.abs(spectrum[fft_idx]) ** 2
 
     tv_q, tv_p = (
         _margin_tv(masses, values, window, Sharp(axis).distribution(state, hbar),

@@ -319,6 +319,55 @@ def joint_margin_tv_reference(tau, state, joint, hbar: float = 1.0):
     return tuple(tvs)
 
 
+def born_law_reference(state, axis: str, hbar: float = 1.0) -> GridMeasure:
+    """Born law of axis with no round-off floor: the component-weighted
+    squared amplitudes (position) or squared shifted-FFT amplitudes scaled
+    by dx^2 / (2 pi hbar) (momentum), times the lattice step, divided by
+    their sum, every lattice point an atom."""
+    grid = state.grid
+    points, step = grid.lattice(axis, hbar)
+    acc = np.zeros(grid.n)
+    scale = grid.dx ** 2 / (2.0 * math.pi * hbar)
+    for w, wf in state.components:
+        if axis == "position":
+            acc += w * np.abs(wf.amplitudes) ** 2
+        else:
+            psihat = np.fft.fftshift(np.fft.fft(wf.amplitudes))
+            acc += w * scale * np.abs(psihat) ** 2
+    acc = acc * step
+    return GridMeasure(points, acc / float(np.sum(acc)))
+
+
+def joint_mass_reference(tau, state, q_values, p_values,
+                         hbar: float = 1.0) -> np.ndarray:
+    """Joint covariant masses read from the fftshift-ed spectrum: for each
+    q (a whole number of cells) and each pair of components, the generator
+    shifted by those cells with zeros shifted in, its conjugate times the
+    state, one FFT, shifted to the centered lattice and read at the
+    centered indices of p_values."""
+    grid = state.grid
+    dx, n = grid.dx, grid.n
+    dp = grid.momentum_step(hbar)
+    q_cells = np.round(np.asarray(q_values) / dx).astype(int)
+    p_idx = np.round((np.asarray(p_values) + dp * (n // 2)) / dp).astype(int)
+    scale = (dx * dx / (2.0 * math.pi * hbar)
+             * float(q_values[1] - q_values[0])
+             * float(p_values[1] - p_values[0]))
+    mass = np.zeros((len(q_values), len(p_values)))
+    for w_t, phi in tau.components:
+        for w_s, psi in state.components:
+            for iq, cells in enumerate(q_cells):
+                shifted = np.zeros_like(phi.amplitudes)
+                if cells >= 0:
+                    shifted[cells:] = phi.amplitudes[:n - cells]
+                else:
+                    shifted[:n + cells] = phi.amplitudes[-cells:]
+                spectrum = np.fft.fftshift(
+                    np.fft.fft(np.conj(shifted) * psi.amplitudes))
+                mass[iq] += w_t * w_s * scale * np.abs(spectrum[p_idx]) ** 2
+    return mass
+
+
 def csv_writer_reference(path, header, *columns) -> None:
     """Equal-length columns written by `csv.writer` (excel dialect), one
     row per index, each cell the Python number `tolist` gives."""

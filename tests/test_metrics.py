@@ -23,7 +23,8 @@ from quncert.observables import (CovariantMarginal, PushforwardObservable,
                                  SharpMomentum, SharpPosition, SmearedPosition,
                                  TrivialObservable, map_from_spec)
 from quncert.observables import Sharp, Smeared, SmearedMomentum
-from quncert.states import GridSpec, MixedState, make_box, make_gaussian
+from quncert.states import (DEFAULT_GRID, GridSpec, MixedState, make_box,
+                            make_gaussian, momentum_distribution)
 from quncert.states import test_ensemble as builtin_ensemble
 import oracles
 from quncert.exceptions import QuncertError
@@ -507,6 +508,19 @@ def test_probe_family_matches_counter_loop_oracle(grid):
                                  hbar) == expected
             raised += isinstance(expected[0], type)
     assert raised > 0
+
+
+def test_momentum_probe_laws_hold_exactly_their_window_atoms():
+    # the FFT round trip of a momentum probe leaves round-off below the
+    # Born floor on every other atom, so only the window is live
+    cfg = default_probe_config(DEFAULT_GRID, 0.1, "momentum")
+    for center in cfg.x_samples:
+        x, probes = _localized_probes(DEFAULT_GRID, center, cfg, "momentum",
+                                      1.0)
+        window = DEFAULT_GRID.window("momentum", x, cfg.delta)
+        for _, probe in probes:
+            live = momentum_distribution(probe).weights > 0.0
+            assert np.array_equal(live, window)
 
 
 def test_worst_near_tie_keeps_the_first_row_and_the_largest_value():

@@ -24,7 +24,7 @@ from quncert.states import (COVARIANT_GRID, DEFAULT_GRID, SOLVER_GRID,
 from quncert.states import test_ensemble as builtin_ensemble
 
 from oracles import (binned_tv_reference, joint_margin_tv_reference,
-                     tv_distance)
+                     joint_mass_reference, tv_distance)
 
 GRID = DEFAULT_GRID
 
@@ -583,6 +583,20 @@ def test_joint_margin_tvs_match_the_full_law_reference(grid, hbar, mixed):
         assert abs(joint.p_marginal_tv - want[1]) <= 1e-13
 
 
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixture"])
+@pytest.mark.parametrize("hbar", [1.0, 2.5])
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, COVARIANT_GRID, SOLVER_GRID],
+                         ids=["default", "covariant", "solver"])
+def test_joint_masses_match_the_shifted_spectrum_reference(grid, hbar, mixed):
+    tau, state = _lattice_case(grid, hbar, mixed)
+    for q_stride in range(1, 9):
+        qs, ps = _husimi_lattice(grid, hbar, q_half=6.0, p_half=5.0 * hbar,
+                                 q_stride=q_stride)
+        joint = joint_covariant_distribution(tau, state, qs, ps, hbar)
+        assert np.array_equal(joint.mass,
+                              joint_mass_reference(tau, state, qs, ps, hbar))
+
+
 def test_joint_check_builds_no_smeared_margin(monkeypatch):
     def fail(*args):
         raise AssertionError("the joint check convolved a margin")
@@ -595,6 +609,25 @@ def test_joint_check_builds_no_smeared_margin(monkeypatch):
 
 
 # -- trivial devices ignore the state -------------------------------------------
+
+def test_pushforward_of_a_trivial_device_computes_no_born_law(monkeypatch):
+    state = _gauss()
+    obs = PushforwardObservable(TrivialObservable(point_mass(0.5)),
+                                map_from_spec({"kind": "cos_shift",
+                                               "amplitude": 0.3}))
+    want = obs.from_law(position_distribution(state), state.grid, 1.0)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return position_distribution(*args)
+
+    monkeypatch.setattr(observables, "position_distribution", spy)
+    got = obs.distribution(state)
+    assert calls == []
+    assert np.array_equal(got.atoms, want.atoms)
+    assert np.array_equal(got.weights, want.weights)
+
 
 def test_trivial_device_computes_no_born_law(monkeypatch):
     grid = GridSpec(-16.0, 0.0625, 512)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from quncert import (ConvergenceError, DomainError, GridSpec,
@@ -164,6 +166,53 @@ def test_weyl_subcell_shift_moves_mean():
     q = 0.3 * GRID.dx
     moved = weyl_translate(wf, PhasePoint(q, 0.0), 1.0)
     assert position_distribution(moved).mean() == pytest.approx(q, abs=1e-6)
+
+
+@st.composite
+def born_cases(draw):
+    """(state, hbar) of a Gaussian, a two-part mixture of Gaussians or a
+    weyl translation of either (q need not be whole cells) on a grid of 16
+    to 256 points, centred on 0 or off-centre."""
+    n = draw(st.sampled_from([16, 32, 64, 128, 256]))
+    span = draw(st.floats(8.0, 48.0))
+    x0 = -0.5 * span + draw(st.sampled_from([0.0, 0.3, -0.45, 2.0])) * span
+    grid = GridSpec(x0, span / n, n)
+    hbar = draw(st.sampled_from([1.0, 2.5]))
+    mid = grid.around_midpoint("position", (0.0,))[0]
+    band = math.pi * hbar / grid.dx
+    # centres and shifts within span/16 of the midpoint and widths up to
+    # span/24 leave 9 widths to either grid edge, so no shift wraps mass
+
+    def gaussian():
+        sigma = draw(st.floats(grid.dx, max(grid.dx, span / 24.0)))
+        return make_gaussian(grid, mid + draw(st.floats(-1, 1)) * span / 16,
+                             draw(st.floats(-0.3, 0.3)) * band, sigma, hbar)
+
+    state = gaussian()
+    if draw(st.booleans()):
+        w = draw(st.floats(0.05, 0.95))
+        state = MixedState(((w, state), (1.0 - w, gaussian())))
+    if draw(st.booleans()):
+        state = weyl_translate(state, PhasePoint(
+            draw(st.floats(-1, 1)) * span / 16,
+            draw(st.floats(-0.3, 0.3)) * band), hbar)
+    return state, hbar
+
+
+@settings(max_examples=60, deadline=None)
+@given(born_cases(), st.sampled_from(["position", "momentum"]))
+def test_born_laws_drop_only_their_round_off_floor(case, axis):
+    state, hbar = case
+    law = (position_distribution(state) if axis == "position"
+           else momentum_distribution(state, hbar))
+    ref = oracles.born_law_reference(state, axis, hbar)
+    floor = 2.0 ** -90 * float(np.sum(ref.weights))
+    kept = law.weights > 0.0
+    assert np.array_equal(law.atoms, ref.atoms)
+    # every kept weight bit for bit, every weight below the floor cut
+    assert np.array_equal(law.weights[kept], ref.weights[kept])
+    assert np.array_equal(kept, ref.weights >= floor)
+    assert float(np.sum(ref.weights[~kept])) <= state.grid.n * floor
 
 
 def test_weyl_shift_out_of_range():
