@@ -143,8 +143,15 @@ def _grid_summary(grid: GridSpec) -> list:
 
 
 def _state_summary(state: State) -> dict:
+    """Component count, grid, and a digest of the component weights and
+    amplitudes, so that reports on different states differ."""
+    digest = hashlib.sha256()
+    for w, wf in state.components:
+        digest.update(np.float64(w).astype("<f8").tobytes())
+        digest.update(np.asarray(wf.amplitudes, dtype="<c16").tobytes())
     return {"components": len(state.components),
-            "grid": _grid_summary(state.grid)}
+            "grid": _grid_summary(state.grid),
+            "digest": digest.hexdigest()[:16]}
 
 
 # -- relation checks ------------------------------------------------------------------

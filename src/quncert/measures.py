@@ -8,6 +8,7 @@ pushforwards) operate on this representation.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import logging
 import math
@@ -30,10 +31,6 @@ _MASS_SLACK = 1e-12
 # Default cap on the number of output atoms a convolution may produce; it
 # also caps n_atoms of uniform_measure and gaussian_measure.
 DEFAULT_CONVOLVE_CAP = 4_000_000
-
-# Golden-section steps: a search stops at 16 ulps of the larger end of its
-# bracket, at most 2**50 times narrower than it started: under 75 steps.
-_GOLDEN_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -213,61 +210,63 @@ def gaussian_measure(mean: float, sigma: float, n_atoms: int = 801,
 
 # -- spread functionals -----------------------------------------------------
 
-def _golden_min(fun: Callable[[float], float], lo: float, hi: float,
-                xtol: float) -> float:
-    """Golden-section minimizer of a convex function on [lo, hi]; stops at a
-    bracket of xtol, or of 16 ulps of the larger end of [lo, hi] if wider
-    (a narrower bracket can fall below the float resolution)."""
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    tol = max(xtol, 16.0 * math.ulp(max(abs(a), abs(b))))
-    c = b - g * (b - a)
-    d = a + g * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(_GOLDEN_STEPS):
-        if (b - a) <= tol:
-            return 0.5 * (a + b)
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = fun(d)
-    raise InternalError(f"golden-section search exceeded {_GOLDEN_STEPS} steps")
+def _alpha_norm(d: np.ndarray, w: np.ndarray, alpha: float) -> float:
+    """(sum w |d|^alpha)^(1/alpha), alpha >= 1.  Where |d|**alpha could leave
+    the float range, d is scaled by 2**-e, 2**e just above max |d| where w > 0
+    (else the sum is bit-exact); a sum below the normal floats is a DomainError."""
+    d = np.where(w > 0.0, d, 0.0)  # entries without mass add exact zeros
+    e = math.frexp(float(np.max(np.abs(d))))[1]
+    e = e if alpha * abs(e) > 512.0 else 0
+    total = float(np.sum(w * np.abs(np.ldexp(d, -e)) ** alpha))
+    if total < sys.float_info.min and np.any(d):
+        raise DomainError(f"alpha {alpha:g} is too large: the moment underflows")
+    return math.ldexp(total ** (1.0 / alpha), e)
 
 
 def alpha_deviation(m: GridMeasure, alpha: float) -> float:
-    """Minimal alpha-th root of the alpha-th absolute moment about a point.
+    """min over y of (sum w |x - y|^alpha)^(1/alpha), for finite alpha >= 1.
 
-    Minimizes sum_i w_i |x_i - y|^alpha over y in [min atom, max atom] (the
-    objective is convex for alpha >= 1) and returns the alpha-th root of the
-    minimum.  For alpha = 2 this equals the standard deviation.
-
-    Where |x - y| ** alpha could leave the float range, the atoms are scaled
-    by 2**-e, with 2**e just above their span (elsewhere the sums stay
-    bit-exact); a minimum that still underflows to 0 raises DomainError.
+    At alpha = 1, y is the weighted median atom.  For alpha > 1 the slope
+    S(y) = sum w sign(y - x) |y - x|^(alpha - 1) increases: y is the first
+    live atom where S >= 0 up to rounding, if S is 0 there to rounding, or
+    else the root of S in the open cell below it, by Newton's method with
+    bisection (the mean at alpha = 2).  Atoms are scaled by 2**-e to a span
+    in [1/2, 1) and slope terms by the largest, so none leaves the floats.
     """
     if not (alpha >= 1.0) or not math.isfinite(alpha):
         raise DomainError("alpha must be a finite real >= 1")
-    if len(m) == 1:
-        return 0.0
-    e = math.frexp(float(m.atoms[-1] - m.atoms[0]))[1]
-    if alpha * abs(e) <= 512.0:
-        e = 0
-    atoms, w = np.ldexp(m.atoms, -e), m.weights
+    if alpha == 1.0 or m.support_lo == m.support_hi:  # the median minimizes
+        y = float(m.atoms[np.searchsorted(m._cum, 0.5 * m._cum[-1])])
+        return _alpha_norm(m.atoms - y, m.weights, alpha)
+    e = math.frexp(m.support_hi - m.support_lo)[1]
+    x, w = np.ldexp(m.atoms[m.weights > 0.0], -e), m.weights[m.weights > 0.0]
 
-    def objective(y: float) -> float:
-        return float(np.sum(w * np.abs(atoms - y) ** alpha))
+    def slope(y: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+        # S(y); r = 2**-40 sum |terms|, S is 0 to rounding where |S| <= r
+        d = y - x
+        q = np.abs(d)
+        p = w * (q / q.max()) ** (alpha - 1.0)
+        return float(np.sum(np.copysign(p, d))), float(np.sum(p)) / 2**40, p, q
 
-    # capped, as a scaled bracket is narrower than 1 and stops at once anyway
-    y_star = _golden_min(objective, float(atoms[0]), float(atoms[-1]),
-                         xtol=math.ldexp(1e-10, min(-e, 64)))
-    minimum = objective(y_star)
-    if minimum == 0.0 and m.support_lo < m.support_hi:
-        raise DomainError(f"alpha {alpha:g} is too large: the moment underflows")
-    return math.ldexp(minimum ** (1.0 / alpha), e)
+    # S + r < 0 at x[0], where no d is positive, and S >= 0 at x[-1]
+    k = bisect.bisect_left(range(len(x) - 1), True,
+                           key=lambda i: sum(slope(float(x[i]))[:2]) >= 0.0)
+    lo, hi, y = float(x[k - 1]), float(x[k]), float(x[k])
+    while True:
+        s, r, p, q = slope(y)
+        lo, hi = (y, hi) if s < 0.0 else (lo, y)
+        with np.errstate(all="ignore"):  # inf or nan at or by an atom
+            newton = float(y - s / ((alpha - 1.0) * np.sum(p / q)))
+        # stop where S is 0 to rounding, the step is below the float spacing,
+        # or [lo, hi] gains (by convexity) under the objective's rounding
+        if abs(s) <= r or newton == y or alpha * abs(s) * (hi - lo) \
+                <= 2.0 ** -52 * float(np.sum(p * q)):
+            break
+        y = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if not lo < y < hi:  # no float lies inside: the lower end wins
+            return min(_alpha_norm(m.atoms - math.ldexp(t, e), m.weights,
+                                   alpha) for t in (lo, hi))
+    return _alpha_norm(m.atoms - math.ldexp(y, e), m.weights, alpha)
 
 
 def std_deviation(m: GridMeasure) -> float:

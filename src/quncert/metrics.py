@@ -17,7 +17,8 @@ from typing import ClassVar, Iterable, Sequence
 import numpy as np
 
 from .exceptions import DomainError, InternalError
-from .measures import GridMeasure, overall_width, overall_width_interval
+from .measures import (GridMeasure, _alpha_norm, overall_width,
+                       overall_width_interval)
 from .observables import Observable, Sharp, Smeared, moment_stats
 from .states import GridSpec, State, WaveFunction, _axis_state, _cell_state
 from .transport import wasserstein
@@ -383,15 +384,16 @@ def observable_distance(first: Observable, second: Observable, alpha: float,
 
 def delta_alpha_smeared_closed_form(mu: GridMeasure, alpha: float) -> float:
     """Exact alpha-distance of a smeared sharp observable from its sharp
-    original: the alpha-norm of the smearing measure, (sum w |q|^alpha)^(1/alpha)."""
-    if not alpha >= 1.0:
-        raise DomainError("alpha must be >= 1")
-    return float(np.sum(mu.weights * np.abs(mu.atoms) ** alpha)) ** (1.0 / alpha)
+    original: the alpha-norm of the smearing measure, (sum w |q|^alpha)^(1/alpha),
+    for finite alpha >= 1."""
+    if not (alpha >= 1.0) or not math.isfinite(alpha):
+        raise DomainError("alpha must be a finite real >= 1")
+    return _alpha_norm(mu.atoms, mu.weights, alpha)
 
 
 def delta1_smeared_closed_form(mu: GridMeasure) -> float:
     """1-distance special case: mean absolute smearing offset, sum w |q|."""
-    return float(np.sum(mu.weights * np.abs(mu.atoms)))
+    return delta_alpha_smeared_closed_form(mu, 1.0)
 
 
 def pushforward_delta1_closed_form(g_sup: float) -> float:

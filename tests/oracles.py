@@ -39,6 +39,63 @@ def brute_alpha_deviation(atoms, weights, alpha: float) -> float:
     return best ** (1.0 / alpha)
 
 
+def scan_alpha_deviation(atoms, weights, alpha: float) -> float:
+    """Scan the anchor point over a dense grid between the extreme atoms
+    that carry mass and over the atoms themselves, then polish the best
+    point with SciPy's bounded scalar minimizer on the scan cells beside it;
+    the smaller value wins.  The atoms are mapped affinely onto [0, 1]
+    first, so no power leaves the float range."""
+    weights = np.asarray(weights, dtype=float)
+    atoms = np.asarray(atoms, dtype=float)[weights > 0.0]
+    weights = weights[weights > 0.0]
+    lo, hi = float(atoms.min()), float(atoms.max())
+    if lo == hi:
+        return 0.0
+    u = (atoms - lo) / (hi - lo)
+    ys = np.concatenate([np.linspace(0.0, 1.0, 4001), u])
+    vals = np.sum(weights[None, :]
+                  * np.abs(u[None, :] - ys[:, None]) ** alpha, axis=1)
+    y0 = float(ys[int(np.argmin(vals))])
+
+    def objective(t):
+        # the offset t from y0: SciPy's stop is relative to |t|, not |y|
+        return float(np.sum(weights * np.abs(u - (y0 + t)) ** alpha))
+
+    res = scipy.optimize.minimize_scalar(
+        objective, bounds=(max(-y0, -2.5e-4), min(1.0 - y0, 2.5e-4)),
+        method="bounded", options={"xatol": 1e-13})
+    best = min(float(vals.min()), float(res.fun))
+    return best ** (1.0 / alpha) * (hi - lo)
+
+
+def two_point_alpha_deviation(a: float, b: float, w1: float,
+                              alpha: float) -> float:
+    """alpha-deviation of w1 at a and 1 - w1 at b > a, alpha > 1, in closed
+    form: the minimizer solves w1 (y - a)^(alpha-1) = (1 - w1) (b - y)^(alpha-1),
+    and the minimum is summed in log space."""
+    ratio = ((1.0 - w1) / w1) ** (1.0 / (alpha - 1.0))
+    y = (a + ratio * b) / (1.0 + ratio)
+    logs = [math.log(w1) + alpha * math.log(y - a),
+            math.log(1.0 - w1) + alpha * math.log(b - y)]
+    return math.exp(float(scipy.special.logsumexp(logs)) / alpha)
+
+
+def log_alpha_norm(atoms, weights, alpha: float) -> float:
+    """(sum w |q|^alpha)^(1/alpha) from log w + alpha log |q| by logsumexp,
+    so no power leaves the float range; alpha = inf gives the largest |q|
+    that carries mass."""
+    atoms = np.asarray(atoms, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    keep = (weights > 0.0) & (atoms != 0.0)
+    if not keep.any():
+        return 0.0
+    q, w = np.abs(atoms[keep]), weights[keep]
+    if math.isinf(alpha):
+        return float(q.max())
+    log_sum = scipy.special.logsumexp(np.log(w) + alpha * np.log(q))
+    return math.exp(float(log_sum) / alpha)
+
+
 def brute_overall_width(atoms, weights, eps: float) -> float:
     """Minimum width over every atom-bracketed interval with mass >= 1-eps."""
     atoms = np.asarray(atoms, dtype=float)

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -393,6 +395,17 @@ class TestConnections:
             assert r.rhs <= 4.0 * GRID.dx
             assert r.passed
 
+    def test_distance_bound_at_large_alpha_is_finite(self):
+        mu = gaussian_measure(0.0, 1.0)
+        reports = verify_connections([SmearedPosition(mu)], GRID,
+                                     eps_values=(0.1,), alphas=(400.0,))
+        dist = next(r for r in reports
+                    if r.relation == "finite-distance-errorbar-bound")
+        want = (2.0 / 0.1 ** (1.0 / 400.0)
+                * oracles.log_alpha_norm(mu.atoms, mu.weights, 400.0))
+        assert dist.lhs == pytest.approx(want, rel=1e-13)
+        assert dist.passed
+
     def test_sharp_instance_rejected(self):
         with pytest.raises(DomainError):
             verify_connections([SharpPosition()], GRID)
@@ -548,6 +561,28 @@ def test_suite_relation_ids_in_order():
 def test_checks_agree_on_a_wavefunction_and_its_mixture_of_one(check):
     wf = make_gaussian(COV_GRID, 0.0, 0.0, 0.8)
     assert report_to_dict(check(wf)) == report_to_dict(check(MixedState.pure(wf)))
+
+
+def test_state_summaries_tell_states_apart():
+    narrow, wide = (make_gaussian(COV_GRID, 0.0, 0.0, sigma)
+                    for sigma in (0.7, 1.0))
+    for check in (lambda s: verify_preparation_ur(s, 2.0, 2.0),
+                  verify_noise_ur):
+        first, second = check(narrow), check(wide)
+        assert first.inputs != second.inputs
+        assert inputs_hash(first.inputs) != inputs_hash(second.inputs)
+    assert verify_noise_ur(narrow).inputs == \
+        verify_noise_ur(make_gaussian(COV_GRID, 0.0, 0.0, 0.7)).inputs
+
+
+def test_state_summary_bytes_repeat_across_processes():
+    argv = [sys.executable, "-m", "quncert.cli", "verify", "--relation",
+            "preparation", "--state", '{"family":"gaussian","sigma":0.7}']
+    runs = [subprocess.run(argv, capture_output=True, check=True).stdout
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+    default = subprocess.run(argv[:-2], capture_output=True, check=True)
+    assert default.stdout != runs[0]
 
 
 def test_demo_windows_count_both_edge_atoms():

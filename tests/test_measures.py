@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_measure
@@ -132,6 +134,65 @@ def test_alpha2_deviation_equals_std(rng):
         m = random_measure(rng)
         assert alpha_deviation(m, 2.0) == pytest.approx(std_deviation(m),
                                                         abs=1e-9)
+
+
+def test_alpha1_deviation_is_the_objective_at_the_weighted_median(rng):
+    for _ in range(200):
+        m = random_measure(rng, max_atoms=40, min_atoms=2)
+        half = 0.5 * math.fsum(m.weights)
+        cum = 0.0
+        for k, w in enumerate(m.weights):
+            cum += w
+            if cum >= half:
+                break
+        want = float(np.sum(m.weights * np.abs(m.atoms - m.atoms[k])))
+        assert alpha_deviation(m, 1.0) == want
+
+
+@st.composite
+def deviation_cases(draw):
+    """(measure, alpha): general laws with some zero weights, laws symmetric
+    about one of their atoms, and two-point laws; alpha in [1, 8]."""
+    kind = draw(st.sampled_from(["general", "symmetric", "two_point"]))
+    if kind == "general":
+        # subnormal atoms leave no float between them for the minimizer
+        finite = st.floats(-50.0, 50.0, allow_subnormal=False)
+        atoms = draw(st.lists(finite, min_size=2, max_size=30, unique=True))
+        weights = draw(st.lists(st.sampled_from([0.0, 0.01, 0.3, 1.0])
+                                | st.floats(1e-3, 1.0),
+                                min_size=len(atoms), max_size=len(atoms)))
+        if not any(weights):
+            weights[0] = 1.0
+    elif kind == "symmetric":
+        # dyadic offsets, so the mirror atoms c - o and c + o are exact
+        center = draw(st.integers(-20, 20)) / 4.0
+        offsets = draw(st.lists(st.integers(1, 200), min_size=1, max_size=10,
+                                unique=True))
+        side = draw(st.lists(st.floats(0.01, 1.0), min_size=len(offsets),
+                             max_size=len(offsets)))
+        atoms = [center] + [center + s * o / 8.0 for s in (-1.0, 1.0)
+                            for o in offsets]
+        weights = [draw(st.floats(0.01, 1.0))] + side + side
+    else:
+        lo = draw(st.floats(-50.0, 50.0, allow_subnormal=False))
+        atoms = [lo, lo + draw(st.floats(1e-3, 100.0))]
+        w1 = draw(st.floats(0.01, 0.99))
+        weights = [w1, 1.0 - w1]
+    m = sorted_measure(atoms, np.array(weights) / math.fsum(weights))
+    alpha = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, 8.0])
+                 | st.floats(1.0, 8.0))
+    return m, alpha
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(deviation_cases())
+def test_alpha_deviation_is_the_minimum_a_scan_and_scipy_find(case):
+    m, alpha = case
+    ours = alpha_deviation(m, alpha)
+    ref = oracles.scan_alpha_deviation(m.atoms, m.weights, alpha)
+    # never above what the oracle reaches, and a minimum it confirms
+    assert ours <= ref * (1.0 + 1e-12)
+    assert ours == pytest.approx(ref, rel=1e-9, abs=1e-300)
 
 
 def test_alpha_deviation_requires_alpha_ge_one():
@@ -510,14 +571,6 @@ def test_alpha_deviation_returns_far_from_the_origin():
     assert alpha_deviation(two_point(0.0, 2e6), 2.0) == pytest.approx(1e6, rel=1e-12)
 
 
-def test_golden_section_budget_is_a_backstop(monkeypatch):
-    import quncert.measures as measures
-    from quncert import InternalError
-    monkeypatch.setattr(measures, "_GOLDEN_STEPS", 5)
-    with pytest.raises(InternalError, match="golden-section"):
-        alpha_deviation(HALF_HALF, 2.0)
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spreads_at_extreme_magnitudes_stay_finite():
     wide = two_point(-1e200, 1e200)
@@ -529,6 +582,18 @@ def test_spreads_at_extreme_magnitudes_stay_finite():
                                                 rel=1e-12)
     with pytest.raises(DomainError, match="alpha 1e\\+300 is too large"):
         alpha_deviation(two_point(0.0, 2.0), 1e300)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_alpha_deviation_at_high_orders_matches_the_two_point_closed_form():
+    for w1 in (0.5, 0.3):
+        for alpha in (8.0, 100.0, 600.0, 1000.0):
+            want = oracles.two_point_alpha_deviation(-3.0, 5.0, w1, alpha)
+            assert alpha_deviation(two_point(-3.0, 5.0, w1), alpha) == \
+                pytest.approx(want, rel=1e-13)
+        # 0.5 ** 1070 lies below the normal floats
+        with pytest.raises(DomainError, match="alpha 1070 is too large"):
+            alpha_deviation(two_point(-3.0, 5.0, w1), 1070.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

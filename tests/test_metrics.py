@@ -22,11 +22,14 @@ from quncert.metrics import (ProbeConfig, WidthEstimate, bias, bias_free_error,
 from quncert.observables import (CovariantMarginal, PushforwardObservable,
                                  SharpMomentum, SharpPosition, SmearedPosition,
                                  TrivialObservable, map_from_spec)
-from quncert.observables import Sharp, Smeared, SmearedMomentum
-from quncert.states import (DEFAULT_GRID, GridSpec, MixedState, make_box,
-                            make_gaussian, momentum_distribution)
+from quncert.observables import (Sharp, Smeared, SmearedMomentum,
+                                 covariant_marginals)
+from quncert.states import (COVARIANT_GRID, DEFAULT_GRID, GridSpec,
+                            MixedState, make_box, make_gaussian,
+                            momentum_distribution)
 from quncert.states import test_ensemble as builtin_ensemble
 import oracles
+from conftest import random_measure
 from quncert.exceptions import QuncertError
 from quncert.metrics import _PROBE_KINDS, _localized_probes, _worst
 from quncert.metrics import divergence_cutoff
@@ -132,6 +135,35 @@ def test_delta_alpha_closed_form():
     assert abs(delta_alpha_smeared_closed_form(point_mass(0.3), 2.0) - 0.3) < 1e-12
     with pytest.raises(DomainError):
         delta_alpha_smeared_closed_form(mu, 0.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_delta_alpha_closed_form_at_large_alpha_matches_log_space():
+    cases = [(gaussian_measure(0.0, 1.0), 400.0),
+             (two_point(-1e-3, 1e-3), 400.0),
+             (two_point(-3.0, 5.0, 0.5), 400.0)]
+    tau = make_gaussian(COVARIANT_GRID, 0.0, 0.0, 1.0)
+    # the Born floor leaves exact zeros at |q| ** 200 beyond the float range
+    cases += [(mu, 200.0) for mu in covariant_marginals(tau)]
+    for mu, alpha in cases:
+        got = delta_alpha_smeared_closed_form(mu, alpha)
+        assert math.isfinite(got) and got > 0.0
+        want = oracles.log_alpha_norm(mu.atoms, mu.weights, alpha)
+        assert got == pytest.approx(want, rel=1e-13)
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite"):
+            delta_alpha_smeared_closed_form(two_point(-3.0, 5.0, 0.5), alpha)
+
+
+def test_delta_alpha_closed_form_is_the_plain_sum_where_nothing_scales(rng):
+    for _ in range(50):
+        mu = random_measure(rng, max_atoms=40)
+        plain = float(np.sum(mu.weights * np.abs(mu.atoms)))
+        assert delta1_smeared_closed_form(mu) == plain
+        for alpha in (1.0, 1.5, 2.0, 3.0, 8.0):
+            want = float(np.sum(mu.weights * np.abs(mu.atoms) ** alpha)) \
+                ** (1.0 / alpha)
+            assert delta_alpha_smeared_closed_form(mu, alpha) == want
 
 
 def test_pushforward_delta1_closed_form():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -181,7 +181,8 @@ def born_cases(draw):
     mid = grid.around_midpoint("position", (0.0,))[0]
     band = math.pi * hbar / grid.dx
     # centres and shifts within span/16 of the midpoint and widths up to
-    # span/24 leave 9 widths to either grid edge, so no shift wraps mass
+    # span/24 leave 9 widths to either grid edge, so no shift wraps mass;
+    # on 16 points the width floor dx is span/16, and a shift can wrap
 
     def gaussian():
         sigma = draw(st.floats(grid.dx, max(grid.dx, span / 24.0)))
@@ -193,9 +194,12 @@ def born_cases(draw):
         w = draw(st.floats(0.05, 0.95))
         state = MixedState(((w, state), (1.0 - w, gaussian())))
     if draw(st.booleans()):
-        state = weyl_translate(state, PhasePoint(
-            draw(st.floats(-1, 1)) * span / 16,
-            draw(st.floats(-0.3, 0.3)) * band), hbar)
+        shift = PhasePoint(draw(st.floats(-1, 1)) * span / 16,
+                           draw(st.floats(-0.3, 0.3)) * band)
+        try:
+            state = weyl_translate(state, shift, hbar)
+        except DomainError:  # the shift would wrap mass past an edge
+            reject()
     return state, hbar
 
 

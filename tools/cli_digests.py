@@ -144,6 +144,13 @@ def runs() -> list[tuple[dict, list[str]]]:
                              "--observable", json.dumps(obs, sort_keys=True),
                              "--target", json.dumps(target, sort_keys=True),
                              "--delta", "0.5", GRID]))
+    # alpha-deviations whose minimizer sits on an atom of a symmetric law,
+    # and one of a two-point law at a high order
+    symmetric = {"atoms": [-1.5, -0.5, 0.0, 0.5, 1.5],
+                 "weights": [0.1, 0.2, 0.4, 0.2, 0.1]}
+    out += [({}, ["measure", json.dumps(symmetric), "--alpha", alpha])
+            for alpha in ("1.5", "3")]
+    out.append(({}, ["measure", json.dumps(TWO_POINT), "--alpha", "8"]))
     # measure and wasserstein reject --grid and --hbar, which they never read
     out += [({}, ["measure", json.dumps(GAUSS), GRID]),
             ({}, ["wasserstein", json.dumps(GAUSS), json.dumps(POINT),
