@@ -13,6 +13,7 @@ import csv
 import logging
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from types import GenericAlias
 from typing import Callable, Sequence
@@ -212,15 +213,15 @@ def gaussian_measure(mean: float, sigma: float, n_atoms: int = 801,
 
 def _alpha_norm(d: np.ndarray, w: np.ndarray, alpha: float) -> float:
     """(sum w |d|^alpha)^(1/alpha), alpha >= 1.  Where |d|**alpha could leave
-    the float range, d is scaled by 2**-e, 2**e just above max |d| where w > 0
-    (else the sum is bit-exact); a sum below the normal floats is a DomainError."""
-    d = np.where(w > 0.0, d, 0.0)  # entries without mass add exact zeros
-    e = math.frexp(float(np.max(np.abs(d))))[1]
-    e = e if alpha * abs(e) > 512.0 else 0
-    total = float(np.sum(w * np.abs(np.ldexp(d, -e)) ** alpha))
+    the float range, |d| is divided by its largest value s where w > 0 (else
+    s = 1, and the sum is bit-exact); a sum below the normal floats is a DomainError."""
+    d = np.abs(np.where(w > 0.0, d, 0.0))  # entries without mass add zeros
+    s = float(np.max(d))
+    s = s if alpha * abs(math.frexp(s)[1]) > 512.0 else 1.0
+    total = float(np.sum(w * (d / s) ** alpha))
     if total < sys.float_info.min and np.any(d):
         raise DomainError(f"alpha {alpha:g} is too large: the moment underflows")
-    return math.ldexp(total ** (1.0 / alpha), e)
+    return s * total ** (1.0 / alpha)
 
 
 def alpha_deviation(m: GridMeasure, alpha: float) -> float:
@@ -570,30 +571,52 @@ def _write_csv(path: str, header: Sequence[str], *columns: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for k in range(0, len(columns[0]), _CSV_BLOCK):
-            cells = [map(repr, c[k:k + _CSV_BLOCK].tolist()) for c in columns]
-            fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
+            cells = [list(map(repr, c[k:k + _CSV_BLOCK].tolist())) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _loadtxt(fh, reader, k: int) -> np.ndarray | None:
+    """The rest of fh as `np.loadtxt` parses it; None, with reader back after
+    the header, where NumPy cannot or warns (as on no rows), or on a pipe."""
+    if fh.seekable():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return np.loadtxt(fh, delimiter=",", usecols=range(k), comments=None,
+                                  quotechar='"', ndmin=2, dtype=float).T
+        except (ValueError, Warning):
+            fh.seek(0)
+            next(reader)
+    return None
 
 
 def _read_csv(path: str, header: Sequence[str], what: str) -> np.ndarray:
     """One float column per header name of a CSV table whose first row
     starts with header.  Blank rows are skipped; a shorter row, or a cell
-    that is not a finite number, is rejected; further cells are ignored."""
+    that is not a finite number, is rejected; further cells are ignored.
+    NumPy reads the rows where it can; the `csv` loop below is the rules,
+    and it reads every table NumPy does not."""
     k = len(header)
     cells: list[float] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise DomainError(f"{path}: empty {what} file")
-        if [c.strip().lower() for c in first[:k]] != list(header):
-            raise DomainError(f"{path}: expected header '{','.join(header)}'")
-        for row in reader:
-            if row and (len(row) > 1 or row[0].strip()):
-                try:
-                    cells.extend([float(row[i]) for i in range(k)])
-                except (ValueError, IndexError):
-                    raise DomainError(f"{path}: malformed row {row!r}") from None
-    table = np.array(cells, dtype=float).reshape(-1, k).T
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise DomainError(f"{path}: empty {what} file")
+            if [c.strip().lower() for c in first[:k]] != list(header):
+                raise DomainError(f"{path}: expected header '{','.join(header)}'")
+            table = _loadtxt(fh, reader, k)
+            for row in reader if table is None else ():
+                if row and (len(row) > 1 or row[0].strip()):
+                    try:
+                        cells.extend([float(row[i]) for i in range(k)])
+                    except (ValueError, IndexError):
+                        raise DomainError(f"{path}: malformed row {row!r}") from None
+        except csv.Error as exc:  # as a cell beyond csv's field size limit
+            raise DomainError(f"{path}: {exc}") from None
+    if table is None:
+        table = np.array(cells, dtype=float).reshape(-1, k).T
     if not np.all(np.isfinite(table)):
         raise DomainError(f"{path}: values must be finite")
     return table

@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.optimize
 import scipy.special
 
-from quncert import GridMeasure
+from quncert import DomainError, GridMeasure
 
 
 def brute_alpha_deviation(atoms, weights, alpha: float) -> float:
@@ -432,6 +432,32 @@ def csv_writer_reference(path, header, *columns) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(zip(*(c.tolist() for c in columns)))
+
+
+def read_csv_reference(path, header, what) -> np.ndarray:
+    """One float column per header name, every row parsed by `csv.reader`
+    and `float`: the first row must start with header (case and spaces
+    ignored), blank rows are skipped, a shorter row or a cell that is not a
+    finite number is a DomainError, further cells are ignored."""
+    k = len(header)
+    cells: list[float] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise DomainError(f"{path}: empty {what} file")
+        if [c.strip().lower() for c in first[:k]] != list(header):
+            raise DomainError(f"{path}: expected header '{','.join(header)}'")
+        for row in reader:
+            if row and (len(row) > 1 or row[0].strip()):
+                try:
+                    cells.extend([float(row[i]) for i in range(k)])
+                except (ValueError, IndexError):
+                    raise DomainError(f"{path}: malformed row {row!r}") from None
+    table = np.array(cells, dtype=float).reshape(-1, k).T
+    if not np.all(np.isfinite(table)):
+        raise DomainError(f"{path}: values must be finite")
+    return table
 
 
 def dual_ascent_reference(m1, m2, alpha: float):

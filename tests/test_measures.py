@@ -16,6 +16,7 @@ from quncert import (BoundedRangeMap, BoundedShiftMap, DomainError,
                      translate, two_point, uniform_measure)
 from quncert import ResourceError
 from quncert.measures import DEFAULT_CONVOLVE_CAP, _write_csv
+from quncert.metrics import delta_alpha_smeared_closed_form
 from quncert.states import GridSpec, make_gaussian, save_wavefunction_csv
 from quncert.transport import optimal_coupling_lp, save_coupling_csv
 
@@ -580,20 +581,38 @@ def test_spreads_at_extreme_magnitudes_stay_finite():
     huge = uniform_measure(0.0, 1e308, 3)
     assert std_deviation(huge) == pytest.approx(0.5e308 * math.sqrt(2.0 / 3.0),
                                                 rel=1e-12)
-    with pytest.raises(DomainError, match="alpha 1e\\+300 is too large"):
-        alpha_deviation(two_point(0.0, 2.0), 1e300)
+    # |d| / max |d| keeps the largest term: the norm tends to the half-span
+    assert alpha_deviation(two_point(0.0, 2.0), 1e300) == 1.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_alpha_deviation_at_high_orders_matches_the_two_point_closed_form():
     for w1 in (0.5, 0.3):
-        for alpha in (8.0, 100.0, 600.0, 1000.0):
+        # from about 1,025 on, a power-of-two scaling made the sum subnormal
+        for alpha in (8.0, 100.0, 600.0, 1000.0, 1070.0, 5000.0):
             want = oracles.two_point_alpha_deviation(-3.0, 5.0, w1, alpha)
             assert alpha_deviation(two_point(-3.0, 5.0, w1), alpha) == \
                 pytest.approx(want, rel=1e-13)
-        # 0.5 ** 1070 lies below the normal floats
-        with pytest.raises(DomainError, match="alpha 1070 is too large"):
-            alpha_deviation(two_point(-3.0, 5.0, w1), 1070.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_alpha_norms_beyond_a_power_of_two_scaling_match_log_space():
+    # scaled by a power of two, the sums of two_point(-3, 5, 0.3) left the
+    # normal floats from alpha 1,025 (deviation) and 1,510 (closed form)
+    symmetric = sorted_measure([-1.5, -0.5, 0.0, 0.5, 1.5],
+                               [0.1, 0.2, 0.4, 0.2, 0.1])
+    for alpha in (1025.0, 1510.0, 2000.0, 3333.0, 5000.0):
+        for w1 in (0.3, 0.5, 0.9):
+            m = two_point(-3.0, 5.0, w1)
+            ratio = ((1.0 - w1) / w1) ** (1.0 / (alpha - 1.0))
+            y = (-3.0 + ratio * 5.0) / (1.0 + ratio)  # the minimizer
+            want = oracles.log_alpha_norm(m.atoms - y, m.weights, alpha)
+            assert alpha_deviation(m, alpha) == pytest.approx(want, rel=1e-13)
+            want = oracles.log_alpha_norm(m.atoms, m.weights, alpha)
+            assert delta_alpha_smeared_closed_form(m, alpha) == \
+                pytest.approx(want, rel=1e-13)
+        want = oracles.log_alpha_norm(symmetric.atoms, symmetric.weights, alpha)
+        assert alpha_deviation(symmetric, alpha) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,16 +1,23 @@
 """The typed spec reader and the CSV table codec at the input boundary."""
 
 import json
+import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from quncert import (DomainError, GridSpec, map_from_spec, measure_from_spec,
                      observable_from_spec, state_from_spec)
+from quncert import measures
 from quncert.cli import main
-from quncert.measures import (_MEASURE_FAMILIES,
+from quncert.measures import (_MEASURE_FAMILIES, _read_csv,
                               load_measure_csv, save_measure_csv,
                               sorted_measure)
 from quncert.observables import _MAP_KINDS, _OBSERVABLE_KINDS
@@ -206,6 +213,158 @@ def test_table_reader_rules(tmp_path):
     path.write_text("x,re\n0,1\n")
     with pytest.raises(DomainError, match="expected header 'x,re,im'"):
         load_wavefunction_csv(str(path))
+
+
+# cells that either reader might take differently: spaces, quotes, digits
+# that only Python's float reads, C-style numbers, NUL and non-finite values
+_ODD_CELLS = ["", "  ", " 7 ", "\t-1\t", "1\xa0", "+.5", "-0", "1_0", "١٢",
+              "٣.٥", "0x10", "1e", ".", "#", "#1", "\x00", "1\x00", "inf",
+              "-Infinity", "nan", "1e400", "-1e-400", "abc", '1"5"', '"',
+              '"1.5"', '""', '"1"""', '"1\n"', '" 2\r\n"', '"\r"', '"x,y"',
+              '"1"2', ' "1"', '"1" ', "\x85", " ", "é" * 40]
+_NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.floats(-1e3, 1e3).map(lambda x: f" {x:.6g} "),
+    st.floats(-1e3, 1e3).map(lambda x: f'"{x!r}"'))
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+_TABLES = {"measure": ("x", "w"), "state": ("x", "re", "im")}
+
+
+@st.composite
+def _csv_texts(draw):
+    """A header and up to 8 rows of numbers with up to two extra cells, each
+    row ending in a drawn line end, the last one sometimes in none.  Three
+    tables in four then get one to three odd cells or extra rows (blank, of
+    spaces, short, or holding an odd cell), and one in eight a wrong header."""
+    what = draw(st.sampled_from(sorted(_TABLES)))
+    header = _TABLES[what]
+    n = len(header)
+    heads = [",".join(header), " X , " + ",".join(header[1:]) + " ,note"]
+    rows = [draw(st.lists(_NUMBER_CELLS, min_size=k, max_size=k))
+            for k in draw(st.lists(st.integers(n, n + 2), max_size=8))]
+    messy = draw(st.integers(0, 7))
+    if messy == 7:
+        heads = [",".join(header[:-1]), ""]
+    for _ in range(messy // 2):
+        i = draw(st.integers(0, len(rows)))
+        odd = draw(st.sampled_from(_ODD_CELLS))
+        if i < len(rows) and rows[i] and draw(st.booleans()):
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = odd
+        else:
+            rows.insert(i, draw(st.sampled_from(
+                [[], ["  "], [odd], ["1", odd], ["1", "2", odd], ["1"] * (n - 1)])))
+    lines = [draw(st.sampled_from(heads)), *map(",".join, rows)]
+    text = "".join(line + draw(_LINE_ENDS) for line in lines)
+    return what, header, text[:len(text) - draw(st.integers(0, 1))]
+
+
+def _outcome(read, path, header, what):
+    try:
+        table = read(path, header, what)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+    return table.shape, table.tobytes()
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(_csv_texts())
+def test_table_reader_matches_the_csv_loop(tmp_path_factory, case):
+    what, header, text = case
+    path = str(tmp_path_factory.getbasetemp() / "table.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(_read_csv, path, header, what) == \
+            _outcome(oracles.read_csv_reference, path, header, what)
+
+
+@pytest.mark.parametrize("body,numpy", [
+    ("x,w\r\n0.5,1.0\r\n1.5,3.0\r\n", True),
+    (" X , w ,note\n0.5,1,a\n1.5,3\r", True),
+    ("x,w\n0.5,1\n  \n1.5,3\n", False),
+    ('x,w\n"1_0",1\n1.5e1,3\n', False),
+])
+def test_numpy_reads_the_tables_it_can(tmp_path, monkeypatch, body, numpy):
+    parsed, real = [], measures._loadtxt
+
+    def spy(*args):
+        table = real(*args)
+        parsed.append(table is not None)
+        return table
+
+    monkeypatch.setattr(measures, "_loadtxt", spy)
+    path = tmp_path / "m.csv"
+    path.write_bytes(body.encode())
+    table = _read_csv(str(path), ("x", "w"), "measure")
+    assert parsed == [numpy]
+    assert table.tobytes() == oracles.read_csv_reference(
+        str(path), ("x", "w"), "measure").tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_messy_table_from_a_pipe_loads():
+    # a pipe cannot be read twice: the csv loop reads it, not NumPy first
+    body = "x,w\r1_0,1\r  \r20,3\r"
+    read_fd, write_fd = os.pipe()
+    with os.fdopen(write_fd, "w") as fh:
+        fh.write(body)
+    try:
+        table = _read_csv(f"/dev/fd/{read_fd}", ("x", "w"), "measure")
+    finally:
+        os.close(read_fd)
+    assert table.tolist() == [[10.0, 20.0], [1.0, 3.0]]
+
+
+def test_extra_cells_are_ignored_whatever_their_length(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("x,w,note\n0.0,1," + "a" * 200_000 + "\n1.0,3\n")
+    m = load_measure_csv(str(path))
+    assert m.atoms.tolist() == [0.0, 1.0] and m.weights.tolist() == [0.25, 0.75]
+
+
+@pytest.mark.parametrize("body", ["x,w\n" + "1" * 200_000 + "\n",
+                                  "x,w\n0,1\n1,2,3\n" + "9" * 200_000 + "\n",
+                                  "x,w," + "h" * 200_000 + "\n0,1\n"])
+def test_a_cell_beyond_the_csv_field_limit_is_a_domain_error(tmp_path, body):
+    # csv reads the header and the tables NumPy cannot, as a short row;
+    # its field limit is 131,072 characters
+    path = tmp_path / "m.csv"
+    path.write_text(body)
+    with pytest.raises(DomainError, match="field larger than field limit"):
+        load_measure_csv(str(path))
+
+
+def test_a_huge_cell_in_a_short_row_exits_2_without_traceback(tmp_path):
+    big, ok = tmp_path / "big.csv", tmp_path / "ok.csv"
+    big.write_text("x,w,note\n0,1\n" + "2" * 200_000 + "\n")
+    ok.write_text("x,w\n0,1\n")
+    run = subprocess.run([sys.executable, "-m", "quncert.cli", "wasserstein",
+                          str(big), str(ok)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2, run.stderr
+    assert "DomainError" in run.stderr and "field limit" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("body,load,message", [
+    ("x,w\n", load_measure_csv, "no atoms"),
+    ("x,re,im\r\n\r\n", load_wavefunction_csv, "too few samples"),
+])
+def test_empty_tables_raise_without_a_warning(tmp_path, body, load, message):
+    path = tmp_path / "t.csv"
+    path.write_bytes(body.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            load(str(path))
+    command = "measure" if load is load_measure_csv else "state"
+    run = subprocess.run([sys.executable, "-m", "quncert.cli", command,
+                          str(path)], capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 2
+    assert run.stderr.count("\n") == 1 and message in run.stderr, run.stderr
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

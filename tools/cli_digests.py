@@ -5,9 +5,11 @@ line: the sha256 of its stdout, stderr, exit code and the files it wrote,
 then the run's label (its QUNCERT_* settings and argv).  A run names the
 files it writes under the placeholder directory $OUT, which stands for a
 fresh temporary directory per run; its path reads as $OUT again in the
-hashed output and the label, so two checkouts diff cleanly.  Two checkouts
-behave the same on the set exactly when their outputs are equal, so a
-refactor is checked with
+hashed output and the label, so two checkouts diff cleanly.  Runs that
+read CSV tables name them under $IN, one directory that this script fills
+from `tables()` before the first run and that reads as $IN in the same
+way.  Two checkouts behave the same on the set exactly when their outputs
+are equal, so a refactor is checked with
 
     PYTHONPATH=src python3 tools/cli_digests.py > after.txt
     PYTHONPATH=/path/to/other/checkout/src python3 tools/cli_digests.py > before.txt
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,6 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 GRID = "--grid=-16,0.0625,512"
 OUT = "$OUT"
+IN = "$IN"
 POINT = {"family": "point", "at": 0.5}
 GAUSS = {"family": "gaussian", "mean": 0.0, "sigma": 1.0}
 TWO_POINT = {"family": "two_point", "x1": -1.0, "x2": 2.0, "w1": 0.3}
@@ -56,6 +60,37 @@ FUNCTIONALS = ("distance", "error-bar", "bias-free", "bias", "resolution",
                "noise")
 RELATIONS = ("preparation", "overall-width", "covariant-error",
              "covariant-resolution", "metric", "noise", "connections")
+
+
+def tables() -> dict[str, str]:
+    """The CSV tables that runs read, by file name: saved in the writer's
+    format, messy but valid, malformed, and with a cell beyond csv's field
+    limit in a short row and in an extra column."""
+    xs = [(i - 100) / 25.0 for i in range(201)]
+    ws = [math.exp(-0.5 * x * x) for x in xs]
+    saved_measure = "x,w\r\n" + "".join(
+        f"{x!r},{w / sum(ws)!r}\r\n" for x, w in zip(xs, ws))
+    xs = [-8.0 + i / 16.0 for i in range(256)]
+    saved_state = "x,re,im\r\n" + "".join(
+        f"{x!r},{math.exp(-0.5 * x * x)!r},{0.3 * x * math.exp(-0.5 * x * x)!r}\r\n"
+        for x in xs)
+    return {
+        "saved-measure.csv": saved_measure,
+        "saved-state.csv": saved_state,
+        # bare-CR line ends, blank and space rows, quoted cells, 1_0 and
+        # extra cells
+        "messy-measure.csv": "\r".join([
+            " X , w ,note", "", "-1.5,1,a", "   ", '"0.0","2","one, two"',
+            '2.5, 0.5 ,"two\r\nlines"', "", "1_0,1", ""]),
+        "messy-state.csv": "\r".join([
+            "x,re,IM ", "-4,0,0", "-3,0.1,0", "  ", '"-2",0.5,"0",x',
+            "-1,1_0,0.25", "", '0," 0.5 ",0', "1,0.1,0,,", "2,0,0.1", "3,0,0",
+            ""]),
+        "malformed-measure.csv": "x,w\r\n0,1\r\n1\r\n",
+        "malformed-state.csv": "x,re,im\n0,1,0\n1,one,0\n2,1,0\n3,1,0\n",
+        "long-short-row.csv": "x,w,note\n0,1\n" + "2" * 200_000 + "\n",
+        "long-extra-cell.csv": "x,w,note\n0,1," + "a" * 200_000 + "\n1,3\n",
+    }
 
 
 def runs() -> list[tuple[dict, list[str]]]:
@@ -190,18 +225,43 @@ def runs() -> list[tuple[dict, list[str]]]:
     out.append(({}, ["verify", "--suite", "all", "--relation", "noise"]))
     # a flag's value given as its own argument before the mode
     out.append(({}, ["metric", "--observable", spec, "resolution", GRID]))
+    # tables read back: measures (also as a file spec and as a smearing),
+    # states, and inputs that exit 2
+    out += [({}, ["measure", f"{IN}/{name}-measure.csv"])
+            for name in ("saved", "messy", "malformed")]
+    out += [({}, ["state", f"{IN}/{name}-state.csv", "--save-wavefunction",
+                  f"{OUT}/wavefunction.csv"])
+            for name in ("saved", "messy", "malformed")]
+    saved = {"family": "file", "path": f"{IN}/saved-measure.csv"}
+    out += [({}, ["wasserstein", f"{IN}/messy-measure.csv", json.dumps(saved),
+                  "--alpha", "2"]),
+            ({}, ["metric", "distance", "--observable", json.dumps(
+                {"kind": "smeared_position", "measure": saved}), GRID]),
+            ({}, ["verify", "--relation", "preparation", "--state", json.dumps(
+                {"family": "file", "path": f"{IN}/saved-state.csv"})])]
+    # a cell beyond csv's field limit: exit 2 in a short row, ignored in an
+    # extra column; an alpha-deviation whose sum, scaled by a power of two,
+    # would leave the normal floats
+    out += [({}, ["wasserstein", f"{IN}/long-{name}.csv",
+                  f"{IN}/saved-measure.csv"])
+            for name in ("short-row", "extra-cell")]
+    out.append(({}, ["measure", json.dumps(
+        {"family": "two_point", "x1": -3.0, "x2": 5.0, "w1": 0.3}),
+        "--alpha", "1100"]))
     return out
 
 
-def digest(env_vars: dict, argv: list[str]) -> str:
+def digest(env_vars: dict, argv: list[str], tables_dir: str) -> str:
     env = {k: v for k, v in os.environ.items() if not k.startswith("QUNCERT_")}
     env.update(env_vars)
     with tempfile.TemporaryDirectory() as tmp:
         proc = subprocess.run([sys.executable, "-m", "quncert.cli",
-                               *(a.replace(OUT, tmp) for a in argv)],
+                               *(a.replace(OUT, tmp).replace(IN, tables_dir)
+                                 for a in argv)],
                               capture_output=True, env=env, timeout=600)
         parts = [proc.stdout, proc.stderr, str(proc.returncode).encode()]
-        parts = [p.replace(tmp.encode(), OUT.encode()) for p in parts]
+        parts = [p.replace(tmp.encode(), OUT.encode())
+                 .replace(tables_dir.encode(), IN.encode()) for p in parts]
         for name in sorted(os.listdir(tmp)):
             with open(os.path.join(tmp, name), "rb") as fh:
                 parts += [name.encode(), fh.read()]
@@ -213,8 +273,12 @@ def digest(env_vars: dict, argv: list[str]) -> str:
 
 
 def main() -> int:
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        lines = list(pool.map(lambda run: digest(*run), runs()))
+    with tempfile.TemporaryDirectory() as tables_dir, \
+            ThreadPoolExecutor(max_workers=2) as pool:
+        for name, text in tables().items():
+            with open(os.path.join(tables_dir, name), "w", newline="") as fh:
+                fh.write(text)
+        lines = list(pool.map(lambda run: digest(*run, tables_dir), runs()))
     print("\n".join(lines))
     return 0
 
