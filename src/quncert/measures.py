@@ -214,13 +214,17 @@ def gaussian_measure(mean: float, sigma: float, n_atoms: int = 801,
 def _alpha_norm(d: np.ndarray, w: np.ndarray, alpha: float) -> float:
     """(sum w |d|^alpha)^(1/alpha), alpha >= 1.  Where |d|**alpha could leave
     the float range, |d| is divided by its largest value s where w > 0 (else
-    s = 1, and the sum is bit-exact); a sum below the normal floats is a DomainError."""
+    s = 1, and the sum is bit-exact).  A sum below the normal floats, as when
+    the atom at s carries a subnormal weight, is taken in log space."""
     d = np.abs(np.where(w > 0.0, d, 0.0))  # entries without mass add zeros
     s = float(np.max(d))
     s = s if alpha * abs(math.frexp(s)[1]) > 512.0 else 1.0
     total = float(np.sum(w * (d / s) ** alpha))
     if total < sys.float_info.min and np.any(d):
-        raise DomainError(f"alpha {alpha:g} is too large: the moment underflows")
+        with np.errstate(divide="ignore"):  # log 0 at a zero weight or ratio
+            logs = np.log(w) + alpha * np.log(d / s)
+        top = float(np.max(logs))
+        return s * math.exp((top + math.log(float(np.sum(np.exp(logs - top))))) / alpha)
     return s * total ** (1.0 / alpha)
 
 
@@ -243,10 +247,20 @@ def alpha_deviation(m: GridMeasure, alpha: float) -> float:
     x, w = np.ldexp(m.atoms[m.weights > 0.0], -e), m.weights[m.weights > 0.0]
 
     def slope(y: float) -> tuple[float, float, np.ndarray, np.ndarray]:
-        # S(y); r = 2**-40 sum |terms|, S is 0 to rounding where |S| <= r
+        # S(y); r = 2**-40 sum |terms|, S is 0 to rounding where |S| <= r.
+        # Terms are lifted exactly by a power of two to a sum in [1/2, 1),
+        # or from logs where their sum falls below the normal floats (as at
+        # a subnormal weight), so that products with lengths keep their bits
         d = y - x
         q = np.abs(d)
         p = w * (q / q.max()) ** (alpha - 1.0)
+        total = float(np.sum(p))
+        if total < sys.float_info.min:
+            with np.errstate(divide="ignore"):  # log 0 at an atom
+                logs = np.log(w) + (alpha - 1.0) * np.log(q / q.max())
+            p = np.exp(logs - np.max(logs))
+        elif total < 0.5:
+            p = np.ldexp(p, -math.frexp(total)[1])
         return float(np.sum(np.copysign(p, d))), float(np.sum(p)) / 2**40, p, q
 
     # S + r < 0 at x[0], where no d is positive, and S >= 0 at x[-1]
@@ -592,8 +606,9 @@ def _loadtxt(fh, reader, k: int) -> np.ndarray | None:
 
 def _read_csv(path: str, header: Sequence[str], what: str) -> np.ndarray:
     """One float column per header name of a CSV table whose first row
-    starts with header.  Blank rows are skipped; a shorter row, or a cell
-    that is not a finite number, is rejected; further cells are ignored.
+    starts with header, after a byte-order mark if the file opens with one.
+    Blank rows are skipped; a shorter row, or a cell that is not a finite
+    number, is rejected; further cells are ignored.
     NumPy reads the rows where it can; the `csv` loop below is the rules,
     and it reads every table NumPy does not."""
     k = len(header)
@@ -604,6 +619,7 @@ def _read_csv(path: str, header: Sequence[str], what: str) -> np.ndarray:
             first = next(reader, None)
             if first is None:
                 raise DomainError(f"{path}: empty {what} file")
+            first[:1] = [c.removeprefix("\ufeff") for c in first[:1]]  # a UTF-8 BOM
             if [c.strip().lower() for c in first[:k]] != list(header):
                 raise DomainError(f"{path}: expected header '{','.join(header)}'")
             table = _loadtxt(fh, reader, k)

@@ -260,66 +260,30 @@ def _lattice_indices(values: np.ndarray, step: float, offset: float,
 _JOINT_TV_TOL = 1e-2
 
 
-def _window_edges(centers: np.ndarray, step: float) -> np.ndarray:
-    return np.concatenate([centers - 0.5 * step, [centers[-1] + 0.5 * step]])
-
-
-def _gap_tv(masses: np.ndarray, cdf_vals: np.ndarray) -> float:
-    # compare the reference masses binned by its cdf at the window edges
-    # against the lattice masses; reference mass outside the window and
-    # lattice mass short of 1 count as disagreement
+def _binned_tv(masses: np.ndarray, centers: np.ndarray, step: float,
+               ref: GridMeasure) -> float:
+    # TV between the lattice masses and ref binned into windows of the given
+    # step around the centers; ref mass outside the windows and lattice mass
+    # short of 1 count as disagreement.  Each atom of ref is spread over a
+    # cell of the minimum spacing, so an atom on a window edge splits in
+    # proportion; a single atom keeps its jump
+    half = 0.5 * ref.min_spacing() if len(ref) > 1 else 0.0
+    knots = np.stack([ref.atoms - half, ref.atoms + half], axis=1).ravel()
+    cum = np.repeat(np.concatenate([[0.0], np.cumsum(ref.weights)]), 2)[1:-1]
+    edges = np.concatenate([centers - 0.5 * step, [centers[-1] + 0.5 * step]])
+    cdf_vals = np.interp(edges, knots, cum)
     leftover = 1.0 - float(cdf_vals[-1] - cdf_vals[0])
     missing = max(0.0, 1.0 - float(np.sum(masses)))
     return 0.5 * (float(np.abs(np.diff(cdf_vals) - masses).sum())
                   + leftover + missing)
 
 
-def _binned_tv(masses: np.ndarray, centers: np.ndarray, step: float,
-               ref: GridMeasure) -> float:
-    # spread each atom over a cell of the minimum spacing, so an atom on a
-    # window edge splits in proportion; a single atom keeps its jump
-    half = 0.5 * ref.min_spacing() if len(ref) > 1 else 0.0
-    knots = np.stack([ref.atoms - half, ref.atoms + half], axis=1).ravel()
-    cum = np.repeat(np.concatenate([[0.0], np.cumsum(ref.weights)]), 2)[1:-1]
-    return _gap_tv(masses, np.interp(_window_edges(centers, step), knots, cum))
-
-
-def _smeared_edge_cdf(law: GridMeasure, smear: GridMeasure, step: float,
-                      edges: np.ndarray) -> np.ndarray:
-    """Mini-cell CDF of `_lattice_convolve(law, smear, step)` at edges on
-    the half-lattice of step, without building that law.
-
-    It is F(t) = sum_i law_i G(t - x_i), where G is the mini-cell CDF of
-    smear: B(j - 1) + b_j / 2 on its atom j and B(j) between atoms j and
-    j + 1 (B the cumulative sum of its weights b).  The edges share one
-    parity of half-steps, so F at edge index r (whole steps from the sum's
-    first atom) is one correlation of the law's weights with that half of
-    G, over the span of the edges clipped to where F is neither 0 nor full.
-    """
-    a, b = law.weights, smear.weights
-    n, m = a.size, b.size
-    half_steps = np.rint(2.0 * (edges - law.atoms[0] - smear.atoms[0]) / step)
-    parity = int(half_steps[0]) & 1
-    r = np.clip((half_steps.astype(int) - parity) // 2, -1, n + m - 1)
-    lo, hi = int(r[0]), int(r[-1])
-    cum = np.cumsum(b)
-    g = cum if parity else cum - 0.5 * b
-    # G at smear offsets lo - n + 1 .. hi, flat at 0 and at the total outside
-    padded = np.concatenate([[0.0], g, cum[-1:]])
-    ext = padded[np.clip(np.arange(lo - n + 1, hi + 1) + 1, 0, m + 1)]
-    return np.convolve(ext, a, "valid")[r - lo]
-
-
 def _margin_tv(masses: np.ndarray, centers: np.ndarray, window: float,
                law: GridMeasure, smear: GridMeasure, step: float) -> float:
-    # TV between the lattice masses in windows of the given width and the
-    # smeared law law * smear on its lattice of the given step; a sum of two
-    # one-atom laws is one atom and keeps its jump
-    if np.count_nonzero(law.weights) == np.count_nonzero(smear.weights) == 1:
-        return _binned_tv(masses, centers, window,
-                          _lattice_convolve(law, smear, step))
-    return _gap_tv(masses, _smeared_edge_cdf(
-        law, smear, step, _window_edges(centers, window)))
+    # `_binned_tv` against the smeared law law * smear on its lattice of the
+    # given step
+    return _binned_tv(masses, centers, window,
+                      _lattice_convolve(law, smear, step))
 
 
 def joint_covariant_distribution(tau: State, state: State,
@@ -331,13 +295,11 @@ def joint_covariant_distribution(tau: State, state: State,
     times the lattice cell area.  q_values must be cell-aligned multiples of
     the grid step and uniformly spaced; p_values must sit on the momentum
     lattice.  Margins are checked in total variation against the smeared
-    laws (the sharp law convolved with the covariant smearing) binned into
-    the lattice windows, with their mass outside the windows counted; a
-    gap beyond 1e-2 raises AccuracyError (the lattice window is clipping
-    real mass or is too coarse).  The check never builds a smeared law: it
-    evaluates its mini-cell CDF at the window edges from the Born law and
-    the smearing, one correlation per axis (`_smeared_edge_cdf`); a sum of
-    two one-atom laws keeps its jump.
+    laws (`CovariantMarginal(tau, axis).distribution`, the sharp law
+    convolved with the covariant smearing) binned into the lattice windows,
+    with their mass outside the windows counted; a gap beyond 1e-2 raises
+    AccuracyError (the lattice window is clipping real mass or is too
+    coarse).
     """
     grid = state.grid
     if tau.grid != grid:
@@ -374,11 +336,11 @@ def joint_covariant_distribution(tau: State, state: State,
                 mass[iq] += w * scale * np.abs(spectrum[fft_idx]) ** 2
 
     tv_q, tv_p = (
-        _margin_tv(masses, values, window, Sharp(axis).distribution(state, hbar),
-                   CovariantMarginal(tau, axis).smearing(hbar), step)
-        for axis, masses, values, window, step in (
-            ("position", mass.sum(axis=1), q_values, dq_step, dx),
-            ("momentum", mass.sum(axis=0), p_values, dp_step, dp)))
+        _binned_tv(masses, values, window,
+                   CovariantMarginal(tau, axis).distribution(state, hbar))
+        for axis, masses, values, window in (
+            ("position", mass.sum(axis=1), q_values, dq_step),
+            ("momentum", mass.sum(axis=0), p_values, dp_step)))
     if max(tv_q, tv_p) > _JOINT_TV_TOL:
         raise AccuracyError(
             f"joint margins drift from the smeared laws by TV "

@@ -437,8 +437,9 @@ def csv_writer_reference(path, header, *columns) -> None:
 def read_csv_reference(path, header, what) -> np.ndarray:
     """One float column per header name, every row parsed by `csv.reader`
     and `float`: the first row must start with header (case and spaces
-    ignored), blank rows are skipped, a shorter row or a cell that is not a
-    finite number is a DomainError, further cells are ignored."""
+    ignored, and a byte-order mark that opens the file), blank rows are
+    skipped, a shorter row or a cell that is not a finite number is a
+    DomainError, further cells are ignored."""
     k = len(header)
     cells: list[float] = []
     with open(path, newline="") as fh:
@@ -446,6 +447,8 @@ def read_csv_reference(path, header, what) -> np.ndarray:
         first = next(reader, None)
         if first is None:
             raise DomainError(f"{path}: empty {what} file")
+        if first and first[0].startswith("\ufeff"):
+            first[0] = first[0][1:]
         if [c.strip().lower() for c in first[:k]] != list(header):
             raise DomainError(f"{path}: expected header '{','.join(header)}'")
         for row in reader:

@@ -12,12 +12,15 @@ import pytest
 
 from quncert import bounds
 from quncert import cli
+from quncert import metrics
 from quncert.cli import main
 from quncert.measures import (load_measure_csv, point_mass, save_measure_csv,
                               two_point)
 from quncert.transport import wasserstein
 from quncert.measures import overall_width
 from quncert.metrics import WidthEstimate
+from quncert.observables import Sharp, observable_from_spec
+from quncert.states import GridSpec
 
 GRID_FLAG = "--grid=-16.0,0.0625,512"
 
@@ -200,6 +203,26 @@ class TestSeedAndDeterminism:
         assert all(row["passed"] for row in rows)
 
 
+class TestMetricPayloads:
+    @pytest.mark.parametrize("delta", [None, 0.5])
+    def test_bias_free_reports_the_library_estimate(self, capsys, delta):
+        # with --delta the probe-width error, without it the gross one
+        spec = {"kind": "smeared_position",
+                "measure": {"family": "two_point", "x1": -0.25, "x2": 0.5}}
+        argv = ["metric", "bias-free", "--observable", json.dumps(spec),
+                GRID_FLAG, "--eps", "0.1", "--seed", "2"]
+        payload = _run_json(capsys, argv + ([] if delta is None
+                                            else ["--delta", str(delta)]))
+        grid = GridSpec(-16.0, 0.0625, 512)
+        obs = observable_from_spec(spec, grid)
+        cfg = metrics.default_probe_config(grid, 0.1, delta=delta, seed=2)
+        est = (metrics.gross_bias_free_error if delta is None
+               else metrics.bias_free_error)(obs, Sharp("position"), cfg, grid)
+        assert payload == json.loads(bounds.to_json(
+            {"functional": "bias-free", "eps": 0.1, "delta": delta,
+             "estimate": est}))
+
+
 class TestOutputPlumbing:
     def test_out_file_matches_stdout_and_is_atomic(self, capsys, tmp_path):
         argv = ["groundstate", "--alpha", "2", "--beta", "2"]
@@ -220,6 +243,23 @@ class TestOutputPlumbing:
         assert lines[0] == "key,value"
         keys = {line.split(",", 1)[0] for line in lines[1:]}
         assert {"alpha", "beta", "ground_energy", "c_constant"} <= keys
+
+    def test_state_csv_view_writes_a_row_per_list_entry(self, capsys):
+        argv = ["state", '{"family": "gaussian", "sigma": 0.5}', GRID_FLAG,
+                "--hbar", "2"]
+        payload = _run_json(capsys, argv)
+        code, out, _ = _run(capsys, argv + ["--format", "csv"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "key,value"
+        rows = dict(line.split(",", 1) for line in lines[1:])
+        assert len(rows) == len(lines) - 1
+        assert [rows.pop(f"grid[{i}]") for i in range(3)] == \
+            ["-16.0", "0.0625", "512"] == [str(v) for v in payload.pop("grid")]
+        for law in ("position", "momentum"):
+            for key, value in payload.pop(law).items():
+                assert rows.pop(f"{law}.{key}") == repr(value)
+        assert rows == {key: str(value) for key, value in payload.items()}
 
     def test_csv_report_view(self, capsys):
         code, out, _ = _run(capsys, [
@@ -388,6 +428,15 @@ class TestExtremeInputs:
     def test_exit_class(self, capsys, argv, code):
         got, _, err = _run(capsys, argv)
         assert got == code, err
+
+    def test_a_subnormal_weight_keeps_its_alpha_deviation(self, capsys):
+        # the plain sums underflow at every order; log space keeps them
+        spec = '{"atoms": [0, 1], "weights": [1, 5e-324]}'
+        for alpha, want in (("1", 5e-324), ("2", math.sqrt(5e-324)),
+                            ("600", 0.22450734958462756)):
+            payload = _run_json(capsys, ["measure", spec, "--alpha", alpha])
+            assert payload["alpha_deviation"] == pytest.approx(
+                want, rel=1e-13, abs=0.0)
 
     def test_far_two_point_returns(self, capsys):
         payload = _run_json(capsys, [

@@ -616,6 +616,25 @@ def test_alpha_norms_beyond_a_power_of_two_scaling_match_log_space():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_alpha_norms_of_a_subnormal_weight_match_log_space():
+    # the atom at max |d| carries a subnormal weight: the plain sums of the
+    # norm and of the minimizer's slope fall below the normal floats
+    m = sorted_measure([0.0, 1.0], [1.0, 5e-324])
+    for alpha in (1.5, 2.0, 8.0, 100.0, 600.0, 2000.0):
+        r = math.exp(math.log(5e-324) / (alpha - 1.0))
+        y = r / (1.0 + r)  # the minimizer
+        want = oracles.log_alpha_norm(m.atoms - y, m.weights, alpha)
+        # no absolute tolerance: the values go down to 1e-216
+        assert alpha_deviation(m, alpha) == pytest.approx(want, rel=1e-13,
+                                                          abs=0.0)
+        want = oracles.log_alpha_norm(m.atoms, m.weights, alpha)
+        assert delta_alpha_smeared_closed_form(m, alpha) == \
+            pytest.approx(want, rel=1e-13, abs=0.0)
+    assert alpha_deviation(m, 1.0) == delta_alpha_smeared_closed_form(m, 1.0) \
+        == 5e-324
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_std_deviation_scaling_is_exact(rng):
     for _ in range(200):
         m = random_measure(rng, max_atoms=30, span=float(rng.uniform(0.1, 300)))

@@ -510,7 +510,7 @@ def test_joint_of_two_cells_checks_a_one_atom_position_margin():
         joint_covariant_distribution(tau, state, qs, ps)
 
 
-# -- joint margin check: the smeared law's cdf at the window edges -------------
+# -- joint margin check: against the full smeared law --------------------------
 
 def _lattice_law(rng, grid, axis, live):
     # a law on every point of the axis lattice, positive on `live` random
@@ -597,14 +597,37 @@ def test_joint_masses_match_the_shifted_spectrum_reference(grid, hbar, mixed):
                               joint_mass_reference(tau, state, qs, ps, hbar))
 
 
-def test_joint_check_builds_no_smeared_margin(monkeypatch):
-    def fail(*args):
-        raise AssertionError("the joint check convolved a margin")
+def _assert_margin_tvs_bin_the_margin_laws(tau, state, joint, hbar=1.0):
+    # binned in the windows the joint law uses, its first lattice gap (not
+    # stride * step, which can differ from it by an ulp)
+    for axis, masses, values, tv in (
+            ("position", joint.mass.sum(axis=1), joint.q_values,
+             joint.q_marginal_tv),
+            ("momentum", joint.mass.sum(axis=0), joint.p_values,
+             joint.p_marginal_tv)):
+        law = CovariantMarginal(tau, axis).distribution(state, hbar)
+        assert tv == observables._binned_tv(masses, values,
+                                            values[1] - values[0], law)
 
-    monkeypatch.setattr(observables, "_lattice_convolve", fail)
-    monkeypatch.setattr(observables, "convolve", fail)
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixture"])
+@pytest.mark.parametrize("hbar", [1.0, 2.5])
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, COVARIANT_GRID, SOLVER_GRID],
+                         ids=["default", "covariant", "solver"])
+def test_joint_margin_tvs_bin_the_margin_laws(grid, hbar, mixed):
+    tau, state = _lattice_case(grid, hbar, mixed)
+    for q_stride in range(1, 9):
+        qs, ps = _husimi_lattice(grid, hbar, q_half=6.0, p_half=5.0 * hbar,
+                                 q_stride=q_stride)
+        joint = joint_covariant_distribution(tau, state, qs, ps, hbar)
+        _assert_margin_tvs_bin_the_margin_laws(tau, state, joint, hbar)
+
+
+def test_joint_margin_tvs_of_a_gaussian_pair_bin_the_margin_laws():
+    tau, state = _gauss(), _gauss(center=1.5)
     qs, ps = _husimi_lattice(GRID, q_half=8.0, p_half=8.0, q_stride=4)
-    joint = joint_covariant_distribution(_gauss(), _gauss(center=1.5), qs, ps)
+    joint = joint_covariant_distribution(tau, state, qs, ps)
+    _assert_margin_tvs_bin_the_margin_laws(tau, state, joint)
     assert max(joint.q_marginal_tv, joint.p_marginal_tv) < 1e-3
 
 

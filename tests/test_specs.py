@@ -324,6 +324,74 @@ def test_extra_cells_are_ignored_whatever_their_length(tmp_path):
     assert m.atoms.tolist() == [0.0, 1.0] and m.weights.tolist() == [0.25, 0.75]
 
 
+# a clean and a messy table (bare-CR ends, blank and space rows, extra
+# cells, 1_0) of each kind: NumPy reads the first, the csv loop the second
+_BOM_TABLES = [
+    (("x", "w"), "x,w\r\n0.5,1.0\r\n1.5,3.0\r\n", True),
+    (("x", "w"), " X , w ,note\r\r-1.5,1,a\r  \r1_0,1\r", False),
+    (("x", "re", "im"), "x,re,im\n-1,0,0\n0,1,0.5\n1,0.5,0\n2,0,0\n", True),
+    (("x", "re", "im"), "x ,RE,im,n\r\n-1,0,0\r\n\r\n0,1,0.5,a\r\n"
+                        "1,0.5,0\r\n2,1_0,0\r\n", False),
+]
+
+
+@pytest.mark.parametrize("header,body,numpy", _BOM_TABLES)
+def test_a_byte_order_mark_opening_a_table_is_dropped(tmp_path, monkeypatch,
+                                                      capsys, header, body,
+                                                      numpy):
+    parsed, real = [], measures._loadtxt
+
+    def spy(*args):
+        table = real(*args)
+        parsed.append(table is not None)
+        return table
+
+    monkeypatch.setattr(measures, "_loadtxt", spy)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(body.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + body.encode())
+    what = "measure" if len(header) == 2 else "state"
+    want = _read_csv(str(plain), header, what)
+    got = _read_csv(str(marked), header, what)
+    assert parsed == [numpy, numpy]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    outputs = []
+    for path in (plain, marked):
+        assert main([what, str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("body", [
+    " \ufeffx,w\n0,1\n", "\ufeff\ufeffx,w\n0,1\n", "x,\ufeffw\n0,1\n",
+    "x,w\n0,\ufeff1\n", "x,w\n\ufeff0,1\n", "x,w\n0,1\n\ufeff\n",
+    "x,re,\ufeffim\n0,1,0\n",
+])
+def test_a_byte_order_mark_elsewhere_exits_2(tmp_path, capsys, body):
+    path = tmp_path / "t.csv"
+    path.write_bytes(body.encode())
+    command = "measure" if body.count(",") == body.count("\n") else "state"
+    assert main([command, str(path)]) == 2
+    assert "DomainError" in capsys.readouterr().err
+
+
+def test_the_savers_write_no_byte_order_mark(tmp_path, capsys):
+    files = [str(tmp_path / f"{name}.csv")
+             for name in ("position", "momentum", "wavefunction")]
+    assert main(["state", '{"family": "gaussian"}', "--grid=-8,0.0625,256",
+                 *(f"--save-{name}={path}" for name, path in
+                   zip(("position", "momentum", "wavefunction"), files))]) == 0
+    assert main(["verify", "--relation", "preparation", "--format", "csv",
+                 f"--out={tmp_path / 'report.csv'}"]) == 0
+    m = sorted_measure([0.0, 1.0], [1.0, 3.0])
+    coupling, _ = optimal_coupling_lp(m, m, 2.0)
+    save_coupling_csv(coupling, str(tmp_path / "coupling.csv"))
+    capsys.readouterr()
+    for path in sorted(tmp_path.iterdir()):
+        data = path.read_bytes()
+        assert data and b"\xef\xbb\xbf" not in data, path.name
+
+
 @pytest.mark.parametrize("body", ["x,w\n" + "1" * 200_000 + "\n",
                                   "x,w\n0,1\n1,2,3\n" + "9" * 200_000 + "\n",
                                   "x,w," + "h" * 200_000 + "\n0,1\n"])

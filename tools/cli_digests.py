@@ -64,8 +64,9 @@ RELATIONS = ("preparation", "overall-width", "covariant-error",
 
 def tables() -> dict[str, str]:
     """The CSV tables that runs read, by file name: saved in the writer's
-    format, messy but valid, malformed, and with a cell beyond csv's field
-    limit in a short row and in an extra column."""
+    format, messy but valid, malformed, with a cell beyond csv's field
+    limit in a short row and in an extra column, and one that opens with a
+    UTF-8 byte-order mark."""
     xs = [(i - 100) / 25.0 for i in range(201)]
     ws = [math.exp(-0.5 * x * x) for x in xs]
     saved_measure = "x,w\r\n" + "".join(
@@ -90,6 +91,7 @@ def tables() -> dict[str, str]:
         "malformed-state.csv": "x,re,im\n0,1,0\n1,one,0\n2,1,0\n3,1,0\n",
         "long-short-row.csv": "x,w,note\n0,1\n" + "2" * 200_000 + "\n",
         "long-extra-cell.csv": "x,w,note\n0,1," + "a" * 200_000 + "\n1,3\n",
+        "bom-measure.csv": "\ufeffx,w\r\n-1.5,1\r\n0.5,3\r\n",
     }
 
 
@@ -248,6 +250,11 @@ def runs() -> list[tuple[dict, list[str]]]:
     out.append(({}, ["measure", json.dumps(
         {"family": "two_point", "x1": -3.0, "x2": 5.0, "w1": 0.3}),
         "--alpha", "1100"]))
+    # a table that opens with a byte-order mark, and alpha-deviations whose
+    # plain sums fall below the normal floats at a subnormal weight
+    out.append(({}, ["measure", f"{IN}/bom-measure.csv"]))
+    out += [({}, ["measure", json.dumps({"atoms": [0, 1], "weights": [1, 5e-324]}),
+                  "--alpha", alpha]) for alpha in ("2", "600")]
     return out
 
 
@@ -276,7 +283,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tables_dir, \
             ThreadPoolExecutor(max_workers=2) as pool:
         for name, text in tables().items():
-            with open(os.path.join(tables_dir, name), "w", newline="") as fh:
+            with open(os.path.join(tables_dir, name), "w", newline="",
+                      encoding="utf-8") as fh:
                 fh.write(text)
         lines = list(pool.map(lambda run: digest(*run, tables_dir), runs()))
     print("\n".join(lines))
