@@ -345,7 +345,10 @@ def translate(m: GridMeasure, a: float) -> GridMeasure:
     """Shift every atom by a; weights are untouched."""
     if not math.isfinite(a):
         raise DomainError("shift must be finite")
-    return GridMeasure(m.atoms + a, m.weights)
+    atoms = m.atoms + a
+    if not (atoms[1:] > atoms[:-1]).all():
+        raise DomainError(f"shift {a:g} wipes out the atom spacing {m.min_spacing():g}")
+    return GridMeasure(atoms, m.weights)
 
 
 def convolve(a: GridMeasure, b: GridMeasure,

@@ -9,9 +9,8 @@ certifies.  Closed forms are provided where the smearing structure gives one.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
@@ -19,10 +18,11 @@ import numpy as np
 from .exceptions import DomainError, InternalError
 from .measures import (GridMeasure, _alpha_norm, overall_width,
                        overall_width_interval)
-from .observables import Observable, Sharp, Smeared, moment_stats
+from .observables import Observable, Sharp, Smeared, _scaled_moments
 from .states import GridSpec, State, WaveFunction, _axis_state, _cell_state
 from .transport import wasserstein
 
+# the kinds in each window's probe family (see _localized_probes)
 _PROBE_KINDS = ("flat", "ramped", "random")
 
 # placements as fractions of the lattice span from the lattice midpoint:
@@ -45,14 +45,13 @@ def divergence_cutoff(grid: GridSpec, axis: str, hbar: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Probe sweep parameters: window centers, localization width delta
-    and confidence level eps."""
+    """Probe sweep parameters: window centers, localization width delta,
+    confidence level eps and the keyword-only seed of the random probes."""
 
     x_samples: tuple[float, ...]
     delta: float
     eps: float
-    probes_per_center: int = 4
-    probe_kinds: tuple[str, ...] = _PROBE_KINDS
+    _: KW_ONLY
     seed: int = 0
     # slack allowed when the floating window beats the centered one
     bisection_tol: ClassVar[float] = 1e-9
@@ -66,12 +65,6 @@ class ProbeConfig:
             raise DomainError("delta must be positive")
         if not 0.0 < self.eps < 1.0:
             raise DomainError("eps must lie in (0, 1)")
-        if self.probes_per_center < 3:
-            raise DomainError("need at least three probes per center")
-        kinds = tuple(self.probe_kinds)
-        if not kinds or any(k not in _PROBE_KINDS for k in kinds):
-            raise DomainError(f"probe kinds must come from {_PROBE_KINDS}")
-        object.__setattr__(self, "probe_kinds", kinds)
 
 
 def default_probe_config(grid: GridSpec, eps: float, axis: str = "position",
@@ -104,6 +97,8 @@ def _worst(rows: Iterable[tuple[tuple, dict]], key: str,
     the first row within _WITNESS_RTOL of it.  Every entry goes to the
     trace, and a value beyond cutoff sets infinite_flag."""
     rows = list(rows)
+    if any(math.isnan(entry[key]) for _, entry in rows):
+        raise InternalError(f"{key} is NaN in the trace")
     best = max([-1.0, *(entry[key] for _, entry in rows)])
     tie = best - _WITNESS_RTOL * abs(best) if math.isfinite(best) else best
     witness = next((wit for wit, entry in rows if entry[key] >= tie), None)
@@ -116,47 +111,26 @@ def _worst(rows: Iterable[tuple[tuple, dict]], key: str,
 def _localized_probes(grid: GridSpec, center: float, cfg: ProbeConfig,
                       axis: str, hbar: float
                       ) -> tuple[float, list[tuple[str, WaveFunction]]]:
-    """Probe family exactly localized, on the given axis, inside the window
-    of width cfg.delta around the snapped center.  Returns (center, probes):
-    the first cfg.probes_per_center of the flat probe, then rounds k = 0, 1,
-    ... of ramp k and random probe k, then a flat probe once neither is left."""
-    points, step = grid.lattice(axis, hbar)
+    """The snapped center and its probes, exactly localized on the axis in
+    the window of width cfg.delta: flat, ramp +pi hbar / delta, random
+    (seed cfg.seed plus the center's lattice index), ramp -pi hbar / delta.
+    The window spans two lattice steps, so both ramps are sub-Nyquist."""
+    points, _ = grid.lattice(axis, hbar)
     idx, x = grid.snap(axis, center, hbar)
     mask = grid.window(axis, x, cfg.delta, hbar)
     window = points[mask]
-    count = window.size
     # an offset on the conjugate axis acts on the window as a phase ramp
     phase = 1j if axis == "position" else -1j
-    # ramps +-j pi hbar / delta, up to the conjugate Nyquist step
-    nyquist = math.pi * hbar / step * (1.0 + 1e-12)
-    steps = itertools.takewhile(
-        lambda r: r <= nyquist,
-        (j * math.pi * hbar / cfg.delta for j in itertools.count(1)))
-    ramps = (s for r in steps for s in (r, -r))
-
-    def sequence():
-        if "flat" in cfg.probe_kinds:
-            yield "flat", np.ones(count)
-        for k in itertools.count():
-            r = next(ramps, None) if "ramped" in cfg.probe_kinds else None
-            if r is not None:
-                yield f"ramp{r:+.6g}", np.exp(phase * r * window / hbar)
-            if "random" in cfg.probe_kinds:
-                # per-center offset: the lattice index of the center
-                rng = np.random.default_rng(cfg.seed + 104729 * k + idx)
-                vals = (rng.standard_normal(count)
-                        + 1j * rng.standard_normal(count))
-                yield f"random{k}", vals * np.hanning(count + 2)[1:-1]
-            elif r is None:
-                yield "flat", np.ones(count)
-                return
-
-    probes: list[tuple[str, WaveFunction]] = []
-    for label, values in itertools.islice(sequence(), cfg.probes_per_center):
-        amp = np.zeros(grid.n, dtype=complex)
-        amp[mask] = values
-        probes.append((label, _axis_state(grid, axis, amp)))
-    return x, probes
+    rate = math.pi * hbar / cfg.delta
+    rng = np.random.default_rng(cfg.seed + idx)
+    noise = rng.standard_normal(window.size) + 1j * rng.standard_normal(window.size)
+    amps = np.zeros((4, grid.n), dtype=complex)
+    amps[:, mask] = [np.ones(window.size), np.exp(phase * rate * window / hbar),
+                     noise * np.hanning(window.size + 2)[1:-1],
+                     np.exp(phase * -rate * window / hbar)]
+    labels = ("flat", f"ramp{rate:+.6g}", "random0", f"ramp{-rate:+.6g}")
+    return x, [(label, _axis_state(grid, axis, amp))
+               for label, amp in zip(labels, amps)]
 
 
 def _assert_localized(law: GridMeasure, center: float, delta: float) -> None:
@@ -209,8 +183,7 @@ def _probe_laws(approx: Observable, target: Observable, cfg: ProbeConfig,
     so no id is reused while the sweep is kept; the old sweep is dropped
     before a new one is computed."""
     global _last_sweep
-    key = (approx, target, grid, hbar, cfg.x_samples, cfg.delta,
-           cfg.probes_per_center, cfg.probe_kinds, cfg.seed)
+    key = (approx, target, grid, hbar, cfg.x_samples, cfg.delta, cfg.seed)
     if _last_sweep is not None and _last_sweep[0] == key:
         return _last_sweep[1]
     _last_sweep = None
@@ -414,13 +387,13 @@ def noise_based_error(target: Observable, device: Observable, state: State,
     axis = _sharp_axis(target)
     if device.axis != axis:
         raise DomainError("device and target act on different axes")
-    dev = moment_stats(device, state, hbar)
-    tgt = moment_stats(target, state, hbar)
+    scale, sharp_mean, dev = _scaled_moments(device, state, hbar)
     variance = dev.second_moment_mean - dev.first_moment_sq_mean
-    if variance < -1e-9:
-        raise InternalError(f"negative intrinsic variance {variance:.3e}")
-    offset = dev.first_moment_mean - tgt.first_moment_mean
-    return math.sqrt(max(variance, 0.0) + offset * offset)
+    if variance * scale * scale < -1e-9:
+        raise InternalError(
+            f"negative intrinsic variance {variance * scale * scale:.3e}")
+    offset = dev.first_moment_mean - sharp_mean
+    return scale * math.sqrt(max(variance, 0.0) + offset * offset)
 
 
 def global_noise_error(target: Observable, device: Observable,

@@ -27,7 +27,8 @@ import numpy as np
 from .exceptions import AccuracyError, DomainError
 from .measures import (BoundedRangeMap, BoundedShiftMap, GridMeasure,
                        MeasurableMap, PiecewiseLinearMap, _read_spec,
-                       convolve, identity_map, measure_from_spec, pushforward)
+                       convolve, identity_map, measure_from_spec, point_mass,
+                       pushforward)
 from .states import (GridSpec, State, _shift_cells, momentum_distribution,
                      parity, position_distribution, state_from_spec)
 
@@ -220,18 +221,26 @@ class MomentStats:
 
 def moment_stats(obs: Observable, state: State, hbar: float = 1.0) -> MomentStats:
     """Outcome-moment statistics for sharp and smeared observables."""
+    s, _, st = _scaled_moments(obs, state, hbar)
+    return MomentStats(s * st.first_moment_mean, s * s * st.first_moment_sq_mean,
+                       s * s * st.second_moment_mean)
+
+
+def _scaled_moments(obs: Observable, state: State, hbar: float
+                    ) -> tuple[float, float, MomentStats]:
+    """(scale, mean of the Born law, MomentStats) of the outcome in units of
+    scale: a power of two, 1 unless an atom reaches 2^500, so the rescaling
+    is exact and no square overflows."""
     if not isinstance(obs, (Sharp, Smeared)):
         raise DomainError("moment statistics need a sharp or smeared observable")
-    base = Sharp(obs.axis).distribution(state, hbar)
-    a1 = base.mean()
-    a2 = base.moment(2)
-    if isinstance(obs, Sharp):
-        return MomentStats(a1, a2, a2)
-    mu = obs.smearing(hbar)
-    m1 = mu.mean()
-    m2 = mu.moment(2)
+    laws = (Sharp(obs.axis).distribution(state, hbar),
+            obs.smearing(hbar) if isinstance(obs, Smeared) else point_mass(0.0))
+    peak = max(max(-m.atoms[0], m.atoms[-1]) for m in laws)
+    scale = 2.0 ** max(math.frexp(peak)[1] - 500, 0)
+    (a1, a2), (m1, m2) = [[float(np.sum(m.weights * (m.atoms / scale) ** k))
+                           for k in (1, 2)] for m in laws]
     sq = a2 + 2.0 * m1 * a1
-    return MomentStats(a1 + m1, sq + m1 * m1, sq + m2)
+    return scale, a1, MomentStats(a1 + m1, sq + m1 * m1, sq + m2)
 
 
 # -- joint covariant distribution ---------------------------------------------

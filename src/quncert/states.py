@@ -9,6 +9,7 @@ discrete position and momentum masses agree exactly (Parseval).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -443,7 +444,6 @@ def _check_exponents(alpha: float, beta: float) -> None:
 
 
 def ground_state(alpha: float, beta: float, grid: GridSpec, tol: float = 1e-6,
-                 max_steps: int = 400_000,
                  boundary_tol: float = 1e-8) -> tuple[float, WaveFunction]:
     """Ground energy and state of H = |Q|^alpha + |P|^beta (dimensionless hbar=1).
 
@@ -451,12 +451,12 @@ def ground_state(alpha: float, beta: float, grid: GridSpec, tol: float = 1e-6,
     u, so u / sqrt(dx) is the wavefunction and ||H u - g u|| the dx-weighted
     residual.  Each step is a Rayleigh-Ritz step on u, the previous direction
     and three preconditioned residuals.  Stops once the residual is below
-    tol; ConvergenceError after max_steps steps, or after _STALL_STEPS steps
-    without a 10 % drop.  Afterwards the boundary amplitude must be below
-    boundary_tol or the grid is deemed too small.  Kinetic symbols |p|^beta
-    with beta not an even integer are non-smooth at p = 0, which makes the
-    kinetic operator nonlocal with power-law bound-state tails; such runs need
-    a relaxed boundary_tol (or a much wider box) on desk-scale grids.
+    tol; ConvergenceError after _STALL_STEPS steps without a 10 % drop.
+    Afterwards the boundary amplitude must be below boundary_tol or the grid
+    is deemed too small.  Kinetic symbols |p|^beta with beta not an even
+    integer are non-smooth at p = 0, which makes the kinetic operator
+    nonlocal with power-law bound-state tails; such runs need a relaxed
+    boundary_tol (or a much wider box) on desk-scale grids.
     """
     _check_exponents(alpha, beta)
     if not (0.0 < tol < math.inf and 0.0 < boundary_tol < math.inf):
@@ -475,7 +475,7 @@ def ground_state(alpha: float, beta: float, grid: GridSpec, tol: float = 1e-6,
     psi = _normalized(np.exp(-0.5 * xs ** 2), 1.0)
     direction = np.zeros(grid.n)
     low, low_step = math.inf, 0
-    for step in range(max(max_steps, 0) + 1):
+    for step in itertools.count():
         h_psi = v_diag * psi + kinetic(psi, t_diag)
         g = float(psi @ h_psi)
         r = h_psi - g * psi
@@ -484,7 +484,7 @@ def ground_state(alpha: float, beta: float, grid: GridSpec, tol: float = 1e-6,
             break
         if residual < 0.9 * low:
             low, low_step = residual, step
-        if step >= max_steps or step - low_step >= _STALL_STEPS:
+        if step - low_step >= _STALL_STEPS:
             raise ConvergenceError(f"residual {residual:.2e} above tol at step {step}")
         t_r = kinetic(np.stack([r, r / np.sqrt(v_diag + g)]), 1.0 / (t_diag + g))
         rows = np.stack([psi, direction, r / (v_diag + g), t_r[0],

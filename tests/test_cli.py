@@ -235,6 +235,22 @@ class TestOutputPlumbing:
             assert fh.read() == stdout_text
         assert glob.glob(str(tmp_path / ".quncert-*")) == []
 
+    def test_out_naming_a_directory_exits_2_and_leaves_no_file(self, capsys,
+                                                                tmp_path):
+        code, out, err = _run(capsys, ["groundstate", "--alpha", "2",
+                                       "--beta", "2", "--out", str(tmp_path)])
+        assert code == 2 and out == ""
+        assert err.startswith("IsADirectoryError")
+        assert os.listdir(tmp_path) == []
+
+    def test_json_argument_from_a_file(self, capsys, tmp_path):
+        spec = '{"family": "gaussian", "mean": 0.0, "sigma": 1.0}'
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        inline = _run(capsys, ["measure", spec])
+        assert inline[0] == 0
+        assert _run(capsys, ["measure", f"@{path}"]) == inline
+
     def test_csv_key_value_view(self, capsys):
         code, out, _ = _run(capsys, ["groundstate", "--alpha", "2",
                                      "--beta", "2", "--format", "csv"])
@@ -437,6 +453,34 @@ class TestExtremeInputs:
             payload = _run_json(capsys, ["measure", spec, "--alpha", alpha])
             assert payload["alpha_deviation"] == pytest.approx(
                 want, rel=1e-13, abs=0.0)
+
+    def test_noise_of_a_far_smearing_is_its_root_second_moment(self, capsys):
+        # the outcome's second moment overflows; the error, the root second
+        # moment of the smearing for every state, does not
+        est = _run_json(capsys, ["metric", "noise", "--observable",
+                                 self.far_smearing(1e160)])["estimate"]
+        assert est["value"] == pytest.approx(1e160, rel=1e-12, abs=0.0)
+        assert est["witness"] == ["ensemble", 0]
+        assert all(row["error"] == pytest.approx(1e160, rel=1e-12, abs=0.0)
+                   for row in est["trace"])
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--relation", "connections"],
+        ["metric", "error-bar", "--delta", "0.0625"]])
+    def test_a_far_smearing_names_the_spacing_it_wipes_out(self, capsys,
+                                                           argv):
+        # the shifted Born law once merged its atoms and the message read
+        # "atoms must be strictly increasing"
+        code, out, err = _run(capsys, [*argv, "--observable",
+                                       self.far_smearing(1e150)])
+        assert code == 2 and out == ""
+        assert err == ("DomainError: shift 1e+150 wipes out the atom "
+                       "spacing 0.015625\n")
+
+    @staticmethod
+    def far_smearing(at):
+        return json.dumps({"kind": "smeared_position",
+                           "measure": {"family": "point", "at": at}})
 
     def test_far_two_point_returns(self, capsys):
         payload = _run_json(capsys, [
@@ -645,6 +689,17 @@ def test_a_mode_without_seed_ignores_the_seed_variable(capsys, monkeypatch):
     monkeypatch.setenv("QUNCERT_SEED", "3")
     assert _run(capsys, argv) == plain
     assert plain[0] == 0
+
+
+def test_a_malformed_default_variable_exits_2(capsys, monkeypatch):
+    # the suite reads its seed from the environment when --seed is not given
+    monkeypatch.setenv("QUNCERT_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "all"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("argument --seed: invalid int value: 'abc'\n")
 
 
 def test_readme_table_matches_the_modes():

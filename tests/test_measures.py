@@ -267,6 +267,15 @@ def test_convolve_gaussian_variance_additivity():
     assert float(np.sum(c.weights)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_translate_that_merges_atoms_names_the_shift_and_spacing():
+    # 1e150 + 0.5 rounds to 1e150, so the two atoms would merge
+    with pytest.raises(DomainError, match=r"^shift 1e\+150 wipes out the "
+                       r"atom spacing 0\.5$"):
+        translate(two_point(0.0, 0.5), 1e150)
+    far = translate(two_point(0.0, 0.5), 1e15)
+    assert far.atoms.tolist() == [1e15, 1e15 + 0.5]
+
+
 def test_convolve_point_is_translate():
     g = gaussian_measure(0.5, 1.0, n_atoms=101)
     shifted = convolve(g, point_mass(2.0))

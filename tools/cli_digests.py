@@ -6,10 +6,10 @@ then the run's label (its QUNCERT_* settings and argv).  A run names the
 files it writes under the placeholder directory $OUT, which stands for a
 fresh temporary directory per run; its path reads as $OUT again in the
 hashed output and the label, so two checkouts diff cleanly.  Runs that
-read CSV tables name them under $IN, one directory that this script fills
-from `tables()` before the first run and that reads as $IN in the same
-way.  Two checkouts behave the same on the set exactly when their outputs
-are equal, so a refactor is checked with
+read CSV tables or a JSON spec name them under $IN, one directory that
+this script fills from `tables()` before the first run and that reads as
+$IN in the same way.  Two checkouts behave the same on the set exactly
+when their outputs are equal, so a refactor is checked with
 
     PYTHONPATH=src python3 tools/cli_digests.py > after.txt
     PYTHONPATH=/path/to/other/checkout/src python3 tools/cli_digests.py > before.txt
@@ -63,10 +63,10 @@ RELATIONS = ("preparation", "overall-width", "covariant-error",
 
 
 def tables() -> dict[str, str]:
-    """The CSV tables that runs read, by file name: saved in the writer's
-    format, messy but valid, malformed, with a cell beyond csv's field
-    limit in a short row and in an extra column, and one that opens with a
-    UTF-8 byte-order mark."""
+    """The files that runs read, by file name: CSV tables saved in the
+    writer's format, messy but valid, malformed, with a cell beyond csv's
+    field limit in a short row and in an extra column, and one that opens
+    with a UTF-8 byte-order mark; and a JSON measure spec."""
     xs = [(i - 100) / 25.0 for i in range(201)]
     ws = [math.exp(-0.5 * x * x) for x in xs]
     saved_measure = "x,w\r\n" + "".join(
@@ -92,6 +92,7 @@ def tables() -> dict[str, str]:
         "long-short-row.csv": "x,w,note\n0,1\n" + "2" * 200_000 + "\n",
         "long-extra-cell.csv": "x,w,note\n0,1," + "a" * 200_000 + "\n1,3\n",
         "bom-measure.csv": "\ufeffx,w\r\n-1.5,1\r\n0.5,3\r\n",
+        "spec.json": json.dumps(GAUSS),
     }
 
 
@@ -255,6 +256,20 @@ def runs() -> list[tuple[dict, list[str]]]:
     out.append(({}, ["measure", f"{IN}/bom-measure.csv"]))
     out += [({}, ["measure", json.dumps({"atoms": [0, 1], "weights": [1, 5e-324]}),
                   "--alpha", alpha]) for alpha in ("2", "600")]
+    # a smearing so far off that its second moment overflows, and one whose
+    # shift merges the atoms of a Born law
+    far = [json.dumps({"kind": "smeared_position",
+                       "measure": {"family": "point", "at": at}})
+           for at in (1e160, 1e150)]
+    out += [({}, ["metric", "noise", "--observable", far[0]]),
+            ({}, ["verify", "--relation", "connections", "--observable",
+                  far[1]]),
+            ({}, ["metric", "error-bar", "--observable", far[1],
+                  "--delta", "0.0625"])]
+    # a JSON argument read from a file, and a malformed default in the
+    # environment
+    out += [({}, ["measure", f"@{IN}/spec.json"]),
+            ({"QUNCERT_SEED": "abc"}, ["verify", "--suite", "all"])]
     return out
 
 
