@@ -271,10 +271,14 @@ def alpha_deviation(m: GridMeasure, alpha: float) -> float:
         s, r, p, q = slope(y)
         lo, hi = (y, hi) if s < 0.0 else (lo, y)
         with np.errstate(all="ignore"):  # inf or nan at or by an atom
-            newton = float(y - s / ((alpha - 1.0) * np.sum(p / q)))
-        # stop where S is 0 to rounding, the step is below the float spacing,
-        # or [lo, hi] gains (by convexity) under the objective's rounding
-        if abs(s) <= r or newton == y or alpha * abs(s) * (hi - lo) \
+            curvature = (alpha - 1.0) * np.sum(p / q)
+            newton = float(y - s / curvature)
+        # stop where S is 0 to rounding, the step is below the float spacing
+        # (a step of 0 from an infinite curvature, as by a subnormal
+        # distance to an atom, is no step: bisect), or [lo, hi] gains (by
+        # convexity) under the objective's rounding
+        tiny_step = newton == y and math.isfinite(curvature)
+        if abs(s) <= r or tiny_step or alpha * abs(s) * (hi - lo) \
                 <= 2.0 ** -52 * float(np.sum(p * q)):
             break
         y = newton if lo < newton < hi else 0.5 * (lo + hi)

@@ -22,9 +22,6 @@ from .observables import Observable, Sharp, Smeared, _scaled_moments
 from .states import GridSpec, State, WaveFunction, _axis_state, _cell_state
 from .transport import wasserstein
 
-# the kinds in each window's probe family (see _localized_probes)
-_PROBE_KINDS = ("flat", "ramped", "random")
-
 # placements as fractions of the lattice span from the lattice midpoint:
 # default probe centers, resolution-width centers and divergence-scan probes
 _PROBE_FRACTIONS = (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)

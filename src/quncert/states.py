@@ -34,6 +34,13 @@ _SCALE = 1e100
 # floor sits 5 decades above it; the mass it removes is at most
 # n 2^-90 <= 2^-70 at MAX_GRID_POINTS, far below one ulp of the total.
 _BORN_FLOOR = 2.0 ** -90
+# Amplitudes of a sub-cell shift below this share of the largest modulus are
+# set to exact zero: they are the FFT's round-off (mostly 1e-18 to 1e-16 of
+# the peak, where the unshifted state holds exact zeros).  Each carries Born
+# weight below 2^-104 of the mass, so the position law of a pure state had
+# cut it anyway; in a mixture it may sit on another component's live atom,
+# which then moves by less than 2^-104 of the mass.
+_AMPLITUDE_FLOOR = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -286,7 +293,8 @@ def _shift_cells(amp: np.ndarray, cells: int) -> np.ndarray:
 
 def _shift_amplitudes(wf: WaveFunction, q: float, hbar: float) -> np.ndarray:
     """Amplitudes of psi(x - q): whole cells by array shift, remainder by a
-    momentum-space phase ramp (exactly unitary for the sub-cell part)."""
+    momentum-space phase ramp (exactly unitary for the sub-cell part), whose
+    amplitudes below _AMPLITUDE_FLOOR of the largest modulus are exact 0."""
     n = wf.amplitudes.size
     if abs(q) >= 0.5 * wf.grid.span:
         raise DomainError("shift exceeds the grid extent")
@@ -301,6 +309,8 @@ def _shift_amplitudes(wf: WaveFunction, q: float, hbar: float) -> np.ndarray:
     if residual != 0.0:
         p_raw = 2.0 * math.pi * hbar * np.fft.fftfreq(n, d=wf.dx)
         amp = np.fft.ifft(np.fft.fft(amp) * np.exp(-1j * p_raw * residual / hbar))
+        modulus = np.abs(amp)
+        amp[modulus < _AMPLITUDE_FLOOR * np.max(modulus)] = 0.0
     return amp
 
 

@@ -395,6 +395,39 @@ def born_law_reference(state, axis: str, hbar: float = 1.0) -> GridMeasure:
     return GridMeasure(points, acc / float(np.sum(acc)))
 
 
+def shift_reference(wf, q: float, hbar: float = 1.0) -> np.ndarray:
+    """Amplitudes of psi(x - q) with no amplitude floor: whole cells by
+    slicing with zeros shifted in, the sub-cell rest by the phase ramp
+    exp(-i p rest / hbar) on the raw FFT frequencies."""
+    amp = wf.amplitudes
+    n, dx = amp.size, wf.dx
+    cells = int(round(q / dx))
+    shifted = np.zeros_like(amp)
+    if cells >= 0:
+        shifted[cells:] = amp[:n - cells]
+    else:
+        shifted[:n + cells] = amp[-cells:]
+    rest = q - cells * dx
+    if rest == 0.0:
+        return shifted
+    p_raw = 2.0 * math.pi * hbar * np.fft.fftfreq(n, d=dx)
+    return np.fft.ifft(np.fft.fft(shifted) * np.exp(-1j * p_raw * rest / hbar))
+
+
+def weyl_translate_reference(state, point, hbar: float = 1.0):
+    """W(q, p) of every component with no amplitude floor: the shift of
+    `shift_reference`, times exp(i (p x - q p / 2) / hbar), renormalized."""
+    from quncert.states import MixedState, WaveFunction
+
+    out = []
+    for w, wf in state.components:
+        amp = shift_reference(wf, point.q, hbar) * np.exp(
+            1j * (point.p * wf.xs() - 0.5 * point.q * point.p) / hbar)
+        amp = amp / math.sqrt(float(np.sum(np.abs(amp) ** 2) * wf.dx))
+        out.append((w, WaveFunction(wf.x0, wf.dx, amp)))
+    return MixedState(tuple(out))
+
+
 def joint_mass_reference(tau, state, q_values, p_values,
                          hbar: float = 1.0) -> np.ndarray:
     """Joint covariant masses read from the fftshift-ed spectrum: for each
@@ -496,61 +529,34 @@ def hermite_reference(grid, n: int, hbar: float = 1.0) -> np.ndarray:
 
 
 def localized_probes_reference(grid, center, cfg, axis, hbar):
-    """Probe family built by two counter-driven loops: the flat probe, then
-    alternating ramps (from a precomputed list up to the conjugate Nyquist
-    step) and random probes, and a flat probe once neither kind is left;
-    returns (snapped center, [(label, WaveFunction)])."""
+    """The four probes of a window, each built on its own: flat, the phase
+    ramp +pi hbar / delta, a Hann-tapered complex normal probe seeded with
+    cfg.seed plus the snapped center's lattice index, and the ramp
+    -pi hbar / delta; returns (snapped center, [(label, WaveFunction)])."""
     from quncert.states import _axis_state
 
-    points, step = grid.lattice(axis, hbar)
+    points, _ = grid.lattice(axis, hbar)
     idx, x = grid.snap(axis, center, hbar)
     mask = grid.window(axis, x, cfg.delta, hbar)
     window = points[mask]
     count = window.size
     phase = 1j if axis == "position" else -1j
-    probes = []
 
     def window_state(values):
         amp = np.zeros(grid.n, dtype=complex)
         amp[mask] = values
         return _axis_state(grid, axis, amp)
 
-    def flat_probe(boost):
-        if boost == 0.0:
-            return window_state(np.ones(count))
-        return window_state(np.exp(phase * boost * window / hbar))
+    def ramp(rate):
+        return (f"ramp{rate:+.6g}",
+                window_state(np.exp(phase * rate * window / hbar)))
 
-    def random_probe(seed):
-        rng = np.random.default_rng(seed)
-        vals = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-        return window_state(vals * np.hanning(count + 2)[1:-1])
-
-    conj_nyquist = math.pi * hbar / step
-    if "flat" in cfg.probe_kinds:
-        probes.append(("flat", flat_probe(0.0)))
-    ramps = []
-    k = 1
-    while len(ramps) < 2 * cfg.probes_per_center:
-        r = k * math.pi * hbar / cfg.delta
-        if r > conj_nyquist * (1.0 + 1e-12):
-            break
-        ramps.extend([r, -r])
-        k += 1
-    n_ramp = n_rand = 0
-    while len(probes) < cfg.probes_per_center:
-        before = len(probes)
-        if "ramped" in cfg.probe_kinds and n_ramp < len(ramps):
-            r = ramps[n_ramp]
-            n_ramp += 1
-            probes.append((f"ramp{r:+.6g}", flat_probe(r)))
-        if len(probes) < cfg.probes_per_center and "random" in cfg.probe_kinds:
-            seed = cfg.seed + 104729 * n_rand + idx
-            probes.append((f"random{n_rand}", random_probe(seed)))
-            n_rand += 1
-        if len(probes) == before:
-            probes.append(("flat", flat_probe(0.0)))
-            break
-    return x, probes
+    rng = np.random.default_rng(cfg.seed + idx)
+    noise = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    rate = math.pi * hbar / cfg.delta
+    return x, [("flat", window_state(np.ones(count))), ramp(rate),
+               ("random0", window_state(noise * np.hanning(count + 2)[1:-1])),
+               ramp(-rate)]
 
 
 def probe_sweep_reference(approx, target, cfg, grid, hbar, centered):

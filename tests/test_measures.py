@@ -644,6 +644,18 @@ def test_alpha_norms_of_a_subnormal_weight_match_log_space():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_alpha_deviation_near_one_of_a_subnormal_weight_matches_log_space():
+    # the minimizer lies within the subnormals of the heavy atom, where the
+    # Newton curvature overflows: a step of 0 from it is no convergence
+    m = sorted_measure([0.0, 1.0], [1.0, 5e-324])
+    for alpha in (1.0 + 1e-9, 1.0001, 1.001, 1.01, 1.1, 1.2):
+        r = math.exp(math.log(5e-324) / (alpha - 1.0))
+        y = r / (1.0 + r)  # the minimizer (0 up to alpha about 1.9)
+        want = oracles.log_alpha_norm(m.atoms - y, m.weights, alpha)
+        assert alpha_deviation(m, alpha) == want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_std_deviation_scaling_is_exact(rng):
     for _ in range(200):
         m = random_measure(rng, max_atoms=30, span=float(rng.uniform(0.1, 300)))

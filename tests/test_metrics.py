@@ -2,8 +2,7 @@
 
 import itertools
 import math
-from dataclasses import FrozenInstanceError, asdict
-from types import SimpleNamespace
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -32,7 +31,7 @@ from quncert.states import test_ensemble as builtin_ensemble
 import oracles
 from conftest import random_measure
 from quncert.exceptions import QuncertError
-from quncert.metrics import _PROBE_KINDS, _localized_probes, _worst
+from quncert.metrics import _localized_probes, _worst
 from quncert.metrics import divergence_cutoff
 
 GRID = GridSpec.symmetric(16.0, 512)
@@ -530,8 +529,7 @@ def _probe_family(build, grid, center, cfg, axis, hbar):
                          ids=["symmetric", "off-centre"])
 def test_probe_family_matches_counter_loop_oracle(grid):
     # labels, amplitudes, snapped centres and raised errors all bit for bit;
-    # the edge centre leaves no room for the wide window.  The oracle still
-    # reads a probe count and kinds: it gets the fixed family's
+    # the edge centre leaves no room for the wide window
     raised = 0
     for axis, hbar in (("position", 1.0), ("momentum", 1.0),
                        ("momentum", 2.5)):
@@ -539,10 +537,8 @@ def test_probe_family_matches_counter_loop_oracle(grid):
         centers = grid.around_midpoint(axis, (0.0, 0.3, 0.49), hbar)
         for steps, center in itertools.product((2.0, 4.0, 20.0), centers):
             cfg = ProbeConfig((0.0,), steps * step, 0.1, seed=5)
-            fixed = SimpleNamespace(**asdict(cfg), probe_kinds=_PROBE_KINDS,
-                                    probes_per_center=4)
             expected = _probe_family(oracles.localized_probes_reference,
-                                     grid, center, fixed, axis, hbar)
+                                     grid, center, cfg, axis, hbar)
             assert _probe_family(_localized_probes, grid, center, cfg, axis,
                                  hbar) == expected
             raised += isinstance(expected[0], type)

@@ -597,6 +597,54 @@ def test_joint_masses_match_the_shifted_spectrum_reference(grid, hbar, mixed):
                               joint_mass_reference(tau, state, qs, ps, hbar))
 
 
+_SMALL_GRID = GridSpec.symmetric(4.0, 64)
+
+
+def _two_by_two_mixture(grid):
+    tau = MixedState(((0.4, make_gaussian(grid, 0.5, 0.7, 0.6)),
+                      (0.6, make_gaussian(grid, -1.0, -0.3, 0.9))))
+    state = MixedState(((0.25, make_gaussian(grid, -0.8, 1.1, 0.5)),
+                        (0.75, make_gaussian(grid, 1.2, -0.6, 1.1))))
+    return tau, state
+
+
+# q lattices in cells: counts 2, 3, 5 and 129 (none a multiple of the
+# 4-row FFT block), shifts of 0, +-1 and +-n cells, rows all out of overlap
+@pytest.mark.parametrize("cells", [
+    (0, 1), (-1, 0, 1), (-64, 64), (-64, 0, 64), (63, 64),
+    (-64, -32, 0, 32, 64), (-5, -4, -3, -2, -1), tuple(range(-64, 65))],
+    ids=["2-at-0", "3-at-0", "2-at-n", "3-at-n", "2-to-n", "5-to-n",
+         "5-below-0", "129-all"])
+def test_joint_blocks_match_the_row_loop_reference(monkeypatch, cells):
+    # masses bit for bit, whatever the margins: the TV check is off
+    monkeypatch.setattr(observables, "_JOINT_TV_TOL", math.inf)
+    grid = _SMALL_GRID
+    tau, state = _two_by_two_mixture(grid)
+    qs = grid.dx * np.array(cells, dtype=float)
+    ps = grid.momentum_points()[8:57]
+    joint = joint_covariant_distribution(tau, state, qs, ps)
+    assert np.array_equal(joint.mass,
+                          joint_mass_reference(tau, state, qs, ps))
+
+
+def test_joint_shift_by_the_grid_length_gives_zero_rows(monkeypatch):
+    monkeypatch.setattr(observables, "_JOINT_TV_TOL", math.inf)
+    tau, state = _two_by_two_mixture(_SMALL_GRID)
+    qs = _SMALL_GRID.dx * np.array([-64.0, 0.0, 64.0])
+    joint = joint_covariant_distribution(tau, state, qs,
+                                         _SMALL_GRID.momentum_points())
+    assert not joint.mass[[0, 2]].any() and joint.mass[1].any()
+
+
+@pytest.mark.parametrize("cells", [(70, 71), (-77, -76), (0, 65), (-65, 0)])
+def test_joint_rejects_q_values_beyond_the_grid(cells):
+    tau, state = _two_by_two_mixture(_SMALL_GRID)
+    qs = _SMALL_GRID.dx * np.array(cells, dtype=float)
+    with pytest.raises(DomainError, match="q values fall outside the grid"):
+        joint_covariant_distribution(tau, state, qs,
+                                     _SMALL_GRID.momentum_points())
+
+
 def _assert_margin_tvs_bin_the_margin_laws(tau, state, joint, hbar=1.0):
     # binned in the windows the joint law uses, its first lattice gap (not
     # stride * step, which can differ from it by an ulp)

@@ -168,6 +168,62 @@ def test_weyl_subcell_shift_moves_mean():
     assert position_distribution(moved).mean() == pytest.approx(q, abs=1e-6)
 
 
+_WIDE_GRID = GridSpec.symmetric(64.0, 4096)
+
+
+def _translate_case(kind):
+    if kind == "mixture":
+        return MixedState(((0.3, make_gaussian(GRID, 1.0, 0.5, 0.6)),
+                           (0.7, make_gaussian(GRID, -1.5, -0.8, 1.4)))), 1.0
+    if kind == "hbar":
+        return MixedState.pure(make_gaussian(GRID, 0.4, 1.2, 0.9, 2.5)), 2.5
+    return MixedState.pure(make_gaussian(_WIDE_GRID, 0.0, 0.0, 0.8)), 1.0
+
+
+@pytest.mark.parametrize("kind", ["gaussian-4096", "mixture", "hbar"])
+@pytest.mark.parametrize("q, p", [(0.3, 0.0), (-1.37, 0.62), (2.718, -1.9)])
+def test_subcell_weyl_translate_zeros_only_its_round_off(kind, q, p):
+    # amplitudes below 2^-52 of the peak of the unfloored shift are exact
+    # zeros, the rest keep their bits.  The position law of a pure state is
+    # the unfloored one bit for bit (every zeroed atom was under the Born
+    # floor); in a mixture a zeroed atom of one component can sit on a live
+    # atom of another, which moves by less than 2^-104 of the mass.  The
+    # momentum law stays within 1e-14 of its peak
+    state, hbar = _translate_case(kind)
+    point = PhasePoint(q, p)
+    moved = weyl_translate(state, point, hbar)
+    ref = oracles.weyl_translate_reference(state, point, hbar)
+    zeros = 0
+    for (_, wf), (_, before), (_, wf_ref) in zip(
+            moved.components, state.components, ref.components):
+        modulus = np.abs(oracles.shift_reference(before, q, hbar))
+        cut = modulus < 2.0 ** -52 * np.max(modulus)
+        assert np.array_equal(wf.amplitudes == 0.0, cut)
+        assert np.array_equal(wf.amplitudes[~cut], wf_ref.amplitudes[~cut])
+        zeros += int(np.sum(cut))
+    assert zeros > 0
+    law, law_ref = position_distribution(moved), position_distribution(ref)
+    if len(state.components) == 1:
+        assert np.array_equal(law.weights, law_ref.weights)
+    assert np.max(np.abs(law.weights - law_ref.weights)) < 2.0 ** -104
+    law = momentum_distribution(moved, hbar)
+    law_ref = momentum_distribution(ref, hbar)
+    assert np.max(np.abs(law.weights - law_ref.weights)) \
+        <= 1e-14 * np.max(law_ref.weights)
+
+
+@pytest.mark.parametrize("kind", ["gaussian-4096", "mixture", "hbar"])
+def test_whole_cell_weyl_translate_is_not_floored(kind):
+    state, hbar = _translate_case(kind)
+    grid = state.grid
+    for cells in (1, -7, 40):
+        point = PhasePoint(cells * grid.dx, 0.8)
+        moved = weyl_translate(state, point, hbar)
+        ref = oracles.weyl_translate_reference(state, point, hbar)
+        for (_, wf), (_, wf_ref) in zip(moved.components, ref.components):
+            assert np.array_equal(wf.amplitudes, wf_ref.amplitudes)
+
+
 @st.composite
 def born_cases(draw):
     """(state, hbar) of a Gaussian, a two-part mixture of Gaussians or a
