@@ -580,8 +580,29 @@ def measure_from_spec(spec: dict) -> GridMeasure:
     return _read_spec(spec, "measure", _MEASURE_FAMILIES, "family")
 
 
-# rows formatted per write: bounds the strings held at once
+# rows formatted per write: with the blocks kept below, bounds the strings
+# held at once
 _CSV_BLOCK = 512
+# formatted blocks kept, the least recently used dropped first.  Of the 120
+# blocks a phase-space pass writes, 46 or 47 are distinct (its six
+# coordinate columns repeat one grid, most value tails are all 0), and 24
+# kept already find every repeat.  At most 32 blocks of 512 cells of up to
+# 24 characters, with their keys: about 1.6 MB
+_CSV_BLOCKS_KEPT = 32
+_csv_blocks: dict[tuple, tuple[str, ...]] = {}
+
+
+def _csv_cells(block: np.ndarray) -> tuple[str, ...]:
+    """repr of each number of block, kept by dtype and bytes (int64 0 and
+    float64 0.0 share their bytes, 0.0 and -0.0 do not)."""
+    key = (block.dtype, block.tobytes())
+    cells = _csv_blocks.pop(key, None)
+    if cells is None:
+        cells = tuple(map(repr, block.tolist()))
+        if len(_csv_blocks) >= _CSV_BLOCKS_KEPT:
+            del _csv_blocks[next(iter(_csv_blocks))]
+    _csv_blocks[key] = cells
+    return cells
 
 
 def _write_csv(path: str, header: Sequence[str], *columns: np.ndarray) -> None:
@@ -592,7 +613,7 @@ def _write_csv(path: str, header: Sequence[str], *columns: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for k in range(0, len(columns[0]), _CSV_BLOCK):
-            cells = [list(map(repr, c[k:k + _CSV_BLOCK].tolist())) for c in columns]
+            cells = [_csv_cells(c[k:k + _CSV_BLOCK]) for c in columns]
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 

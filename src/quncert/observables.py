@@ -50,9 +50,12 @@ class Observable:
         raise NotImplementedError
 
     def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
-        law = (position_distribution(state) if self.axis == "position"
-               else momentum_distribution(state, hbar))
-        return self.from_law(law, state.grid, hbar)
+        return self.from_law(_born_law(self.axis, state, hbar), state.grid, hbar)
+
+
+def _born_law(axis: str, state: State, hbar: float) -> GridMeasure:
+    return (position_distribution(state) if axis == "position"
+            else momentum_distribution(state, hbar))
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,12 @@ class PushforwardObservable(Observable):
         return pushforward(self.inner.distribution(state, hbar), self.map)
 
 
+# the last covariant margin law per axis: ((generator, state, hbar), law).
+# Generators and states define no equality, so the key compares them by
+# identity; they are held, so no id is reused while the law is kept
+_last_margin: dict[str, tuple] = {}
+
+
 @dataclass(frozen=True, eq=False)
 class Smeared(Observable):
     """Sharp position or momentum measurement offset by independent noise.
@@ -142,6 +151,23 @@ class Smeared(Observable):
             self._cache[hbar] = self.sharp().distribution(parity(self.noise),
                                                           hbar)
         return self._cache[hbar]
+
+    def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
+        """The smeared law.  A covariant margin on the state's grid is kept,
+        the last one per axis, and returned again for the same generator
+        and state (by identity) and hbar: the margin check of the joint law
+        builds the laws its caller asks for next."""
+        if isinstance(self.noise, GridMeasure) or self.noise.grid != state.grid:
+            return self.from_law(_born_law(self.axis, state, hbar),
+                                 state.grid, hbar)
+        # the old law is dropped before a new one is computed
+        key = (self.noise, state, hbar)
+        last = _last_margin.pop(self.axis, None)
+        if last is None or last[0] != key:
+            last = (key, self.from_law(_born_law(self.axis, state, hbar),
+                                       state.grid, hbar))
+        _last_margin[self.axis] = last
+        return last[1]
 
     def from_law(self, law: GridMeasure, grid: GridSpec, hbar: float) -> GridMeasure:
         smear = self.smearing(hbar)
@@ -351,10 +377,17 @@ def joint_covariant_distribution(tau: State, state: State,
         windows = np.lib.stride_tricks.sliding_window_view(padded, n)
         for w_s, psi in state.components:
             w = w_t * w_s
+            # every product outside the live span [a, b) of psi is 0, so
+            # only the span is multiplied, into a block that stays 0 elsewhere
+            live = np.flatnonzero(psi.amplitudes)
+            a, b = int(live[0]), int(live[-1]) + 1
+            block = np.zeros((_JOINT_ROWS, n), dtype=complex)
             for start in range(0, q_cells.size, _JOINT_ROWS):
                 rows = slice(start, start + _JOINT_ROWS)
-                spectrum = np.fft.fft(windows[n - q_cells[rows]]
-                                      * psi.amplitudes, axis=1)
+                cells = q_cells[rows]
+                np.multiply(windows[n - cells, a:b], psi.amplitudes[a:b],
+                            out=block[:cells.size, a:b])
+                spectrum = np.fft.fft(block[:cells.size], axis=1)
                 mass[rows] += w * scale * np.abs(spectrum[:, fft_idx]) ** 2
 
     tv_q, tv_p = (

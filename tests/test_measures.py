@@ -14,7 +14,7 @@ from quncert import (BoundedRangeMap, BoundedShiftMap, DomainError,
                      overall_width_interval, point_mass, pushforward,
                      save_measure_csv, sorted_measure, std_deviation,
                      translate, two_point, uniform_measure)
-from quncert import ResourceError
+from quncert import ResourceError, measures
 from quncert.measures import DEFAULT_CONVOLVE_CAP, _write_csv
 from quncert.metrics import delta_alpha_smeared_closed_form
 from quncert.states import GridSpec, make_gaussian, save_wavefunction_csv
@@ -549,6 +549,62 @@ def test_csv_bytes_match_the_csv_writer(tmp_path, rows):
         _write_csv(str(got), header, *columns)
         oracles.csv_writer_reference(str(want), header, *columns)
         assert got.read_bytes() == want.read_bytes()
+
+
+def _count_reprs(monkeypatch):
+    # the writer's `repr`, looked up in the module before the builtins
+    calls = []
+
+    def spy(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(measures, "_csv_blocks", {})
+    monkeypatch.setattr(measures, "repr", spy, raising=False)
+    return calls
+
+
+def test_csv_blocks_formatted_once_keep_dtype_and_sign(tmp_path, monkeypatch):
+    calls = _count_reprs(monkeypatch)
+    rows = 2 * measures._CSV_BLOCK
+    lattice = np.linspace(-8.0, 8.0, rows)
+    zeros = np.zeros(rows)
+    signed = np.concatenate([zeros[:measures._CSV_BLOCK],
+                             -zeros[measures._CSV_BLOCK:]])
+    index = np.zeros(rows, dtype=np.int64)
+    assert index[:measures._CSV_BLOCK].tobytes() == \
+        zeros[:measures._CSV_BLOCK].tobytes()
+    tables = {
+        # float 0.0 blocks are formatted first
+        "float": (("x", "w"), lattice, zeros),
+        # a -0.0 block beside a 0.0 block, the lattice column again
+        "signed": (("x", "re", "im"), lattice, signed, zeros),
+        # int64 zero indices share the bytes of the float 0.0 blocks
+        "coupling": (("i", "j", "xi", "yj", "w"), index,
+                     np.arange(rows), lattice, lattice, zeros),
+    }
+    for name, (header, *columns) in tables.items():
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}-ref.csv"
+        _write_csv(str(got), header, *columns)
+        oracles.csv_writer_reference(str(want), header, *columns)
+        assert got.read_bytes() == want.read_bytes()
+    # the distinct blocks: lattice x 2, float 0.0, -0.0, int64 0, arange x 2
+    assert len(measures._csv_blocks) == 7
+    assert len(calls) == 7 * measures._CSV_BLOCK
+
+
+def test_csv_blocks_kept_are_bounded(tmp_path, monkeypatch):
+    calls = _count_reprs(monkeypatch)
+    rows = 40 * measures._CSV_BLOCK
+    column = np.arange(rows, dtype=float)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    _write_csv(str(got), ("x", "w"), column, np.zeros(rows))
+    oracles.csv_writer_reference(str(want), ("x", "w"), column, np.zeros(rows))
+    assert got.read_bytes() == want.read_bytes()
+    assert len(measures._csv_blocks) == measures._CSV_BLOCKS_KEPT
+    # the zero block, used on every row, is the most recently used one and
+    # is never dropped: 40 column blocks and one zero block are formatted
+    assert len(calls) == 41 * measures._CSV_BLOCK
 
 
 def test_csv_savers_write_the_csv_writer_bytes(tmp_path, rng):

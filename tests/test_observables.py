@@ -627,6 +627,37 @@ def test_joint_blocks_match_the_row_loop_reference(monkeypatch, cells):
                           joint_mass_reference(tau, state, qs, ps))
 
 
+def _live_span_cases(grid):
+    # a state live up to both grid ends, and a mixture whose components are
+    # live on different spans (the full grid first, then two boxes)
+    wide = MixedState.pure(make_gaussian(grid, 0.3, 0.9, 1.5))
+    staggered = MixedState(((0.3, make_gaussian(grid, 0.2, 0.4, 0.7)),
+                            (0.2, make_box(grid, -2.0, 1.5, 1.0)),
+                            (0.5, make_box(grid, 1.0, 2.5, -0.5))))
+    return {"live-to-both-ends": wide, "staggered-spans": staggered}
+
+
+@pytest.mark.parametrize("cells", [(-64, 0, 64), (-5, -4, -3, -2, -1),
+                                   tuple(range(-64, 65))],
+                         ids=["3-at-n", "5-below-0", "129-all"])
+@pytest.mark.parametrize("case", ["live-to-both-ends", "staggered-spans"])
+def test_joint_live_spans_match_the_row_loop_reference(monkeypatch, case,
+                                                       cells):
+    monkeypatch.setattr(observables, "_JOINT_TV_TOL", math.inf)
+    grid = _SMALL_GRID
+    tau, _ = _two_by_two_mixture(grid)
+    state = _live_span_cases(grid)[case]
+    spans = {(int(live[0]), int(live[-1]) + 1) for live in
+             (np.flatnonzero(wf.amplitudes) for _, wf in state.components)}
+    assert spans == ({(0, grid.n)} if case == "live-to-both-ends"
+                     else {(0, grid.n), (10, 23), (30, 51)})
+    qs = grid.dx * np.array(cells, dtype=float)
+    ps = grid.momentum_points()[8:57]
+    joint = joint_covariant_distribution(tau, state, qs, ps)
+    assert np.array_equal(joint.mass,
+                          joint_mass_reference(tau, state, qs, ps))
+
+
 def test_joint_shift_by_the_grid_length_gives_zero_rows(monkeypatch):
     monkeypatch.setattr(observables, "_JOINT_TV_TOL", math.inf)
     tau, state = _two_by_two_mixture(_SMALL_GRID)
@@ -677,6 +708,61 @@ def test_joint_margin_tvs_of_a_gaussian_pair_bin_the_margin_laws():
     joint = joint_covariant_distribution(tau, state, qs, ps)
     _assert_margin_tvs_bin_the_margin_laws(tau, state, joint)
     assert max(joint.q_marginal_tv, joint.p_marginal_tv) < 1e-3
+
+
+# -- the last covariant margin law per axis is kept -----------------------------
+
+def _count_convolutions(monkeypatch):
+    calls = []
+    for name in ("_lattice_convolve", "convolve"):
+        def spy(*args, _fn=getattr(observables, name)):
+            calls.append(args)
+            return _fn(*args)
+        monkeypatch.setattr(observables, name, spy)
+    return calls
+
+
+def _assert_same_law(a, b):
+    assert np.array_equal(a.atoms, b.atoms)
+    assert np.array_equal(a.weights, b.weights)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixture"])
+@pytest.mark.parametrize("hbar", [1.0, 2.5])
+def test_margin_laws_after_the_joint_law_equal_fresh_ones(monkeypatch, hbar,
+                                                          mixed):
+    monkeypatch.setattr(observables, "_last_margin", {})
+    tau, state = _lattice_case(DEFAULT_GRID, hbar, mixed)
+    qs, ps = _husimi_lattice(DEFAULT_GRID, hbar, q_half=6.0, p_half=5.0 * hbar)
+    joint_covariant_distribution(tau, state, qs, ps, hbar)
+    calls = _count_convolutions(monkeypatch)
+    kept = {axis: CovariantMarginal(tau, axis).distribution(state, hbar)
+            for axis in ("position", "momentum")}
+    assert calls == []
+    for axis, law in kept.items():
+        observables._last_margin.clear()
+        _assert_same_law(law, CovariantMarginal(tau, axis).distribution(
+            state, hbar))
+    assert len(calls) == 2
+
+    # one key component changed at a time: each computes its law afresh
+    for axis in ("position", "momentum"):
+        for g, s, h in ((tau, MixedState(state.components), hbar),
+                        (MixedState(tau.components), state, hbar),
+                        (tau, state, 2.0 * hbar)):
+            CovariantMarginal(tau, axis).distribution(state, hbar)
+            before = len(calls)
+            law = CovariantMarginal(g, axis).distribution(s, h)
+            assert len(calls) == before + 1
+            if h == hbar:
+                _assert_same_law(law, kept[axis])
+    # a fixed noise measure is never kept
+    noisy = SmearedPosition(two_point(-1.0, 3.0))
+    before = len(calls)
+    first = noisy.distribution(state, hbar)
+    _assert_same_law(first, noisy.distribution(state, hbar))
+    assert len(calls) == before + 2
+    assert set(observables._last_margin) == {"position", "momentum"}
 
 
 # -- trivial devices ignore the state -------------------------------------------
