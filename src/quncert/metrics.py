@@ -190,7 +190,7 @@ def _probe_laws(approx: Observable, target: Observable, cfg: ProbeConfig,
         for label, probe in probes:
             law = target.distribution(probe, hbar)
             _assert_localized(law, x, cfg.delta)
-            laws.append((x, label, approx.from_law(law, grid, hbar)
+            laws.append((x, label, approx.from_law(law, hbar)
                          if approx.axis == target.axis
                          else approx.distribution(probe, hbar)))
     _last_sweep = (key, laws)

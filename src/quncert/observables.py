@@ -9,12 +9,11 @@ margin (`CovariantMarginal`) of the translation-covariant phase-space
 observable generated by a normalized reference state.  Pushforwards
 transform the value space.
 
-A covariant margin whose generator lives on the state's own grid is
-convolved on that grid's lattice of its axis (step dx, or dp = 2 pi hbar /
-span): both Born laws sit on it, so atom i of one and atom j of the other
-sum to atom i + j, and momentum widths come out as whole multiples of dp.
-Every other smearing (a fixed noise measure, or a generator on another
-grid) goes through `measures.convolve`, which bins pair sums.
+Every smearing is one `measures.convolve`.  A covariant margin whose
+generator lives on the state's own grid convolves two Born laws on that
+grid's lattice of its axis (step dx, or dp = 2 pi hbar / span), which
+`convolve` recognizes and adds up without binning, so momentum widths come
+out as whole multiples of dp.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .measures import (BoundedRangeMap, BoundedShiftMap, GridMeasure,
                        MeasurableMap, PiecewiseLinearMap, _read_spec,
                        convolve, identity_map, measure_from_spec, point_mass,
                        pushforward)
-from .states import (GridSpec, State, momentum_distribution, parity,
+from .states import (State, momentum_distribution, parity,
                      position_distribution, state_from_spec)
 
 
@@ -46,11 +45,11 @@ class Observable:
         if self.axis not in ("position", "momentum"):
             raise DomainError("axis must be 'position' or 'momentum'")
 
-    def from_law(self, law: GridMeasure, grid: GridSpec, hbar: float) -> GridMeasure:
+    def from_law(self, law: GridMeasure, hbar: float) -> GridMeasure:
         raise NotImplementedError
 
     def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
-        return self.from_law(_born_law(self.axis, state, hbar), state.grid, hbar)
+        return self.from_law(_born_law(self.axis, state, hbar), hbar)
 
 
 def _born_law(axis: str, state: State, hbar: float) -> GridMeasure:
@@ -64,7 +63,7 @@ class Sharp(Observable):
 
     axis: str
 
-    def from_law(self, law: GridMeasure, grid: GridSpec, hbar: float) -> GridMeasure:
+    def from_law(self, law: GridMeasure, hbar: float) -> GridMeasure:
         return law
 
 
@@ -85,7 +84,7 @@ class TrivialObservable(Observable):
     law: GridMeasure
     axis: str = "position"
 
-    def from_law(self, law: GridMeasure, grid: GridSpec, hbar: float) -> GridMeasure:
+    def from_law(self, law: GridMeasure, hbar: float) -> GridMeasure:
         return self.law
 
     def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
@@ -104,8 +103,8 @@ class PushforwardObservable(Observable):
     def axis(self) -> str:  # type: ignore[override]
         return self.inner.axis
 
-    def from_law(self, law: GridMeasure, grid: GridSpec, hbar: float) -> GridMeasure:
-        return pushforward(self.inner.from_law(law, grid, hbar), self.map)
+    def from_law(self, law: GridMeasure, hbar: float) -> GridMeasure:
+        return pushforward(self.inner.from_law(law, hbar), self.map)
 
     def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
         """The inner outcome law mapped: a trivial inner device computes
@@ -129,11 +128,11 @@ class Smeared(Observable):
     parity-reflected tau on the same axis, cached per hbar (the momentum law
     depends on it).
 
-    When tau shares the law's grid, the two laws share one lattice by
-    construction, so the convolution is a shift-add on it
-    (`_lattice_convolve`): no pair sum is binned, and on the momentum axis
-    no atom drifts off the multiples of dp.  A fixed noise measure or a
-    tau on another grid is convolved by `measures.convolve`.
+    When tau shares the law's grid, the two laws hold one lattice by
+    construction, so `measures.convolve` adds them up on it: no pair sum
+    is binned, and on the momentum axis no atom drifts off the multiples
+    of dp.  A fixed noise measure or a tau on another grid is binned,
+    unless its atoms are the law's own lattice.
     """
 
     # no default: the inherited class attribute would otherwise be read as one
@@ -158,51 +157,17 @@ class Smeared(Observable):
         and state (by identity) and hbar: the margin check of the joint law
         builds the laws its caller asks for next."""
         if isinstance(self.noise, GridMeasure) or self.noise.grid != state.grid:
-            return self.from_law(_born_law(self.axis, state, hbar),
-                                 state.grid, hbar)
+            return self.from_law(_born_law(self.axis, state, hbar), hbar)
         # the old law is dropped before a new one is computed
         key = (self.noise, state, hbar)
         last = _last_margin.pop(self.axis, None)
         if last is None or last[0] != key:
-            last = (key, self.from_law(_born_law(self.axis, state, hbar),
-                                       state.grid, hbar))
+            last = (key, self.from_law(_born_law(self.axis, state, hbar), hbar))
         _last_margin[self.axis] = last
         return last[1]
 
-    def from_law(self, law: GridMeasure, grid: GridSpec, hbar: float) -> GridMeasure:
-        smear = self.smearing(hbar)
-        if isinstance(self.noise, GridMeasure) or self.noise.grid != grid:
-            return convolve(law, smear)
-        _, step = grid.lattice(self.axis, hbar)
-        return _lattice_convolve(law, smear, step)
-
-
-def _lattice_convolve(a: GridMeasure, b: GridMeasure, step: float
-                      ) -> GridMeasure:
-    """Law of the sum of independent draws from a and b, two laws that each
-    hold every point of a lattice of the given step (atom k at atoms[0] +
-    k step): the sum of atoms i and j sits on atom i + j of the sum
-    lattice, so nothing is binned.
-
-    One slice-add per live atom of the sparser law (``a`` on a tie), over
-    the live span of the other, in ascending order as `convolve` adds its
-    rows; zero-weight ends are trimmed as `convolve` trims them.  A Born
-    law's zeros are its weights below the round-off floor
-    (`states.position_distribution`, `states.momentum_distribution`), so
-    a state localized on the axis pays only for its live atoms.
-    """
-    live_a = np.nonzero(a.weights > 0.0)[0]
-    live_b = np.nonzero(b.weights > 0.0)[0]
-    if live_a.size > live_b.size:
-        a, b, live_a, live_b = b, a, live_b, live_a
-    lo, hi = int(live_b[0]), int(live_b[-1]) + 1
-    row = b.weights[lo:hi]
-    acc = np.zeros(len(a) + len(b) - 1)
-    for i in live_a:
-        acc[i + lo:i + hi] += a.weights[i] * row
-    nz = np.nonzero(acc > 0.0)[0]
-    k = np.arange(nz[0], nz[-1] + 1)
-    return GridMeasure(a.atoms[0] + b.atoms[0] + step * k, acc[k])
+    def from_law(self, law: GridMeasure, hbar: float) -> GridMeasure:
+        return convolve(law, self.smearing(hbar))
 
 
 def SmearedPosition(mu: GridMeasure) -> Smeared:
@@ -316,14 +281,6 @@ def _binned_tv(masses: np.ndarray, centers: np.ndarray, step: float,
     missing = max(0.0, 1.0 - float(np.sum(masses)))
     return 0.5 * (float(np.abs(np.diff(cdf_vals) - masses).sum())
                   + leftover + missing)
-
-
-def _margin_tv(masses: np.ndarray, centers: np.ndarray, window: float,
-               law: GridMeasure, smear: GridMeasure, step: float) -> float:
-    # `_binned_tv` against the smeared law law * smear on its lattice of the
-    # given step
-    return _binned_tv(masses, centers, window,
-                      _lattice_convolve(law, smear, step))
 
 
 def joint_covariant_distribution(tau: State, state: State,

@@ -352,10 +352,20 @@ def binned_tv_reference(masses, centers, step, ref) -> float:
                   + leftover + missing)
 
 
+def lattice_convolve_reference(law, smear, step: float) -> GridMeasure:
+    """Law of the sum of two laws that hold every point of one lattice of
+    the given step: their weights convolved densely by `np.convolve`, atom
+    k at law.atoms[0] + smear.atoms[0] + k step, zero ends trimmed."""
+    weights = np.convolve(law.weights, smear.weights)
+    nz = np.nonzero(weights > 0.0)[0]
+    k = np.arange(nz[0], nz[-1] + 1)
+    return GridMeasure(law.atoms[0] + smear.atoms[0] + step * k, weights[k])
+
+
 def joint_margin_tv_reference(tau, state, joint, hbar: float = 1.0):
     """(q, p) margin TVs of a joint covariant law through the full smeared
     laws: each margin's Born law and smearing convolved densely on their
-    lattice by `np.convolve`, zero ends trimmed, then binned per edge by
+    lattice by `lattice_convolve_reference`, then binned per edge by
     `binned_tv_reference`."""
     from quncert.observables import CovariantMarginal
     tvs = []
@@ -363,14 +373,9 @@ def joint_margin_tv_reference(tau, state, joint, hbar: float = 1.0):
             ("position", joint.mass.sum(axis=1), joint.q_values),
             ("momentum", joint.mass.sum(axis=0), joint.p_values)):
         obs = CovariantMarginal(tau, axis)
-        law = obs.sharp().distribution(state, hbar)
-        smear = obs.smearing(hbar)
         _, step = state.grid.lattice(axis, hbar)
-        weights = np.convolve(law.weights, smear.weights)
-        nz = np.nonzero(weights > 0.0)[0]
-        k = np.arange(nz[0], nz[-1] + 1)
-        ref = GridMeasure(law.atoms[0] + smear.atoms[0] + step * k,
-                          weights[k])
+        ref = lattice_convolve_reference(obs.sharp().distribution(state, hbar),
+                                         obs.smearing(hbar), step)
         tvs.append(binned_tv_reference(masses, centers,
                                        float(centers[1] - centers[0]), ref))
     return tuple(tvs)

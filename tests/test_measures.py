@@ -17,7 +17,9 @@ from quncert import (BoundedRangeMap, BoundedShiftMap, DomainError,
 from quncert import ResourceError, measures
 from quncert.measures import DEFAULT_CONVOLVE_CAP, _write_csv
 from quncert.metrics import delta_alpha_smeared_closed_form
-from quncert.states import GridSpec, make_gaussian, save_wavefunction_csv
+from quncert.states import (DEFAULT_GRID, GridSpec, make_gaussian,
+                            momentum_distribution, parity,
+                            position_distribution, save_wavefunction_csv)
 from quncert.transport import optimal_coupling_lp, save_coupling_csv
 
 HALF_HALF = sorted_measure([0.0, 1.0], [0.5, 0.5])
@@ -374,9 +376,7 @@ def test_convolve_suite_shape_matches_reference():
         assert float(np.sum(got.weights)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_convolve_work_scales_with_live_pairs(monkeypatch):
-    law = _probe_law([0.25, 0.0, 0.5, 0.0, 0.25])
-    noise = gaussian_measure(0.0, 0.7, 801)
+def _count_bincounts(monkeypatch):
     binned = []
     real_bincount = np.bincount
 
@@ -385,6 +385,13 @@ def test_convolve_work_scales_with_live_pairs(monkeypatch):
         return real_bincount(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "bincount", counting_bincount)
+    return binned
+
+
+def test_convolve_work_scales_with_live_pairs(monkeypatch):
+    law = _probe_law([0.25, 0.0, 0.5, 0.0, 0.25])
+    noise = gaussian_measure(0.0, 0.7, 801)
+    binned = _count_bincounts(monkeypatch)
     for x, y in ((law, noise), (noise, law)):
         binned.clear()
         convolve(x, y)
@@ -416,6 +423,108 @@ def test_convolve_cap_raises_before_pair_work(monkeypatch):
     monkeypatch.setattr(np, "bincount", no_pair_work)
     with pytest.raises(ResourceError, match="cap is 100"):
         convolve(a, b, max_atoms=100)
+
+
+# -- convolve on a shared lattice ---------------------------------------------
+
+def _lattice_pair(atoms, w_a, w_b):
+    atoms = np.asarray(atoms, dtype=float)
+    w_a, w_b = np.asarray(w_a, dtype=float), np.asarray(w_b, dtype=float)
+    return (GridMeasure(atoms, w_a / w_a.sum()),
+            GridMeasure(atoms, w_b / w_b.sum()))
+
+
+def _assert_lattice_sum(a, b):
+    # the dense np.convolve law on the lattice a0 + b0 + step k, with step
+    # read off the shared atoms as convolve reads it
+    step = float(a.atoms[-1] - a.atoms[0]) / (len(a) - 1)
+    want = oracles.lattice_convolve_reference(a, b, step)
+    for x, y in ((a, b), (b, a)):
+        got = convolve(x, y)
+        assert np.array_equal(got.atoms, want.atoms)
+        np.testing.assert_allclose(got.weights, want.weights, rtol=1e-13,
+                                   atol=0.0)
+    return got
+
+
+def test_convolve_on_a_shared_lattice_adds_atoms_exactly(monkeypatch):
+    binned = _count_bincounts(monkeypatch)
+    rng = np.random.default_rng(5)
+    atoms = -3.0 + 0.1 * np.arange(40)
+    sparse = [rng.random(40) * (rng.random(40) < live) for live in (0.3, 0.5)]
+    sparse[0][[0, 39]] = 0.0  # zero ends, trimmed from the sum
+    lone_a, lone_b = np.eye(40)[7], np.eye(40)[31]
+    # interior zero weights on both sides and on one side; one live atom on
+    # one side and on both
+    for w_a, w_b in ((sparse[0], sparse[1]), (sparse[0], rng.random(40)),
+                     (lone_a, rng.random(40)), (lone_a, lone_b)):
+        _assert_lattice_sum(*_lattice_pair(atoms, w_a, w_b))
+    lone = convolve(*_lattice_pair(atoms, lone_a, lone_b))
+    assert len(lone) == 1
+    assert lone.atoms[0] == pytest.approx(atoms[7] + atoms[31], abs=1e-14)
+    # 2-atom lattices, with and without a zero weight
+    for w_a, w_b in (([0.3, 0.7], [0.6, 0.4]), ([1.0, 0.0], [0.2, 0.8]),
+                     ([0.0, 1.0], [1.0, 0.0])):
+        _assert_lattice_sum(*_lattice_pair([-0.5, 1.25], w_a, w_b))
+    assert binned == []
+
+
+@pytest.mark.parametrize("hbar", [1.0, 2.5])
+@pytest.mark.parametrize("axis", ["position", "momentum"])
+def test_convolve_of_born_laws_on_a_named_grid_is_exact(monkeypatch, axis,
+                                                         hbar):
+    binned = _count_bincounts(monkeypatch)
+    grid = DEFAULT_GRID
+    born = position_distribution if axis == "position" else (
+        lambda wf: momentum_distribution(wf, hbar))
+    law = born(make_gaussian(grid, -0.7, 0.4, 0.8, hbar))
+    smear = born(parity(make_gaussian(grid, 0.3, -0.2, 1.1, hbar)))
+    got = _assert_lattice_sum(law, smear)
+    assert binned == []
+    # the step read off the atoms is within 2n ulps of the grid's step
+    points, step = grid.lattice(axis, hbar)
+    k = np.rint((got.atoms - 2 * points[0]) / step)
+    assert np.max(np.abs(got.atoms - (2 * points[0] + step * k))) <= (
+        2 * grid.n * 2.0 ** -52 * step)
+
+
+def test_convolve_bins_laws_that_share_no_uniform_lattice(monkeypatch):
+    binned = _count_bincounts(monkeypatch)
+    rng = np.random.default_rng(9)
+    uniform = -2.0 + 0.25 * np.arange(30)
+    irregular = np.cumsum(rng.uniform(0.05, 0.2, 30))
+    kinked = uniform.copy()
+    kinked[12] += 1e-7 * 0.25  # one spacing off by 1e-7 of a step
+    pairs = [
+        # equal lengths, not identical atoms: another offset, another step
+        (uniform, uniform + 0.1),
+        (uniform, -2.0 + 0.3 * np.arange(30)),
+        # identical atoms, not uniform
+        (irregular, irregular),
+        (kinked, kinked),
+    ]
+    for x_atoms, y_atoms in pairs:
+        a = GridMeasure(x_atoms, np.full(30, 1.0 / 30))
+        b = GridMeasure(y_atoms, rng.dirichlet(np.ones(30)))
+        binned.clear()
+        got = convolve(a, b)
+        assert binned == [30] * 60  # two bincounts per atom of a
+        ref = oracles.convolve_reference(a, b)
+        assert np.array_equal(got.atoms, ref.atoms)
+        assert np.array_equal(got.weights, ref.weights)
+
+
+def test_convolve_cap_raises_on_a_shared_lattice_before_slice_adds(
+        monkeypatch):
+    a, b = _lattice_pair(0.5 * np.arange(2001), np.ones(2001),
+                         np.arange(1.0, 2002.0))
+
+    def no_accumulator(*_args, **_kwargs):
+        raise AssertionError("an accumulator was allocated before the cap")
+
+    monkeypatch.setattr(np, "zeros", no_accumulator)
+    with pytest.raises(ResourceError, match="4002 atoms, cap is 4001"):
+        convolve(a, b, max_atoms=4001)
 
 
 @pytest.mark.parametrize("spec", [

@@ -24,7 +24,8 @@ from quncert.states import (COVARIANT_GRID, DEFAULT_GRID, SOLVER_GRID,
 from quncert.states import test_ensemble as builtin_ensemble
 
 from oracles import (binned_tv_reference, joint_margin_tv_reference,
-                     joint_mass_reference, tv_distance)
+                     joint_mass_reference, lattice_convolve_reference,
+                     tv_distance)
 
 GRID = DEFAULT_GRID
 
@@ -439,9 +440,9 @@ def test_other_grid_and_fixed_noise_go_through_convolve(monkeypatch):
         want = convolve(a, b)
         assert np.array_equal(got.weights, want.weights)
     assert len(calls) == 4
-    # a generator on the state's grid takes the lattice path
+    # a generator on the state's grid too: convolve finds the shared lattice
     CovariantMarginal(_gauss(), "momentum").distribution(state)
-    assert len(calls) == 4
+    assert len(calls) == 5
 
 
 # -- joint margin check: the mini-cell CDF -----------------------------------------
@@ -521,10 +522,12 @@ def _lattice_law(rng, grid, axis, live):
     return GridMeasure(points, weights / weights.sum())
 
 
-def _full_law_tv(masses, centers, window, law, smear, step):
-    return observables._binned_tv(masses, centers, window,
-                                  observables._lattice_convolve(law, smear,
-                                                                step))
+def _full_law_tvs(masses, centers, window, law, smear, step):
+    # the smeared law as `convolve` builds it, and as the dense reference
+    return (observables._binned_tv(masses, centers, window,
+                                   convolve(law, smear)),
+            binned_tv_reference(masses, centers, window,
+                                lattice_convolve_reference(law, smear, step)))
 
 
 @pytest.mark.parametrize("axis", ["position", "momentum"])
@@ -544,11 +547,9 @@ def test_edge_cdf_tv_matches_the_full_smeared_law(axis):
                     k = np.arange(start, start + 9)
                     centers = step * (offset + stride * k)
                     masses = 0.9 * rng.dirichlet(np.ones(centers.size))
-                    got = observables._margin_tv(masses, centers,
-                                                 stride * step, law, smear,
-                                                 step)
-                    want = _full_law_tv(masses, centers, stride * step, law,
-                                        smear, step)
+                    got, want = _full_law_tvs(masses, centers,
+                                              stride * step, law, smear,
+                                              step)
                     assert abs(got - want) <= 1e-13
 
 
@@ -562,10 +563,9 @@ def test_edge_cdf_tv_keeps_the_jump_of_two_one_atom_laws():
     centers = at + step * np.array([-0.5, 0.5, 1.5])
     for masses, tv in (([1.0, 0.0, 0.0], 0.0), ([0.5, 0.5, 0.0], 0.5),
                        ([0.0, 1.0, 0.0], 1.0)):
-        got = observables._margin_tv(np.array(masses), centers, step, law,
-                                     smear, step)
-        assert got == tv == _full_law_tv(np.array(masses), centers, step,
-                                         law, smear, step)
+        got, want = _full_law_tvs(np.array(masses), centers, step, law,
+                                  smear, step)
+        assert got == tv == want
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixture"])
@@ -714,11 +714,12 @@ def test_joint_margin_tvs_of_a_gaussian_pair_bin_the_margin_laws():
 
 def _count_convolutions(monkeypatch):
     calls = []
-    for name in ("_lattice_convolve", "convolve"):
-        def spy(*args, _fn=getattr(observables, name)):
-            calls.append(args)
-            return _fn(*args)
-        monkeypatch.setattr(observables, name, spy)
+
+    def spy(*args):
+        calls.append(args)
+        return convolve(*args)
+
+    monkeypatch.setattr(observables, "convolve", spy)
     return calls
 
 
@@ -772,7 +773,7 @@ def test_pushforward_of_a_trivial_device_computes_no_born_law(monkeypatch):
     obs = PushforwardObservable(TrivialObservable(point_mass(0.5)),
                                 map_from_spec({"kind": "cos_shift",
                                                "amplitude": 0.3}))
-    want = obs.from_law(position_distribution(state), state.grid, 1.0)
+    want = obs.from_law(position_distribution(state), 1.0)
     calls = []
 
     def spy(*args):

@@ -16,6 +16,9 @@ when their outputs are equal, so a refactor is checked with
     diff before.txt after.txt
 
 The QUNCERT_* variables of the calling shell are cleared for every run.
+Before the first run, one `import quncert.cli` in the same environment
+names the package file it loads on stderr; if the import fails, the script
+prints its error and exits 1 rather than hash one failure for every run.
 Two runs at a time; the whole set takes a few minutes on two cores.
 """
 
@@ -273,14 +276,21 @@ def runs() -> list[tuple[dict, list[str]]]:
     return out
 
 
-def digest(env_vars: dict, argv: list[str], tables_dir: str) -> str:
+def run_env(env_vars: dict) -> dict:
+    """The calling environment without its QUNCERT_* variables, plus
+    env_vars."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("QUNCERT_")}
     env.update(env_vars)
+    return env
+
+
+def digest(env_vars: dict, argv: list[str], tables_dir: str) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         proc = subprocess.run([sys.executable, "-m", "quncert.cli",
                                *(a.replace(OUT, tmp).replace(IN, tables_dir)
                                  for a in argv)],
-                              capture_output=True, env=env, timeout=600)
+                              capture_output=True, env=run_env(env_vars),
+                              timeout=600)
         parts = [proc.stdout, proc.stderr, str(proc.returncode).encode()]
         parts = [p.replace(tmp.encode(), OUT.encode())
                  .replace(tables_dir.encode(), IN.encode()) for p in parts]
@@ -295,6 +305,16 @@ def digest(env_vars: dict, argv: list[str], tables_dir: str) -> str:
 
 
 def main() -> int:
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import quncert.cli; print(quncert.__file__)"],
+        capture_output=True, text=True, env=run_env({}), timeout=600)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        print("cli_digests: quncert.cli does not import; set PYTHONPATH to "
+              "the checkout's src", file=sys.stderr)
+        return 1
+    print(f"cli_digests: hashing {proc.stdout.strip()}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tables_dir, \
             ThreadPoolExecutor(max_workers=2) as pool:
         for name, text in tables().items():
