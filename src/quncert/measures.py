@@ -196,13 +196,20 @@ def uniform_measure(lo: float, hi: float, n_atoms: int) -> GridMeasure:
 
 def gaussian_measure(mean: float, sigma: float, n_atoms: int = 801,
                      half_width: float = 8.0) -> GridMeasure:
-    """Gaussian density sampled on a regular grid of +-half_width*sigma."""
+    """Gaussian density sampled on a regular grid of +-half_width*sigma;
+    one atom is the point mass at the mean."""
     if n_atoms > DEFAULT_CONVOLVE_CAP:
         raise ResourceError(f"n_atoms {n_atoms} exceeds the cap {DEFAULT_CONVOLVE_CAP}")
+    if n_atoms < 1:
+        raise DomainError("n_atoms must be positive")
     if sigma <= 0.0:
         raise DomainError("sigma must be positive")
+    if not half_width > 0.0:
+        raise DomainError("half_width must be positive")
     if not math.isfinite(2.0 * half_width * max(sigma, 1.0) + abs(mean)):
         raise DomainError("gaussian support must have a finite span")
+    if n_atoms == 1:
+        return point_mass(mean)
     xs = mean + sigma * np.linspace(-half_width, half_width, n_atoms)
     # the weight is 0 beyond 40 sigma anyway; the clip keeps the square finite
     w = np.exp(-0.5 * np.clip((xs - mean) / sigma, -40.0, 40.0) ** 2)

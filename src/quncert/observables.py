@@ -28,7 +28,7 @@ from .measures import (BoundedRangeMap, BoundedShiftMap, GridMeasure,
                        MeasurableMap, PiecewiseLinearMap, _read_spec,
                        convolve, identity_map, measure_from_spec, point_mass,
                        pushforward)
-from .states import (State, momentum_distribution, parity,
+from .states import (State, _kept, momentum_distribution, parity,
                      position_distribution, state_from_spec)
 
 
@@ -112,12 +112,6 @@ class PushforwardObservable(Observable):
         return pushforward(self.inner.distribution(state, hbar), self.map)
 
 
-# the last covariant margin law per axis: ((generator, state, hbar), law).
-# Generators and states define no equality, so the key compares them by
-# identity; they are held, so no id is reused while the law is kept
-_last_margin: dict[str, tuple] = {}
-
-
 @dataclass(frozen=True, eq=False)
 class Smeared(Observable):
     """Sharp position or momentum measurement offset by independent noise.
@@ -125,8 +119,7 @@ class Smeared(Observable):
     The outcome law is the Born law on `axis` convolved with the smearing
     measure.  `noise` is either that measure or a generator state tau; the
     covariant margin of tau is smeared by the Born law of the
-    parity-reflected tau on the same axis, cached per hbar (the momentum law
-    depends on it).
+    parity-reflected tau on the same axis.
 
     When tau shares the law's grid, the two laws hold one lattice by
     construction, so `measures.convolve` adds them up on it: no pair sum
@@ -138,7 +131,6 @@ class Smeared(Observable):
     # no default: the inherited class attribute would otherwise be read as one
     axis: str = field()
     noise: GridMeasure | State
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def sharp(self) -> Sharp:
         return Sharp(self.axis)
@@ -146,25 +138,15 @@ class Smeared(Observable):
     def smearing(self, hbar: float = 1.0) -> GridMeasure:
         if isinstance(self.noise, GridMeasure):
             return self.noise
-        if hbar not in self._cache:
-            self._cache[hbar] = self.sharp().distribution(parity(self.noise),
-                                                          hbar)
-        return self._cache[hbar]
+        return self.sharp().distribution(parity(self.noise), hbar)
 
     def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
-        """The smeared law.  A covariant margin on the state's grid is kept,
-        the last one per axis, and returned again for the same generator
-        and state (by identity) and hbar: the margin check of the joint law
-        builds the laws its caller asks for next."""
-        if isinstance(self.noise, GridMeasure) or self.noise.grid != state.grid:
-            return self.from_law(_born_law(self.axis, state, hbar), hbar)
-        # the old law is dropped before a new one is computed
-        key = (self.noise, state, hbar)
-        last = _last_margin.pop(self.axis, None)
-        if last is None or last[0] != key:
-            last = (key, self.from_law(_born_law(self.axis, state, hbar), hbar))
-        _last_margin[self.axis] = last
-        return last[1]
+        """The smeared law, kept on the state per (axis, noise, hbar): the
+        noise compares by identity and the key holds it, so no id is
+        reused, and the margin check of the joint law builds the laws its
+        caller asks for next."""
+        return _kept(state, (self.axis, self.noise, hbar), lambda:
+                     self.from_law(_born_law(self.axis, state, hbar), hbar))
 
     def from_law(self, law: GridMeasure, hbar: float) -> GridMeasure:
         return convolve(law, self.smearing(hbar))

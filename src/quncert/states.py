@@ -248,32 +248,44 @@ def _drop_round_off(weights: np.ndarray) -> np.ndarray:
     return weights
 
 
+def _kept(state: State, key, compute):
+    """compute(), once per (state, key), kept on the state: states are frozen
+    with read-only amplitudes, so it holds while the state lives."""
+    kept = vars(state).setdefault("_kept", {})
+    if key not in kept:
+        kept[key] = compute()
+    return kept[key]
+
+
 def position_distribution(state: State) -> GridMeasure:
-    """Born position law on the grid points, renormalized.
+    """Born position law on the grid points, renormalized; kept on the state.
 
     Every grid point stays an atom; weights below 2^-90 of the mass
     (round-off, e.g. of a sub-cell shift) are exact zeros."""
-    grid = state.grid
-    acc = np.zeros(grid.n)
-    for w, wf in state.components:
-        acc += w * np.abs(wf.amplitudes) ** 2
-    return _make(grid.points(), _drop_round_off(acc * grid.dx), normalize=True)
+    def law() -> GridMeasure:
+        grid = state.grid
+        acc = np.zeros(grid.n)
+        for w, wf in state.components:
+            acc += w * np.abs(wf.amplitudes) ** 2
+        return _make(grid.points(), _drop_round_off(acc * grid.dx))
+    return _kept(state, "position", law)
 
 
 def momentum_distribution(state: State, hbar: float = 1.0) -> GridMeasure:
     """Born momentum law on the centered momentum lattice, renormalized.
 
     Every lattice point stays an atom; weights below 2^-90 of the mass
-    (the FFT's round-off) are exact zeros."""
-    grid = state.grid
-    dp = grid.momentum_step(hbar)
-    acc = np.zeros(grid.n)
-    scale = grid.dx ** 2 / (2.0 * math.pi * hbar)
-    for w, wf in state.components:
-        psihat = np.fft.fftshift(np.fft.fft(wf.amplitudes))
-        acc += w * scale * np.abs(psihat) ** 2
-    return _make(grid.momentum_points(hbar), _drop_round_off(acc * dp),
-                 normalize=True)
+    (the FFT's round-off) are exact zeros.  Kept on the state per hbar."""
+    def law() -> GridMeasure:
+        grid = state.grid
+        dp = grid.momentum_step(hbar)
+        acc = np.zeros(grid.n)
+        scale = grid.dx ** 2 / (2.0 * math.pi * hbar)
+        for w, wf in state.components:
+            psihat = np.fft.fftshift(np.fft.fft(wf.amplitudes))
+            acc += w * scale * np.abs(psihat) ** 2
+        return _make(grid.momentum_points(hbar), _drop_round_off(acc * dp))
+    return _kept(state, ("momentum", hbar), law)
 
 
 # -- phase-space action ---------------------------------------------------------
@@ -333,15 +345,17 @@ def weyl_translate(state: State, point: PhasePoint, hbar: float = 1.0) -> MixedS
 
 
 def parity(state: State) -> MixedState:
-    """Reflect the state about x = 0; the grid must be symmetric about 0."""
+    """Reflect the state about x = 0, kept on the state; the grid must be
+    symmetric about 0."""
     if not state.grid.is_symmetric():
         raise DomainError("parity requires a grid symmetric about 0")
-    out = []
-    for w, wf in state.components:
+
+    def reflected() -> MixedState:
         # index map i -> (-i mod n); the leftmost cell is its own partner
-        amp = np.roll(wf.amplitudes[::-1], 1)
-        out.append((w, WaveFunction(wf.x0, wf.dx, amp)))
-    return MixedState(tuple(out))
+        return MixedState(tuple(
+            (w, WaveFunction(wf.x0, wf.dx, np.roll(wf.amplitudes[::-1], 1)))
+            for w, wf in state.components))
+    return _kept(state, "parity", reflected)
 
 
 # -- state factories ------------------------------------------------------------

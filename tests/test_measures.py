@@ -584,6 +584,11 @@ def test_uniform_measure_masses():
     m = uniform_measure(-0.5, 0.5, 11)
     assert len(m) == 11
     assert m.mean() == pytest.approx(0.0, abs=1e-12)
+    # one atom: the point mass at the midpoint, and at the gaussian's mean
+    for one in (uniform_measure(-0.5, 1.5, 1), gaussian_measure(0.5, 2.0, 1),
+                measure_from_spec({"family": "gaussian", "mean": 0.5,
+                                   "sigma": 1, "n_atoms": 1})):
+        assert one.atoms.tolist() == [0.5] and one.weights.tolist() == [1.0]
 
 
 def test_measure_from_spec_families(tmp_path):

@@ -1,11 +1,14 @@
 """Observable models: output laws, covariance, moments, joint distributions."""
 
 import math
+import sys
+import weakref
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
-from quncert import observables
+from quncert import observables, states
 from quncert.exceptions import AccuracyError, DomainError
 from quncert.measures import (GridMeasure, convolve, gaussian_measure,
                               point_mass, std_deviation, translate, two_point)
@@ -19,7 +22,8 @@ from quncert.observables import (CovariantMarginal, PushforwardObservable,
 from quncert.states import (COVARIANT_GRID, DEFAULT_GRID, SOLVER_GRID,
                             GridSpec, MixedState, PhasePoint,
                             make_box, make_gaussian, make_hermite,
-                            momentum_distribution, position_distribution,
+                            momentum_distribution, parity,
+                            position_distribution,
                             state_from_spec, weyl_translate)
 from quncert.states import test_ensemble as builtin_ensemble
 
@@ -710,7 +714,7 @@ def test_joint_margin_tvs_of_a_gaussian_pair_bin_the_margin_laws():
     assert max(joint.q_marginal_tv, joint.p_marginal_tv) < 1e-3
 
 
-# -- the last covariant margin law per axis is kept -----------------------------
+# -- every law of a state is kept on the state -----------------------------------
 
 def _count_convolutions(monkeypatch):
     calls = []
@@ -732,7 +736,6 @@ def _assert_same_law(a, b):
 @pytest.mark.parametrize("hbar", [1.0, 2.5])
 def test_margin_laws_after_the_joint_law_equal_fresh_ones(monkeypatch, hbar,
                                                           mixed):
-    monkeypatch.setattr(observables, "_last_margin", {})
     tau, state = _lattice_case(DEFAULT_GRID, hbar, mixed)
     qs, ps = _husimi_lattice(DEFAULT_GRID, hbar, q_half=6.0, p_half=5.0 * hbar)
     joint_covariant_distribution(tau, state, qs, ps, hbar)
@@ -740,30 +743,109 @@ def test_margin_laws_after_the_joint_law_equal_fresh_ones(monkeypatch, hbar,
     kept = {axis: CovariantMarginal(tau, axis).distribution(state, hbar)
             for axis in ("position", "momentum")}
     assert calls == []
-    for axis, law in kept.items():
-        observables._last_margin.clear()
-        _assert_same_law(law, CovariantMarginal(tau, axis).distribution(
-            state, hbar))
-    assert len(calls) == 2
 
-    # one key component changed at a time: each computes its law afresh
+    # one key component changed at a time: each computes its law afresh,
+    # equal to the kept law at the same hbar, and keeps it in turn
     for axis in ("position", "momentum"):
         for g, s, h in ((tau, MixedState(state.components), hbar),
                         (MixedState(tau.components), state, hbar),
                         (tau, state, 2.0 * hbar)):
-            CovariantMarginal(tau, axis).distribution(state, hbar)
             before = len(calls)
             law = CovariantMarginal(g, axis).distribution(s, h)
             assert len(calls) == before + 1
             if h == hbar:
                 _assert_same_law(law, kept[axis])
-    # a fixed noise measure is never kept
+            assert CovariantMarginal(g, axis).distribution(s, h) is law
+    assert len(calls) == 6
+    # other keys evict nothing
+    for axis, law in kept.items():
+        assert CovariantMarginal(tau, axis).distribution(state, hbar) is law
+    # a fixed noise measure takes the same path; an equal but distinct
+    # measure is another key
     noisy = SmearedPosition(two_point(-1.0, 3.0))
-    before = len(calls)
     first = noisy.distribution(state, hbar)
-    _assert_same_law(first, noisy.distribution(state, hbar))
-    assert len(calls) == before + 2
-    assert set(observables._last_margin) == {"position", "momentum"}
+    assert noisy.distribution(state, hbar) is first
+    _assert_same_law(first, SmearedPosition(two_point(-1.0, 3.0)).distribution(
+        state, hbar))
+    assert len(calls) == 8
+
+
+def test_the_phase_space_pass_computes_each_born_law_once(monkeypatch):
+    # one generator/state pair in the order of the benchmark's phase-space
+    # pass (perfbench/phase_space.py, run_pass): the joint law, then both
+    # margins with the sharp laws and smearings they are checked against,
+    # then the generator's position law.  Each Born law is computed once:
+    # of the state and of the reflected generator on both axes, and of the
+    # generator on the position axis
+    computed = []
+    drop = states._drop_round_off
+
+    def counting(weights):
+        computed.append(weights.size)
+        return drop(weights)
+
+    monkeypatch.setattr(states, "_drop_round_off", counting)
+    grid = COVARIANT_GRID
+    tau = make_gaussian(grid, 0.4, -0.3, 1.0)
+    state = weyl_translate(make_gaussian(grid, 0.0, 0.0, 0.8),
+                           PhasePoint(1.3, 0.7))
+    dp = grid.momentum_step()
+    qs = 4.0 * grid.dx * (np.arange(129) - 64 + round(0.9 / (4.0 * grid.dx)))
+    ps = dp * (np.arange(201) - 100 + round(1.0 / dp))
+    joint_covariant_distribution(tau, state, qs, ps)
+    position_distribution(state)
+    for axis in ("position", "momentum"):
+        marginal = CovariantMarginal(tau, axis)
+        marginal.distribution(state)
+        if axis == "momentum":
+            momentum_distribution(state)
+        marginal.smearing()
+    position_distribution(tau)
+    assert computed == [grid.n] * 5
+
+
+def test_kept_laws_are_freed_with_their_state():
+    tau = _gauss(sigma=0.9)
+    state = _gauss(center=1.0, sigma=0.6)
+    laws = [position_distribution(state), momentum_distribution(state, 2.0),
+            parity(state), CovariantMarginal(tau, "momentum").distribution(state),
+            SmearedPosition(two_point(-1.0, 3.0)).distribution(state)]
+    # no module keeps a store that holds the state
+    for name, module in sorted(sys.modules.items()):
+        if name.split(".")[0] == "quncert":
+            for value in vars(module).values():
+                if isinstance(value, Mapping):
+                    assert not any(part is state for key in list(value)
+                                   for part in (key if isinstance(key, tuple)
+                                                else (key,))), name
+    refs = [weakref.ref(x) for x in (state, *laws)]
+    del state, laws
+    # refcounts alone free them: the kept laws make no cycle
+    assert all(ref() is None for ref in refs)
+
+
+def test_a_kept_law_is_the_same_read_only_object_on_every_call():
+    tau = _gauss(sigma=0.9)
+    state = _gauss(center=1.0, sigma=0.6)
+    for get in (lambda: position_distribution(state),
+                lambda: momentum_distribution(state),
+                lambda: momentum_distribution(state, 2.5),
+                lambda: CovariantMarginal(tau, "position").distribution(state),
+                lambda: CovariantMarginal(tau, "momentum").smearing(2.5),
+                lambda: SharpMomentum().distribution(state, 2.5)):
+        law = get()
+        assert get() is law
+        for values in (law.atoms, law.weights):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+    # each hbar keeps its own momentum law
+    assert momentum_distribution(state) is not momentum_distribution(state, 2.5)
+    assert not np.array_equal(momentum_distribution(state).atoms,
+                              momentum_distribution(state, 2.5).atoms)
+    reflected = parity(state)
+    assert parity(state) is reflected
+    for _, wf in reflected.components:
+        assert not wf.amplitudes.flags.writeable
 
 
 # -- trivial devices ignore the state -------------------------------------------

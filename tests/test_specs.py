@@ -125,6 +125,10 @@ def test_state_values_are_typed(spec, message):
     ({"atoms": [0, 1e400], "weights": [1, 1]}, r"atoms\[1\] must be a finite number"),
     ({"atoms": [0, 1], "weights": 1}, "weights must be a list"),
     ({"atoms": [0, 1]}, "measure spec missing key 'weights'"),
+    ({"family": "gaussian", "sigma": 1, "n_atoms": 0}, "n_atoms must be positive"),
+    ({"family": "gaussian", "sigma": 1, "n_atoms": -1}, "n_atoms must be positive"),
+    ({"family": "gaussian", "sigma": 1, "half_width": 0}, "half_width must be positive"),
+    ({"family": "gaussian", "sigma": 1, "half_width": -8}, "half_width must be positive"),
 ])
 def test_measure_values_are_typed(spec, message):
     with pytest.raises(DomainError, match=message):

@@ -21,6 +21,12 @@ within the metric's bound relative to the parent's.  With --claim it also
 holds the claim verdict: wins, the parent's interquartile range, the gap
 between the medians, and whether the change wins at least 9 pairs in 10
 with a gap wider than that range.
+
+Each record also holds a start-up A/B: after the pairs, 60 starts per side
+of a fresh interpreter until `import quncert.cli` returns, as perfbench
+reads `setup_s`, the sides alternating start by start.  It gives the
+median, quartiles and minimum per side, so a `setup_s` that moves by a
+quarter on 7 starts can be told from a change in import cost.
 """
 
 from __future__ import annotations
@@ -33,11 +39,17 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 SEED_BASE = 100
 CLAIM_WIN_SHARE = 0.9
+STARTS = 60
+# what perfbench times as setup_s, in the environment it gives its children
+START_CODE = "import quncert.cli, time; print(repr(time.monotonic()))"
+THREAD_PIN = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1"}
 
 
 def _git(*args: str) -> bytes:
@@ -75,6 +87,35 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
         sys.exit(f"{workload} seed {seed} in {tree}: exit {proc.returncode}"
                  f"\n{proc.stderr[-2000:]}")
     return {"environment": env["environment"], **result}
+
+
+def start_once(tree: str) -> float:
+    """Seconds from spawning an interpreter until `import quncert.cli`
+    returns, read off the shared monotonic clock."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("QUNCERT_")}
+    env.update(THREAD_PIN, PYTHONPATH=os.path.join(tree, "src"))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", START_CODE], cwd=tree,
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"import quncert.cli in {tree}: exit {proc.returncode}"
+                 f"\n{proc.stderr[-2000:]}")
+    return float(proc.stdout) - start
+
+
+def startup_ab(trees: dict, starts: int) -> dict:
+    """Interleaved start-up times of the two trees: start i runs the parent
+    first when i is even."""
+    runs = {side: [] for side in SIDES}
+    for i in range(starts):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            runs[side].append(start_once(trees[side]))
+    ratio = statistics.median(runs["change"]) / statistics.median(
+        runs["parent"])
+    return {"starts": starts, "code": START_CODE,
+            **{side: {**quartiles(runs[side]), "min": min(runs[side])}
+               for side in SIDES},
+            "median_ratio_change_over_parent": ratio}
 
 
 def quartiles(runs: list[float]) -> dict:
@@ -149,6 +190,10 @@ def main() -> int:
                     wall = result["metrics"]["wall_s"]["value"]
                     print(f"pair {i} {workload} {side}: wall_s {wall:.4f}",
                           file=sys.stderr, flush=True)
+        startup = startup_ab(trees, STARTS)
+        print("start-up medians: " + ", ".join(
+            f"{side} {startup[side]['median']:.4f} s" for side in SIDES),
+            file=sys.stderr, flush=True)
 
     env = runs[args.workload[0]]["parent"][0]["environment"]
     record = {
@@ -167,6 +212,7 @@ def main() -> int:
         "host_steal_s": {w: {side: [r["environment"]["host_steal_s"]
                                     for r in runs[w][side]]
                              for side in SIDES} for w in args.workload},
+        "startup_ab": startup,
         "workloads": {},
     }
     for w in args.workload:
