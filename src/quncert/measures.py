@@ -202,7 +202,7 @@ def gaussian_measure(mean: float, sigma: float, n_atoms: int = 801,
         raise ResourceError(f"n_atoms {n_atoms} exceeds the cap {DEFAULT_CONVOLVE_CAP}")
     if n_atoms < 1:
         raise DomainError("n_atoms must be positive")
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise DomainError("sigma must be positive")
     if not half_width > 0.0:
         raise DomainError("half_width must be positive")

@@ -174,11 +174,13 @@ def _probe_laws(approx: Observable, target: Observable, cfg: ProbeConfig,
     """(center, label, law of approx) for each probe of one sweep, every
     probe checked to be localized on the target axis.
 
-    The laws depend on every field of cfg but eps, so the last
-    sweep is kept and read again at the next eps.  Its key holds the
-    observables themselves, which compare by identity (`Sharp` by value),
-    so no id is reused while the sweep is kept; the old sweep is dropped
-    before a new one is computed."""
+    Every law is `approx.distribution(probe)`: the check keeps the probe's
+    Born law on the probe, and a device on the target axis reads it there.
+    The laws depend on every field of cfg but eps, so the last sweep is
+    kept and read again at the next eps.  Its key holds the observables
+    themselves (`Sharp` and `Smeared` compare by value, their noise and
+    other devices by identity), so no id is reused while the sweep is
+    kept; the old sweep is dropped before a new one is computed."""
     global _last_sweep
     key = (approx, target, grid, hbar, cfg.x_samples, cfg.delta, cfg.seed)
     if _last_sweep is not None and _last_sweep[0] == key:
@@ -188,11 +190,8 @@ def _probe_laws(approx: Observable, target: Observable, cfg: ProbeConfig,
     for raw_center in cfg.x_samples:
         x, probes = _localized_probes(grid, raw_center, cfg, target.axis, hbar)
         for label, probe in probes:
-            law = target.distribution(probe, hbar)
-            _assert_localized(law, x, cfg.delta)
-            laws.append((x, label, approx.from_law(law, hbar)
-                         if approx.axis == target.axis
-                         else approx.distribution(probe, hbar)))
+            _assert_localized(target.distribution(probe, hbar), x, cfg.delta)
+            laws.append((x, label, approx.distribution(probe, hbar)))
     _last_sweep = (key, laws)
     return laws
 

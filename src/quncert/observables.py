@@ -2,8 +2,10 @@
 
 Each observable is a kernel on the Born law of its axis: `from_law` maps
 that law to the outcome law, and `Observable.distribution` applies it to a
-state's Born law.  `Sharp` keeps the law (`SharpPosition`,
-`SharpMomentum`).  `Smeared` convolves it with a noise measure: a fixed one
+state's Born law and keeps the result on the state per (device, hbar);
+devices compare by value, with a noise measure or generator compared by
+identity.  `Sharp` keeps the law (`SharpPosition`, `SharpMomentum`).
+`Smeared` convolves it with a noise measure: a fixed one
 (`SmearedPosition`, `SmearedMomentum`) or the smearing measure of the
 margin (`CovariantMarginal`) of the translation-covariant phase-space
 observable generated by a normalized reference state.  Pushforwards
@@ -19,7 +21,7 @@ out as whole multiples of dp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +41,7 @@ class Observable:
     which maps its inner device's `distribution`, override `distribution`,
     so no Born law is computed only to be dropped."""
 
-    axis: str = "none"
+    axis: str
 
     def __post_init__(self) -> None:
         if self.axis not in ("position", "momentum"):
@@ -49,7 +51,9 @@ class Observable:
         raise NotImplementedError
 
     def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
-        return self.from_law(_born_law(self.axis, state, hbar), hbar)
+        """The outcome law, kept on the state per (device, hbar)."""
+        return _kept(state, (self, hbar), lambda: self.from_law(
+            _born_law(self.axis, state, hbar), hbar))
 
 
 def _born_law(axis: str, state: State, hbar: float) -> GridMeasure:
@@ -112,7 +116,7 @@ class PushforwardObservable(Observable):
         return pushforward(self.inner.distribution(state, hbar), self.map)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Smeared(Observable):
     """Sharp position or momentum measurement offset by independent noise.
 
@@ -128,8 +132,7 @@ class Smeared(Observable):
     unless its atoms are the law's own lattice.
     """
 
-    # no default: the inherited class attribute would otherwise be read as one
-    axis: str = field()
+    axis: str
     noise: GridMeasure | State
 
     def sharp(self) -> Sharp:
@@ -139,14 +142,6 @@ class Smeared(Observable):
         if isinstance(self.noise, GridMeasure):
             return self.noise
         return self.sharp().distribution(parity(self.noise), hbar)
-
-    def distribution(self, state: State, hbar: float = 1.0) -> GridMeasure:
-        """The smeared law, kept on the state per (axis, noise, hbar): the
-        noise compares by identity and the key holds it, so no id is
-        reused, and the margin check of the joint law builds the laws its
-        caller asks for next."""
-        return _kept(state, (self.axis, self.noise, hbar), lambda:
-                     self.from_law(_born_law(self.axis, state, hbar), hbar))
 
     def from_law(self, law: GridMeasure, hbar: float) -> GridMeasure:
         return convolve(law, self.smearing(hbar))

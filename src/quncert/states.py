@@ -292,15 +292,11 @@ def momentum_distribution(state: State, hbar: float = 1.0) -> GridMeasure:
 
 def _shift_cells(amp: np.ndarray, cells: int) -> np.ndarray:
     """Amplitudes moved by whole lattice cells (right for cells > 0), with
-    zeros shifted in at the vacated end."""
-    if cells == 0:
-        return amp
-    out = np.zeros_like(amp)
-    if cells > 0:
-        out[cells:] = amp[:amp.size - cells]
-    else:
-        out[:amp.size + cells] = amp[-cells:]
-    return out
+    zeros shifted in at the vacated end: the window of length n from
+    n - cells of the amplitudes padded by n zeros on each side."""
+    n = amp.size
+    padded = np.concatenate([np.zeros(n), amp, np.zeros(n)])
+    return padded[n - cells:2 * n - cells]
 
 
 def _shift_amplitudes(wf: WaveFunction, q: float, hbar: float) -> np.ndarray:

@@ -845,8 +845,32 @@ def test_measures_beyond_the_float_range_are_domain_errors():
         uniform_measure(-1e308, 1e308, 5)
     with pytest.raises(DomainError, match="finite span"):
         gaussian_measure(0.0, 1e308)
+    with pytest.raises(DomainError, match="sigma must be positive"):
+        gaussian_measure(0.0, float("nan"))
     wide = gaussian_measure(0.0, 1.0, 11, half_width=1e200)
     assert wide.weights[5] == 1.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: translate(two_point(0.0, 1.0), math.nan), "shift must be finite"),
+    (lambda: PiecewiseLinearMap([0.0], [1.0]),
+     "breakpoint table needs >= 2 rows of equal length"),
+    (lambda: PiecewiseLinearMap([0.0, 0.0], [0.0, 1.0]),
+     "breakpoint abscissae must be strictly increasing"),
+    (lambda: BoundedShiftMap(np.sin, -1.0),
+     "declared bound must be a finite nonnegative real"),
+    (lambda: BoundedRangeMap(np.tanh, 1.0, -1.0),
+     "range bounds must be finite with hi >= lo"),
+    (lambda: point_mass(0.0).moment(0),
+     "moment order must be a positive integer"),
+    (lambda: point_mass(0.0).min_spacing(),
+     "spacing undefined for a single atom"),
+], ids=["nan shift", "one-row table", "repeated abscissa", "negative bound",
+        "inverted range", "moment 0", "single-atom spacing"])
+def test_measure_arithmetic_rejects_malformed_inputs(call, message):
+    with pytest.raises(DomainError, match=message) as caught:
+        call()
+    assert caught.type is DomainError
 
 
 def test_pushforward_merges_atoms_a_table_rounds_together():

@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from quncert import observables
+from quncert import observables, states
 from quncert.exceptions import DomainError, InternalError
 from quncert.measures import (convolve, gaussian_measure, overall_width,
                               point_mass, translate, two_point,
@@ -714,11 +714,24 @@ def _count_born_laws(monkeypatch):
 @pytest.mark.parametrize("axis", ["position", "momentum"])
 def test_a_same_axis_device_maps_the_born_law_its_probe_was_checked_by(
         monkeypatch, axis):
-    # 7 centers x 4 probes; a fresh device, so no kept sweep serves it
-    calls = _count_born_laws(monkeypatch)
-    obs = Smeared(axis, gaussian_measure(0.3, 0.5))
-    error_bar_width(obs, Sharp(axis), _cfg(axis=axis), GRID)
-    assert calls == {"position": 0, "momentum": 0, axis: 7 * 4}
+    # 7 centers x 4 probes, each Born law counted where it is computed; the
+    # localization check keeps it on the probe, where a device on the target
+    # axis reads it, while a device on the other axis computes one more.
+    # Fresh devices, so no kept sweep serves them
+    computed = []
+    drop = states._drop_round_off
+
+    def counting(weights):
+        computed.append(weights.size)
+        return drop(weights)
+
+    monkeypatch.setattr(states, "_drop_round_off", counting)
+    other = "momentum" if axis == "position" else "position"
+    for device_axis, want in ((axis, 7 * 4), (other, 2 * 7 * 4)):
+        computed.clear()
+        obs = Smeared(device_axis, gaussian_measure(0.3, 0.5))
+        error_bar_width(obs, Sharp(axis), _cfg(axis=axis), GRID)
+        assert computed == [GRID.n] * want, device_axis
 
 
 def test_a_cross_axis_device_takes_one_born_law_per_axis_per_probe(

@@ -234,6 +234,29 @@ def test_joint_off_lattice_values_rejected():
         joint_covariant_distribution(tau, _gauss(), qs, ps)
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda qs, ps: {"tau": _gauss(grid=GridSpec.symmetric(16.0, 1024))},
+     "tau and state must share one grid"),
+    (lambda qs, ps: {"q_values": qs[:1]},
+     "need at least two lattice points per axis"),
+    (lambda qs, ps: {"p_values": ps[::-1]},
+     "lattice values must be strictly increasing"),
+    (lambda qs, ps: {"p_values": GRID.momentum_step() * np.array(
+        [GRID.n // 2 - 1, GRID.n // 2])},
+     "p values fall outside the momentum band"),
+    (lambda qs, ps: {"q_values": GRID.dx * np.array([0.0, 1.0, 3.0])},
+     "lattice spacing must be uniform"),
+], ids=["tau on another grid", "one q point", "decreasing p", "p beyond band",
+        "non-uniform q"])
+def test_joint_rejects_malformed_inputs(change, message):
+    qs, ps = _husimi_lattice(GRID, q_half=1.0, p_half=1.0)
+    args = {"tau": _gauss(), "state": _gauss(), "q_values": qs,
+            "p_values": ps, **change(qs, ps)}
+    with pytest.raises(DomainError, match=message) as caught:
+        joint_covariant_distribution(**args)
+    assert caught.type is DomainError
+
+
 # -- moment statistics -------------------------------------------------------------
 
 def test_sharp_moments_of_gaussian():

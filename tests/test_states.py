@@ -109,6 +109,22 @@ def test_mixture_of_boxes_mean_zero():
     assert law.mean() == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("parts, message", [
+    (lambda wf, other: ((1.0 / 17.0, wf),) * 17,
+     "a mixture needs 1 to 16 components"),
+    (lambda wf, other: ((-0.5, wf), (1.5, wf)),
+     "mixture weights must be nonnegative"),
+    (lambda wf, other: ((0.5, wf), (0.5, other)),
+     "all components must share one grid"),
+], ids=["17 parts", "negative weight", "two grids"])
+def test_mixtures_reject_malformed_parts(parts, message):
+    wf = make_gaussian(GRID, 0.0, 0.0, 1.0)
+    other = make_gaussian(GridSpec.symmetric(16.0, 1024), 0.0, 0.0, 1.0)
+    with pytest.raises(DomainError, match=message) as caught:
+        MixedState(parts(wf, other))
+    assert caught.type is DomainError
+
+
 def test_momentum_law_gaussian():
     wf = make_gaussian(GRID, 0.0, 0.0, 0.5, 1.0)
     plaw = momentum_distribution(wf, 1.0)

@@ -7,7 +7,7 @@ import scipy.stats
 import oracles
 from conftest import random_measure
 from quncert import (DomainError, DualPair, GridMeasure, InternalError,
-                     c_transform, dual_ascent, dual_value,
+                     ResourceError, c_transform, dual_ascent, dual_value,
                      lipschitz_witness_values, optimal_coupling_lp,
                      point_mass, save_coupling_csv, sorted_measure,
                      tent_function, uniform_measure, wasserstein,
@@ -261,6 +261,33 @@ def test_infeasible_pair_rejected():
     pair = DualPair(np.zeros(2), np.full(1, 100.0), 1.0)
     with pytest.raises(DomainError):
         dual_value(HALF_HALF, point_mass(0.0), pair)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Coupling([0.0, 1.0], [0.0], np.full((1, 2), 0.5)), DomainError,
+     "joint shape must match atom counts"),
+    (lambda: Coupling([0.0, 1.0], [0.0], np.array([[1.0], [-1e-12]])),
+     DomainError, "coupling weights must be nonnegative"),
+    (lambda: optimal_coupling_lp(uniform_measure(0.0, 1.0, 101),
+                                 uniform_measure(0.0, 1.0, 100), 1.0),
+     ResourceError, "LP instance 101x100 exceeds cell cap 10000"),
+    (lambda: optimal_coupling_lp(HALF_HALF, HALF_HALF, 0.5), DomainError,
+     "alpha must be a finite real >= 1"),
+    (lambda: DualPair(np.zeros(2), np.zeros(2), math.inf), DomainError,
+     "alpha must be a finite real >= 1"),
+    (lambda: c_transform(np.zeros(1), HALF_HALF, HALF_HALF, 1.0), DomainError,
+     "psi must have one value per atom of m1"),
+    (lambda: c_transform_upper(np.zeros(1), HALF_HALF, HALF_HALF, 1.0),
+     DomainError, "phi must have one value per atom of m2"),
+    (lambda: dual_value(HALF_HALF, HALF_HALF,
+                        DualPair(np.zeros(1), np.zeros(2), 1.0)),
+     DomainError, "potential lengths must match the measures"),
+], ids=["coupling shape", "negative cell", "lp cap", "lp alpha", "dual alpha",
+        "c_transform length", "c_transform_upper length", "dual_value length"])
+def test_transport_rejects_malformed_inputs(call, error, message):
+    with pytest.raises(error, match=message) as caught:
+        call()
+    assert caught.type is error
 
 
 # -- Lipschitz witnesses --------------------------------------------------------
