@@ -9,6 +9,7 @@ metrics, and the sharp-marginal divergence demonstration.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -30,7 +31,7 @@ from .observables import (CovariantMarginal, Observable, Sharp, Smeared,
                           SmearedPosition, covariant_marginals)
 from .states import (COVARIANT_GRID, UR_ENSEMBLE_GRID, GridSpec, State,
                      _check_exponents, ground_state, make_gaussian,
-                     momentum_distribution, position_distribution, solver_grid,
+                     momentum_distribution, position_distribution,
                      test_ensemble)
 from .transport import tent_function
 
@@ -64,28 +65,13 @@ def c_from_ground_energy(alpha: float, beta: float, g: float) -> float:
             * (g / (alpha + beta)) ** (alpha + beta)) ** (1.0 / (alpha * beta))
 
 
-# |P|-type kinetic terms have power-law bound-state tails: solver_grid gives
-# them a wide box and a fine momentum lattice (the kink of the kinetic symbol
-# at 0 biases the lattice energy by O(dp^2)), and their edge gate is relaxed
-_HEAVY_TAIL_BOUNDARY_TOL = 1e-3
-
-_ground_cache: dict[tuple, float] = {}
-
-
+@functools.cache
 def ground_energy(alpha: float, beta: float, grid: GridSpec | None = None,
                   tol: float = 1e-6,
                   boundary_tol: float | None = None) -> float:
-    """Cached ground energy of |Q|^alpha + |P|^beta; grid solver_grid(beta)."""
-    if grid is None:
-        grid = solver_grid(beta)
-    if boundary_tol is None:
-        boundary_tol = _HEAVY_TAIL_BOUNDARY_TOL if beta == 1.0 else 1e-8
-    key = (float(alpha), float(beta), grid, float(tol), float(boundary_tol))
-    if key not in _ground_cache:
-        g, _ = ground_state(alpha, beta, grid, tol=tol,
-                            boundary_tol=boundary_tol)
-        _ground_cache[key] = g
-    return _ground_cache[key]
+    """Ground energy of |Q|^alpha + |P|^beta, kept per argument list; the
+    defaults are those of ground_state."""
+    return ground_state(alpha, beta, grid, tol, boundary_tol)[0]
 
 
 def c_alpha_beta(alpha: float, beta: float) -> float:

@@ -25,8 +25,7 @@ from .measures import (GridMeasure, alpha_deviation, gaussian_measure,
 from .observables import Sharp, SmearedPosition, observable_from_spec
 from .states import (COVARIANT_GRID, DEFAULT_GRID, UR_ENSEMBLE_GRID, GridSpec,
                      momentum_distribution, position_distribution,
-                     save_wavefunction_csv, solver_grid, state_from_spec,
-                     test_ensemble)
+                     save_wavefunction_csv, state_from_spec, test_ensemble)
 from .transport import wasserstein
 
 _EXIT_CODES: tuple[tuple[type, int], ...] = (
@@ -69,7 +68,8 @@ def _parse_grid(text: str) -> GridSpec:
     return GridSpec(float(parts[0]), float(parts[1]), int(parts[2]))
 
 
-def _resolve_grid(args: argparse.Namespace, fallback: GridSpec) -> GridSpec:
+def _resolve_grid(args: argparse.Namespace,
+                  fallback: GridSpec | None) -> GridSpec | None:
     # parsed here, not by argparse, so that a grid over the size cap exits 3
     return fallback if args.grid is None else _parse_grid(args.grid)
 
@@ -158,7 +158,7 @@ def _cmd_state(args: argparse.Namespace) -> dict:
 
 
 def _cmd_groundstate(args: argparse.Namespace) -> dict:
-    grid = _resolve_grid(args, solver_grid(args.beta))
+    grid = _resolve_grid(args, None)
     g = bounds.ground_energy(args.alpha, args.beta, grid, tol=args.tol,
                              boundary_tol=args.boundary_tol)
     return {"alpha": args.alpha, "beta": args.beta, "tol": args.tol,

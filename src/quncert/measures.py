@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import logging
 import math
 import sys
@@ -622,20 +623,17 @@ _CSV_BLOCK = 512
 # kept already find every repeat.  At most 32 blocks of 512 cells of up to
 # 24 characters, with their keys: about 1.6 MB
 _CSV_BLOCKS_KEPT = 32
-_csv_blocks: dict[tuple, tuple[str, ...]] = {}
 
 
 def _csv_cells(block: np.ndarray) -> tuple[str, ...]:
     """repr of each number of block, kept by dtype and bytes (int64 0 and
     float64 0.0 share their bytes, 0.0 and -0.0 do not)."""
-    key = (block.dtype, block.tobytes())
-    cells = _csv_blocks.pop(key, None)
-    if cells is None:
-        cells = tuple(map(repr, block.tolist()))
-        if len(_csv_blocks) >= _CSV_BLOCKS_KEPT:
-            del _csv_blocks[next(iter(_csv_blocks))]
-    _csv_blocks[key] = cells
-    return cells
+    return _formatted_cells(block.dtype, block.tobytes())
+
+
+@functools.lru_cache(maxsize=_CSV_BLOCKS_KEPT)
+def _formatted_cells(dtype: np.dtype, data: bytes) -> tuple[str, ...]:
+    return tuple(map(repr, np.frombuffer(data, dtype).tolist()))
 
 
 def _write_csv(path: str, header: Sequence[str], *columns: np.ndarray) -> None:

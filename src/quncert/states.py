@@ -140,6 +140,12 @@ COVARIANT_GRID = GridSpec.symmetric(64.0, 4096)
 SOLVER_GRID = GridSpec.symmetric(12.0, 1024)
 
 
+# |P|-type kinetic terms have power-law bound-state tails: solver_grid gives
+# them a wide box and a fine momentum lattice (the kink of the kinetic symbol
+# at 0 biases the lattice energy by O(dp^2)), and their edge gate is relaxed
+_HEAVY_TAIL_BOUNDARY_TOL = 1e-3
+
+
 def solver_grid(beta: float) -> GridSpec:
     """Named grid for the ground state of |Q|^alpha + |P|^beta."""
     return COVARIANT_GRID if beta == 1.0 else SOLVER_GRID
@@ -328,8 +334,8 @@ def weyl_translate(state: State, point: PhasePoint, hbar: float = 1.0) -> MixedS
     Operator ordering: W(q, p) = exp(iqp/2hbar) exp(-iqP/hbar) exp(ipQ/hbar),
     which acts on amplitudes as psi(x) -> exp(-iqp/2hbar) e^{ipx/hbar} psi(x-q).
     """
-    state.grid.momentum_step(hbar)  # validates hbar
     q, p = point.q, point.p
+    _check_momentum(state.grid, p, hbar)
     out = []
     for w, wf in state.components:
         amp = _shift_amplitudes(wf, q, hbar) if q != 0.0 else wf.amplitudes
@@ -463,8 +469,9 @@ def _check_exponents(alpha: float, beta: float) -> None:
         raise DomainError("exponents must be finite and >= 1")
 
 
-def ground_state(alpha: float, beta: float, grid: GridSpec, tol: float = 1e-6,
-                 boundary_tol: float = 1e-8) -> tuple[float, WaveFunction]:
+def ground_state(alpha: float, beta: float, grid: GridSpec | None = None,
+                 tol: float = 1e-6, boundary_tol: float | None = None
+                 ) -> tuple[float, WaveFunction]:
     """Ground energy and state of H = |Q|^alpha + |P|^beta (dimensionless hbar=1).
 
     Single-vector LOBPCG (Knyazev 2001) from exp(-x^2/2) on real unit vectors
@@ -476,9 +483,14 @@ def ground_state(alpha: float, beta: float, grid: GridSpec, tol: float = 1e-6,
     is deemed too small.  Kinetic symbols |p|^beta with beta not an even
     integer are non-smooth at p = 0, which makes the kinetic operator
     nonlocal with power-law bound-state tails; such runs need a relaxed
-    boundary_tol (or a much wider box) on desk-scale grids.
+    boundary_tol (or a much wider box) on desk-scale grids.  Defaults: grid
+    solver_grid(beta), boundary_tol 1e-3 at beta = 1 and 1e-8 otherwise.
     """
     _check_exponents(alpha, beta)
+    if grid is None:
+        grid = solver_grid(beta)
+    if boundary_tol is None:
+        boundary_tol = _HEAVY_TAIL_BOUNDARY_TOL if beta == 1.0 else 1e-8
     if not (0.0 < tol < math.inf and 0.0 < boundary_tol < math.inf):
         raise DomainError("tol and boundary_tol must be finite and positive")
     if not grid.is_symmetric():

@@ -80,8 +80,6 @@ def wasserstein_inf(m1: GridMeasure, m2: GridMeasure) -> float:
     """Essential sup of |x - y| under the monotone coupling."""
     masses, q1, q2 = _quantile_cells(m1, m2)
     live = masses > _CELL_TOL
-    if not np.any(live):
-        return 0.0
     return float(np.max(np.abs(q1[live] - q2[live])))
 
 

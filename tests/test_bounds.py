@@ -116,6 +116,18 @@ class TestDeviationConstants:
         assert abs(ground_energy(1.0, 2.0)
                    - oracles.airy_ground_energy_12()) < 2e-4
 
+    def test_ground_energy_solves_once_per_argument_list(self, monkeypatch):
+        solves = []
+
+        def spy(*args, **kwargs):
+            solves.append(args)
+            return ground_state(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "ground_state", spy)
+        ground_energy.cache_clear()
+        assert ground_energy(2.0, 2.0) == ground_energy(2.0, 2.0)
+        assert len(solves) == 1
+
     def test_exponent_swap_duality(self):
         assert abs(c_alpha_beta(1.0, 2.0) - c_alpha_beta(2.0, 1.0)) < 5e-4
 
@@ -326,6 +338,23 @@ def suite_connections():
         run_suite(0)
     (call,) = calls
     return call
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: observables.map_from_spec({"kind": "bounded_range",
+                                        "half_range": 0}),
+     "half_range must be positive"),
+    (lambda: resolution_width(SharpPosition(), 0.1, GRID, method="x"),
+     "unknown method 'x'"),
+    # the error bar of a two-point smearing 20 apart is infinite
+    (lambda: verify_connections([SmearedPosition(two_point(-10.0, 10.0))],
+                                DEFAULT_GRID),
+     "connection checks need finite error bars"),
+], ids=["bounded range 0", "unknown method", "infinite error bar"])
+def test_device_and_relation_inputs_reject_malformed_values(call, message):
+    with pytest.raises(DomainError, match=message) as caught:
+        call()
+    assert caught.type is DomainError
 
 
 class TestConnections:

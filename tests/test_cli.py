@@ -160,6 +160,18 @@ class TestStateCommand:
         assert payload["hbar"] == 2.0
         assert payload["momentum"]["std"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_a_mixture_has_no_wavefunction_file(self, capsys, tmp_path):
+        path = tmp_path / "wf.csv"
+        mixture = json.dumps({"family": "mixture", "components": [
+            {"family": "gaussian", "center": c, "weight": 0.5}
+            for c in (-1.0, 1.0)]})
+        code, _, err = _run(capsys, ["state", mixture, GRID_FLAG,
+                                     "--save-wavefunction", str(path)])
+        assert code == 2
+        assert "DomainError" in err
+        assert "only pure states have a wavefunction file form" in err
+        assert not path.exists()
+
 
 class TestSeedAndDeterminism:
     METRIC_ARGS = ["metric", "distance", "--observable",

@@ -673,7 +673,7 @@ def _count_reprs(monkeypatch):
         calls.append(value)
         return repr(value)
 
-    monkeypatch.setattr(measures, "_csv_blocks", {})
+    measures._formatted_cells.cache_clear()
     monkeypatch.setattr(measures, "repr", spy, raising=False)
     return calls
 
@@ -703,7 +703,7 @@ def test_csv_blocks_formatted_once_keep_dtype_and_sign(tmp_path, monkeypatch):
         oracles.csv_writer_reference(str(want), header, *columns)
         assert got.read_bytes() == want.read_bytes()
     # the distinct blocks: lattice x 2, float 0.0, -0.0, int64 0, arange x 2
-    assert len(measures._csv_blocks) == 7
+    assert measures._formatted_cells.cache_info().currsize == 7
     assert len(calls) == 7 * measures._CSV_BLOCK
 
 
@@ -715,7 +715,8 @@ def test_csv_blocks_kept_are_bounded(tmp_path, monkeypatch):
     _write_csv(str(got), ("x", "w"), column, np.zeros(rows))
     oracles.csv_writer_reference(str(want), ("x", "w"), column, np.zeros(rows))
     assert got.read_bytes() == want.read_bytes()
-    assert len(measures._csv_blocks) == measures._CSV_BLOCKS_KEPT
+    assert (measures._formatted_cells.cache_info().currsize
+            == measures._CSV_BLOCKS_KEPT)
     # the zero block, used on every row, is the most recently used one and
     # is never dropped: 40 column blocks and one zero block are formatted
     assert len(calls) == 41 * measures._CSV_BLOCK
@@ -871,6 +872,29 @@ def test_measure_arithmetic_rejects_malformed_inputs(call, message):
     with pytest.raises(DomainError, match=message) as caught:
         call()
     assert caught.type is DomainError
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Interval(math.inf, 1.0), "interval parameters must be finite"),
+    (lambda: sorted_measure([0.0, 1.0], [1.0]),
+     "atoms and weights must have equal length"),
+    (lambda: uniform_measure(0.0, 1.0, 0), "n_atoms must be positive"),
+    (lambda: overall_width(two_point(0.0, 1.0), 1.0),
+     r"eps must lie in \[0, 1\)"),
+], ids=["infinite interval", "unequal lengths", "no atoms", "eps 1"])
+def test_measure_constructors_and_widths_reject_malformed_inputs(call,
+                                                                 message):
+    with pytest.raises(DomainError, match=message) as caught:
+        call()
+    assert caught.type is DomainError
+
+
+def test_widths_within_round_off_of_eps_one_are_a_point():
+    # 1 - eps is below the mass slack, so one point carries enough mass
+    m = sorted_measure([0.0, 1.0, 2.0], [0.2, 0.5, 0.3])
+    eps = 1.0 - 5e-13
+    assert overall_width(m, eps) == 0.0
+    assert overall_width_interval(m, eps) == Interval(1.0, 0.0)
 
 
 def test_pushforward_merges_atoms_a_table_rounds_together():

@@ -125,6 +125,38 @@ def test_mixtures_reject_malformed_parts(parts, message):
     assert caught.type is DomainError
 
 
+def _zero_wavefunction_csv(path):
+    path.write_text("x,re,im\n" + "".join(f"{x},0,0\n" for x in range(4)))
+    return load_wavefunction_csv(str(path))
+
+
+def _spec(*components):
+    spec = {"family": "mixture", "components": list(components)}
+    return state_from_spec(spec, GRID, 1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: GRID.lattice("spin"), "no lattice for axis 'spin'"),
+    (lambda tmp: WaveFunction(0.0, 0.1, np.array([1.0, np.nan, 0.0, 0.0])),
+     "amplitudes must be finite"),
+    (lambda tmp: _zero_wavefunction_csv(tmp / "zero.csv"),
+     "cannot normalize a zero amplitude array"),
+    (lambda tmp: make_gaussian(GRID, 0.0, 0.0, 0.0), "sigma must be positive"),
+    (lambda tmp: make_hermite(GRID, -1),
+     "excitation number must be a nonnegative integer"),
+    (lambda tmp: _spec({"family": "gaussian", "sigma": 1.0}),
+     "mixture components need a 'weight'"),
+    (lambda tmp: _spec({"family": "mixture", "weight": 1.0, "components": [
+        {"family": "gaussian", "center": c, "weight": 0.5} for c in (-1, 1)]}),
+     "mixture components must be pure"),
+], ids=["axis", "nan amplitude", "zero csv", "sigma 0", "hermite -1",
+        "no weight", "nested mixture"])
+def test_state_inputs_reject_malformed_values(tmp_path, call, message):
+    with pytest.raises(DomainError, match=message) as caught:
+        call(tmp_path)
+    assert caught.type is DomainError
+
+
 def test_momentum_law_gaussian():
     wf = make_gaussian(GRID, 0.0, 0.0, 0.5, 1.0)
     plaw = momentum_distribution(wf, 1.0)
@@ -297,6 +329,15 @@ def test_weyl_shift_out_of_range():
         weyl_translate(wf, PhasePoint(100.0, 0.0), 1.0)
 
 
+@pytest.mark.parametrize("p", [150.0, -250.0])
+def test_weyl_rejects_a_momentum_outside_the_band(p):
+    # half band pi / dx = 100.53: an unchecked boost aliases to p -/+ 201.06
+    wf = make_gaussian(GridSpec.symmetric(64.0, 4096), 0.0, 0.0, 1.0)
+    with pytest.raises(DomainError, match="momentum band") as caught:
+        weyl_translate(wf, PhasePoint(0.5, p))
+    assert caught.type is DomainError
+
+
 def test_weyl_rejects_mass_falling_off_the_grid():
     wf = make_gaussian(GRID, 10.0, 0.0, 2.0, 1.0)
     with pytest.raises(DomainError):
@@ -366,6 +407,23 @@ def test_ground_state_fourier_symmetry():
         qs = std_deviation(qlaw)
         ps = std_deviation(plaw)
         assert qs == pytest.approx(ps, abs=1e-6)
+
+
+@pytest.mark.parametrize("alpha, beta", [(2.0, 2.0), (2.0, 1.0)])
+def test_ground_state_defaults_to_the_solver_grid_and_its_edge_gate(alpha,
+                                                                     beta):
+    energy, wf = ground_state(alpha, beta)
+    want_energy, want = ground_state(
+        alpha, beta, states.solver_grid(beta),
+        boundary_tol=1e-3 if beta == 1.0 else 1e-8)
+    assert energy == want_energy
+    assert (wf.x0, wf.dx) == (want.x0, want.dx)
+    assert np.array_equal(wf.amplitudes, want.amplitudes)
+    if beta == 1.0:
+        # the |P| tail reaches the edge above the smooth-case gate
+        with pytest.raises(GridTooSmallError):
+            ground_state(alpha, beta, states.solver_grid(beta),
+                         boundary_tol=1e-8)
 
 
 def test_ground_state_grid_gate():

@@ -111,6 +111,11 @@ def runs() -> list[tuple[dict, list[str]]]:
             ({"QUNCERT_GRID": "-8,0.0625,256"}, ["verify", "--suite", "all"])]
     out += [({}, ["demo"]), ({}, ["demo", "--format", "csv"]),
             ({}, ["groundstate", "--alpha", "2", "--beta", "2"])]
+    # beta = 1 takes its own default grid and edge gate
+    for alpha, beta in (("1", "1"), ("2", "1"), ("1", "2")):
+        out.append(({}, ["groundstate", "--alpha", alpha, "--beta", beta]))
+    out.append(({}, ["groundstate", "--alpha", "2", "--beta", "1",
+                     "--grid=-64,0.03125,4096", "--boundary-tol", "1e-2"]))
     for relation in RELATIONS:
         out.append(({}, ["verify", "--relation", relation]))
         out.append(({}, ["verify", "--relation", relation, GRID]))
