@@ -10,7 +10,6 @@ metrics, and the sharp-marginal divergence demonstration.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -131,6 +130,7 @@ def _grid_summary(grid: GridSpec) -> list:
 def _state_summary(state: State) -> dict:
     """Component count, grid, and a digest of the component weights and
     amplitudes, so that reports on different states differ."""
+    import hashlib  # here, not at the top: OpenSSL costs a start 3.6 MB
     digest = hashlib.sha256()
     for w, wf in state.components:
         digest.update(np.float64(w).astype("<f8").tobytes())
@@ -426,6 +426,7 @@ def report_to_dict(report: VerificationReport) -> dict:
 
 
 def inputs_hash(inputs: dict) -> str:
+    import hashlib  # here, not at the top: OpenSSL costs a start 3.6 MB
     canonical = json.dumps(_sanitize(inputs), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import bisect
 import csv
 import functools
-import logging
 import math
 import sys
 import warnings
@@ -22,8 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import DomainError, InternalError, ResourceError
-
-log = logging.getLogger(__name__)
 
 # Weight-sum tolerance for a valid measure, and the slack used when a mass
 # threshold such as 1 - eps must be met despite cumulative-sum rounding.
@@ -243,8 +240,10 @@ def alpha_deviation(m: GridMeasure, alpha: float) -> float:
     S(y) = sum w sign(y - x) |y - x|^(alpha - 1) increases: y is the first
     live atom where S >= 0 up to rounding, if S is 0 there to rounding, or
     else the root of S in the open cell below it, by Newton's method with
-    bisection (the mean at alpha = 2).  Atoms are scaled by 2**-e to a span
-    in [1/2, 1) and slope terms by the largest, so none leaves the floats.
+    bisection (the mean at alpha = 2).  Where the nearest atom's term
+    carries most of S's curvature, the Newton step is taken in the log of
+    the distance to that atom.  Atoms are scaled by 2**-e to a span in
+    [1/2, 1) and slope terms by the largest, so none leaves the floats.
     """
     if not (alpha >= 1.0) or not math.isfinite(alpha):
         raise DomainError("alpha must be a finite real >= 1")
@@ -254,7 +253,8 @@ def alpha_deviation(m: GridMeasure, alpha: float) -> float:
     e = math.frexp(m.support_hi - m.support_lo)[1]
     x, w = np.ldexp(m.atoms[m.weights > 0.0], -e), m.weights[m.weights > 0.0]
 
-    def slope(y: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+    def slope(y: float) -> tuple[float, float, np.ndarray, np.ndarray,
+                                 np.ndarray]:
         # S(y); r = 2**-40 sum |terms|, S is 0 to rounding where |S| <= r.
         # Terms are lifted exactly by a power of two to a sum in [1/2, 1),
         # or from logs where their sum falls below the normal floats (as at
@@ -269,18 +269,22 @@ def alpha_deviation(m: GridMeasure, alpha: float) -> float:
             p = np.exp(logs - np.max(logs))
         elif total < 0.5:
             p = np.ldexp(p, -math.frexp(total)[1])
-        return float(np.sum(np.copysign(p, d))), float(np.sum(p)) / 2**40, p, q
+        terms = np.copysign(p, d)
+        return float(np.sum(terms)), float(np.sum(p)) / 2**40, p, q, terms
 
     # S + r < 0 at x[0], where no d is positive, and S >= 0 at x[-1]
     k = bisect.bisect_left(range(len(x) - 1), True,
                            key=lambda i: sum(slope(float(x[i]))[:2]) >= 0.0)
     lo, hi, y = float(x[k - 1]), float(x[k]), float(x[k])
     while True:
-        s, r, p, q = slope(y)
+        s, r, p, q, terms = slope(y)
         lo, hi = (y, hi) if s < 0.0 else (lo, y)
         with np.errstate(all="ignore"):  # inf or nan at or by an atom
-            curvature = (alpha - 1.0) * np.sum(p / q)
+            pq = p / q
+            total = float(np.sum(pq))
+            curvature = (alpha - 1.0) * total
             newton = float(y - s / curvature)
+            near = _near_atom_newton(y, x, terms, q, pq, total, alpha)
         # stop where S is 0 to rounding, the step is below the float spacing
         # (a step of 0 from an infinite curvature, as by a subnormal
         # distance to an atom, is no step: bisect), or [lo, hi] gains (by
@@ -289,11 +293,38 @@ def alpha_deviation(m: GridMeasure, alpha: float) -> float:
         if abs(s) <= r or tiny_step or alpha * abs(s) * (hi - lo) \
                 <= 2.0 ** -52 * float(np.sum(p * q)):
             break
-        y = newton if lo < newton < hi else 0.5 * (lo + hi)
+        y = next((t for t in (near, newton) if lo < t < hi), 0.5 * (lo + hi))
         if not lo < y < hi:  # no float lies inside: the lower end wins
             return min(_alpha_norm(m.atoms - math.ldexp(t, e), m.weights,
                                    alpha) for t in (lo, hi))
     return _alpha_norm(m.atoms - math.ldexp(y, e), m.weights, alpha)
+
+
+def _near_atom_newton(y: float, x: np.ndarray, terms: np.ndarray,
+                      q: np.ndarray, pq: np.ndarray, total: float,
+                      alpha: float) -> float:
+    """Newton's step for the slope's root in u = log t, t = |y - a|, from the
+    live atom a nearest to y; nan unless a's term carries at least half the
+    curvature (total = sum p/q) and the root lies on y's side of a.  With R
+    the slope less a's term, the root solves G(u) = log |term_a| - log |R|
+    = 0, where G' = (alpha - 1)(1 + t sum_others p/q / |R|) >= alpha - 1.
+    G is near linear while R is flat, as by an atom of subnormal weight, at
+    alpha near 1 or at large alpha, where steps in y overshoot the atom,
+    halve the bracket down through the subnormals or shrink it by a factor
+    1 - 1/(alpha - 1)."""
+    j = int(np.argmin(q))
+    if not pq[j] >= 0.5 * total:  # nan at an atom
+        return math.nan
+    a, side = float(x[j]), math.copysign(1.0, y - x[j])
+    rest = -side * float(np.sum(np.delete(terms, j)))
+    if not rest > 0.0:
+        return math.nan
+    t, others = float(q[j]), float(np.sum(np.delete(pq, j)))
+    g = math.log(abs(float(terms[j]))) - math.log(rest)
+    y = a + side * t * float(np.exp(-g / ((alpha - 1.0)
+                                          * (1.0 + others * t / rest))))
+    # a root within the float spacing of a is taken at a's neighbour
+    return y if y != a else math.nextafter(a, side * math.inf)
 
 
 def std_deviation(m: GridMeasure) -> float:
@@ -381,8 +412,9 @@ def convolve(a: GridMeasure, b: GridMeasure,
     Zero-weight atoms are skipped on both sides: the loop runs over the live
     atoms of the operand with fewer of them (``a`` on a tie), each row
     vectorized over the live atoms of the other (on a lattice, one
-    slice-add over their span), so the cost scales with live-atom pairs,
-    not with the lengths of the atom arrays.
+    ``np.convolve`` per run of consecutive live atoms, over the other's
+    live span), so the cost scales with live-atom pairs, not with the
+    lengths of the atom arrays.
     """
     if len(a) == 1:
         return translate(b, float(a.atoms[0]))
@@ -400,15 +432,17 @@ def convolve(a: GridMeasure, b: GridMeasure,
         a, b, live_a, live_b = b, a, live_b, live_a
     step = _lattice_step(a, b)
     if step is not None:
-        # atoms i and j sum to atom i + j: one slice-add per live atom of
-        # a, over the live span of b
+        # atoms i and j sum to atom i + j: one np.convolve per run of
+        # consecutive live atoms of a, over the live span of b
         h = step
         span = np.flatnonzero(live_b)
         j0, j1 = int(span[0]), int(span[-1]) + 1
         row = b.weights[j0:j1]
         acc = np.zeros(len(a) + len(b) - 1)
-        for i in np.flatnonzero(live_a):
-            acc[i + j0:i + j1] += a.weights[i] * row
+        live = np.flatnonzero(live_a)
+        gap = np.diff(live) > 1
+        for i0, i1 in zip(live[np.r_[True, gap]], live[np.r_[gap, True]] + 1):
+            acc[i0 + j0:i1 + j1 - 1] += np.convolve(a.weights[i0:i1], row)
     else:
         big_x, big_w = b.atoms[live_b], b.weights[live_b]
         acc = np.zeros(n_bins + 1)
@@ -710,6 +744,8 @@ def load_measure_csv(path: str) -> GridMeasure:
     with np.errstate(over="ignore"):  # _make rejects an infinite total
         total = float(np.sum(weights))
     if abs(total - 1.0) > 1e-9:
-        log.info("normalizing measure from %s: total mass deviated by %.3e",
-                 path, total - 1.0)
+        import logging  # here, not at the top: it costs a start 4 ms
+        logging.getLogger(__name__).info(
+            "normalizing measure from %s: total mass deviated by %.3e",
+            path, total - 1.0)
     return _make(atoms, weights, normalize=True)

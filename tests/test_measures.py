@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -527,6 +528,44 @@ def test_convolve_cap_raises_on_a_shared_lattice_before_slice_adds(
         convolve(a, b, max_atoms=4001)
 
 
+def _count_np_convolves(monkeypatch):
+    calls = []
+    real_convolve = np.convolve
+
+    def counting_convolve(u, v, *args, **kwargs):
+        calls.append((len(u), len(v)))
+        return real_convolve(u, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", counting_convolve)
+    return calls
+
+
+def test_convolve_on_a_shared_lattice_takes_one_np_convolve_per_live_run(
+        monkeypatch):
+    rng = np.random.default_rng(11)
+    atoms = 0.25 * np.arange(1000)
+    w_a, w_b = np.zeros(1000), np.zeros(1000)
+    w_a[[10, 11, 12, 900]] = [0.2, 0.3, 0.1, 0.4]  # runs of 3 and 1 atoms
+    w_b[400:601] = rng.random(201) + 0.1  # a live span of 201 atoms
+    sparse = _lattice_pair(atoms, w_a, w_b)
+    dense = _lattice_pair(atoms[:300], rng.random(300) + 0.1,
+                          rng.random(300) + 0.1)
+    want = [oracles.lattice_convolve_reference(*pair, 0.25)
+            for pair in (sparse, dense)]
+    calls = _count_np_convolves(monkeypatch)
+    for (a, b), law, expected in ((sparse, want[0], [(1, 201), (3, 201)]),
+                                  (dense, want[1], [(300, 300)])):
+        for x, y in ((a, b), (b, a)):
+            calls.clear()
+            got = convolve(x, y)
+            # one call per run of the sparser law over the other's live
+            # span; one call over both spans would be (891, 201)
+            assert sorted(calls) == expected
+            assert np.array_equal(got.atoms, law.atoms)
+            np.testing.assert_allclose(got.weights, law.weights, rtol=1e-13,
+                                       atol=0.0)
+
+
 @pytest.mark.parametrize("spec", [
     {"family": "uniform", "lo": 0.0, "hi": 1.0},
     {"family": "gaussian", "sigma": 1.0}])
@@ -623,6 +662,23 @@ def test_csv_round_trip(tmp_path, rng):
     back = load_measure_csv(str(path))
     assert np.array_equal(back.atoms, m.atoms)
     assert np.allclose(back.weights, m.weights, atol=1e-15)
+
+
+def test_load_measure_csv_logs_a_renormalization(tmp_path, caplog):
+    path = tmp_path / "measure.csv"
+    path.write_text("x,w\n0.0,0.5\n1.0,0.25\n")
+    with caplog.at_level(logging.INFO, logger="quncert.measures"):
+        m = load_measure_csv(str(path))
+    assert m.weights.tolist() == [2.0 / 3.0, 1.0 / 3.0]
+    assert [(r.name, r.levelno) for r in caplog.records] == [
+        ("quncert.measures", logging.INFO)]
+    assert caplog.records[0].getMessage() == (
+        f"normalizing measure from {path}: total mass deviated by -2.500e-01")
+    caplog.clear()
+    path.write_text("x,w\n0.0,0.5\n1.0,0.5\n")  # a unit mass: no line
+    with caplog.at_level(logging.INFO, logger="quncert.measures"):
+        load_measure_csv(str(path))
+    assert caplog.records == []
 
 
 def test_csv_header_enforced(tmp_path):
@@ -824,6 +880,52 @@ def test_alpha_deviation_near_one_of_a_subnormal_weight_matches_log_space():
         y = r / (1.0 + r)  # the minimizer (0 up to alpha about 1.9)
         want = oracles.log_alpha_norm(m.atoms - y, m.weights, alpha)
         assert alpha_deviation(m, alpha) == want
+
+
+def _count_slope_passes(monkeypatch):
+    # each slope pass of alpha_deviation signs its terms once
+    passes = []
+    real_copysign = np.copysign
+
+    def counting_copysign(*args, **kwargs):
+        passes.append(1)
+        return real_copysign(*args, **kwargs)
+
+    monkeypatch.setattr(np, "copysign", counting_copysign)
+    return passes
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_alpha_deviation_of_a_subnormal_weight_takes_few_slope_passes(
+        monkeypatch):
+    # the minimizer lies by the heavy atom: steps in y halved the bracket
+    # down through the subnormals, 488 to 1,075 passes
+    m = sorted_measure([0.0, 1.0], [1.0, 5e-324])
+    passes = _count_slope_passes(monkeypatch)
+    for alpha in (1.01, 1.5, 2.0, 600.0):
+        r = math.exp(math.log(5e-324) / (alpha - 1.0))
+        y = r / (1.0 + r)  # the minimizer
+        want = oracles.log_alpha_norm(m.atoms - y, m.weights, alpha)
+        passes.clear()
+        got = alpha_deviation(m, alpha)
+        assert len(passes) <= 20
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_alpha_deviation_near_one_takes_few_slope_passes(monkeypatch, rng):
+    # the minimizer lies within the float spacing of an atom: steps in y
+    # overshot it, and the bracket was halved 50 times or more
+    laws = [random_measure(rng, max_atoms=30, min_atoms=2) for _ in range(40)]
+    passes = _count_slope_passes(monkeypatch)
+    for m in laws:
+        for alpha in (1.0 + 1e-15, 1.0 + 1e-9, 1.001, 1.01):
+            passes.clear()
+            ours = alpha_deviation(m, alpha)
+            assert len(passes) <= 20
+            ref = oracles.scan_alpha_deviation(m.atoms, m.weights, alpha)
+            assert ours <= ref * (1.0 + 1e-12)
+            assert ours == pytest.approx(ref, rel=1e-9)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,6 +1,11 @@
-"""The package's public names."""
+"""The package's public names and its start-up footprint."""
+
+import json
+import subprocess
+import sys
 
 import quncert
+import quncert.bounds
 
 PUBLIC_NAMES = [
     "AccuracyError", "BoundedRangeMap", "BoundedShiftMap",
@@ -46,3 +51,36 @@ def test_all_lists_the_public_names_and_each_imports():
     namespace: dict = {}
     exec("from quncert import *", namespace)
     assert all(name in namespace for name in PUBLIC_NAMES)
+
+
+# -- start-up footprint: OpenSSL and logging load where they are used ----------
+
+# the modules each child prints: OpenSSL's binding, loaded by hashlib
+_LOADED = ("\nimport json, sys\nprint(json.dumps([m for m in "
+           "('_hashlib', 'logging') if m in sys.modules]))")
+
+
+def _child_modules(code: str) -> list:
+    proc = subprocess.run([sys.executable, "-c", code + _LOADED],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_neither_openssl_nor_logging():
+    assert _child_modules("import quncert.cli") == []
+
+
+def test_a_groundstate_run_loads_neither_openssl_nor_logging():
+    assert _child_modules(
+        "import runpy, sys\n"
+        "sys.argv = ['quncert', 'groundstate', '--alpha', '2', '--beta', '2']\n"
+        "try:\n"
+        "    runpy.run_module('quncert.cli', run_name='__main__')\n"
+        "except SystemExit as exit:\n"
+        "    assert not exit.code\n") == []
+
+
+def test_inputs_hash_keeps_its_digest():
+    inputs = {"alpha": 2.0, "beta": 1.0, "grid": [-16.0, 0.0625, 512],
+              "state": "vacuum"}
+    assert quncert.bounds.inputs_hash(inputs) == "2663282bcb86"

@@ -26,7 +26,10 @@ Each record also holds a start-up A/B: after the pairs, 60 starts per side
 of a fresh interpreter until `import quncert.cli` returns, as perfbench
 reads `setup_s`, the sides alternating start by start.  It gives the
 median, quartiles and minimum per side, so a `setup_s` that moves by a
-quarter on 7 starts can be told from a change in import cost.
+quarter on 7 starts can be told from a change in import cost.  It also
+gives each side's median and quartiles of the starts' peak RSS, read with
+`os.wait4` as perfbench reads `peak_rss_mb`, so a move in import footprint
+can be told from one in the data a workload holds.
 """
 
 from __future__ import annotations
@@ -89,33 +92,45 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return {"environment": env["environment"], **result}
 
 
-def start_once(tree: str) -> float:
+def start_once(tree: str) -> tuple[float, float]:
     """Seconds from spawning an interpreter until `import quncert.cli`
-    returns, read off the shared monotonic clock."""
+    returns, read off the shared monotonic clock, and the child's peak RSS
+    in MB, read with os.wait4 as perfbench reads `peak_rss_mb`."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("QUNCERT_")}
     env.update(THREAD_PIN, PYTHONPATH=os.path.join(tree, "src"))
     start = time.monotonic()
-    proc = subprocess.run([sys.executable, "-c", START_CODE], cwd=tree,
-                          env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.exit(f"import quncert.cli in {tree}: exit {proc.returncode}"
-                 f"\n{proc.stderr[-2000:]}")
-    return float(proc.stdout) - start
+    proc = subprocess.Popen([sys.executable, "-c", START_CODE], cwd=tree,
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    _, status, usage = os.wait4(proc.pid, 0)  # the outputs fit the pipes
+    out, err = proc.stdout.read(), proc.stderr.read()
+    proc.stdout.close()
+    proc.stderr.close()
+    code = proc.returncode = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        sys.exit(f"import quncert.cli in {tree}: exit {code}\n{err[-2000:]}")
+    return float(out) - start, usage.ru_maxrss / 1024.0
 
 
 def startup_ab(trees: dict, starts: int) -> dict:
-    """Interleaved start-up times of the two trees: start i runs the parent
-    first when i is even."""
+    """Interleaved start-up times and peak RSS of the two trees: start i
+    runs the parent first when i is even."""
     runs = {side: [] for side in SIDES}
     for i in range(starts):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             runs[side].append(start_once(trees[side]))
-    ratio = statistics.median(runs["change"]) / statistics.median(
-        runs["parent"])
+    times = {side: [t for t, _ in runs[side]] for side in SIDES}
+    rss = {side: [mb for _, mb in runs[side]] for side in SIDES}
     return {"starts": starts, "code": START_CODE,
-            **{side: {**quartiles(runs[side]), "min": min(runs[side])}
+            **{side: {**quartiles(times[side]), "min": min(times[side]),
+                      "peak_rss_mb": quartiles(rss[side])}
                for side in SIDES},
-            "median_ratio_change_over_parent": ratio}
+            "median_ratio_change_over_parent":
+                statistics.median(times["change"])
+                / statistics.median(times["parent"]),
+            "peak_rss_median_ratio_change_over_parent":
+                statistics.median(rss["change"])
+                / statistics.median(rss["parent"])}
 
 
 def quartiles(runs: list[float]) -> dict:
@@ -192,8 +207,9 @@ def main() -> int:
                           file=sys.stderr, flush=True)
         startup = startup_ab(trees, STARTS)
         print("start-up medians: " + ", ".join(
-            f"{side} {startup[side]['median']:.4f} s" for side in SIDES),
-            file=sys.stderr, flush=True)
+            f"{side} {startup[side]['median']:.4f} s, "
+            f"{startup[side]['peak_rss_mb']['median']:.2f} MB"
+            for side in SIDES), file=sys.stderr, flush=True)
 
     env = runs[args.workload[0]]["parent"][0]["environment"]
     record = {
